@@ -9,6 +9,13 @@ offset), fields are FORM, LEMMA, CPOSTAG, POSTAG.  A ``between`` selector
 emits one feature per distinct field value strictly between head and
 modifier.  Every feature string embeds the template index, the attachment
 direction, and the bucketed head-modifier distance.
+
+Model checksums rest on one invariant: each template's alphabet lists its
+strings in first-seen order over (sentence, head, modifier, between
+position), heads outer and modifiers inner.  `EdgeFeatureExtractor.build`
+and `DependencyTask.compile` both get their strings from `instantiate_edges`,
+which yields them in exactly that order; `instantiate_edge` is the per-edge
+definition it must agree with.
 """
 
 from __future__ import annotations
@@ -16,7 +23,10 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import add
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,6 +152,106 @@ def instantiate_edge(
     return out
 
 
+class _EdgeFrame(NamedTuple):
+    """The candidate edges of a sentence with n positions (root included)."""
+
+    heads: tuple[int, ...]
+    mods: tuple[int, ...]
+    head_ids: np.ndarray  # read-only int64 copies of heads / mods
+    mod_ids: np.ndarray
+    prefixes: tuple[str, ...]  # "dir:dist:" per edge
+    spans: tuple[int, ...]  # lo * n + hi per edge
+
+
+@lru_cache(maxsize=256)
+def _edge_frame(n: int) -> _EdgeFrame:
+    pairs = [(u, v) for u in range(n) for v in range(1, n) if u != v]
+    heads = tuple(u for u, _ in pairs)
+    mods = tuple(v for _, v in pairs)
+    head_ids = np.array(heads, dtype=np.int64)
+    mod_ids = np.array(mods, dtype=np.int64)
+    head_ids.flags.writeable = False
+    mod_ids.flags.writeable = False
+    prefixes = tuple(
+        f"{'R' if u < v else 'L'}:{distance_bucket(abs(u - v))}:" for u, v in pairs
+    )
+    spans = tuple(min(u, v) * n + max(u, v) for u, v in pairs)
+    return _EdgeFrame(heads, mods, head_ids, mod_ids, prefixes, spans)
+
+
+def _between_values(aug_tokens: Sequence[tuple[str, ...]], column: int) -> list[tuple[str, ...]]:
+    """Distinct values strictly inside each span (first seen first), at lo * n + hi.
+
+    Each left end keeps one running list as the right end moves, so no span
+    is scanned twice; spans that add no new value share the previous tuple.
+    """
+    n = len(aug_tokens)
+    values = [tok[column] for tok in aug_tokens]
+    table: list[tuple[str, ...]] = [()] * (n * n)
+    for lo in range(n - 2):
+        seen: list[str] = []
+        current: tuple[str, ...] = ()
+        for hi in range(lo + 2, n):
+            value = values[hi - 1]
+            if value not in seen:
+                seen.append(value)
+                current = tuple(seen)
+            table[lo * n + hi] = current
+    return table
+
+
+def instantiate_edges(
+    spec: EdgeTemplateSpec, aug_tokens: Sequence[tuple[str, ...]]
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Feature strings of `spec` over every candidate edge of one sentence.
+
+    Returns ``(heads, mods, strings)``: entry i is a string of edge
+    ``heads[i] -> mods[i]``.  The strings are ``instantiate_edge`` over the
+    edges u = 0..n-1 (outer), v = 1..n-1 (inner), u != v, concatenated; the
+    int64 arrays may be read-only.  Each selector's column of values is read
+    once per sentence, and the strings are joined edge-parallel.
+    """
+    n = len(aug_tokens)
+    frame = _edge_frame(n)
+    n_edges = len(frame.heads)
+    prefixes = map(f"{spec.index}:".__add__, frame.prefixes)
+    parts = []  # per selector: its value on every edge (None for between)
+    for sel in spec.selectors:
+        if sel.anchor == "between":
+            parts.append(None)
+            continue
+        column = [
+            aug_tokens[p][sel.column] if 0 <= p < n else boundary_symbol(p, n)
+            for p in range(sel.offset, sel.offset + n)
+        ]
+        anchors = frame.heads if sel.anchor == "head" else frame.mods
+        parts.append(map(column.__getitem__, anchors))
+
+    between_col = spec.between_column
+    if between_col is None:
+        strings = list(map(add, prefixes, map("/".join, zip(*parts))))
+        return frame.head_ids, frame.mod_ids, strings
+
+    b = parts.index(None)
+    # "x/y/" before and "/z" after the between value; empty without selectors
+    before = map("/".join, zip(*parts[:b], repeat("", n_edges)))
+    after = map("/".join, zip(repeat("", n_edges), *parts[b + 1 :]))
+    table = _between_values(aug_tokens, between_col)
+    values = list(map(table.__getitem__, frame.spans))
+    counts = list(map(len, values))
+    strings = list(
+        map(
+            "".join,
+            zip(
+                chain.from_iterable(map(repeat, map(add, prefixes, before), counts)),
+                chain.from_iterable(values),
+                chain.from_iterable(map(repeat, after, counts)),
+            ),
+        )
+    )
+    return np.repeat(frame.head_ids, counts), np.repeat(frame.mod_ids, counts), strings
+
+
 class EdgeFeatureExtractor:
     """Edge templates plus their frozen alphabets."""
 
@@ -163,31 +273,11 @@ class EdgeFeatureExtractor:
         alphabets = [FeatureAlphabet(s.index) for s in specs]
         for inst in corpus:
             toks = augment(inst.tokens)
-            n = len(toks)
-            for u in range(n):
-                for v in range(1, n):
-                    if u == v:
-                        continue
-                    for spec, alphabet in zip(specs, alphabets):
-                        for s in instantiate_edge(spec, toks, u, v):
-                            alphabet.intern(s)
+            for spec, alphabet in zip(specs, alphabets):
+                alphabet.intern_all(instantiate_edges(spec, toks)[2])
         for alphabet in alphabets:
             alphabet.freeze()
         return cls(specs, alphabets)
-
-    def edge_feature_map(
-        self, aug_tokens: Sequence[tuple[str, ...]], u: int, v: int
-    ) -> list[list[int]]:
-        """Per-group firing feature indices for one edge (unknowns dropped)."""
-        out = []
-        for spec, alphabet in zip(self.specs, self.alphabets, strict=True):
-            ids = []
-            for s in instantiate_edge(spec, aug_tokens, u, v):
-                idx = alphabet.lookup(s)
-                if idx is not None:
-                    ids.append(idx)
-            out.append(ids)
-        return out
 
 
 def parent_loss(gold: Sequence[int], other: Sequence[int]) -> float:
@@ -444,32 +534,16 @@ class DependencyTask:
 
     def compile(self, instance: DependencyInstance) -> CompiledDependency:
         toks = augment(instance.tokens)
-        n = len(instance.tokens)
-        m = self.n_groups
-        us: list[list[int]] = [[] for _ in range(m)]
-        vs: list[list[int]] = [[] for _ in range(m)]
-        fs: list[list[int]] = [[] for _ in range(m)]
-        for u in range(n + 1):
-            for v in range(1, n + 1):
-                if u == v:
-                    continue
-                for j, ids in enumerate(self.extractor.edge_feature_map(toks, u, v)):
-                    for idx in ids:
-                        us[j].append(u)
-                        vs[j].append(v)
-                        fs[j].append(idx)
-        group_edges = [
-            (
-                np.asarray(us[j], dtype=np.int64),
-                np.asarray(vs[j], dtype=np.int64),
-                np.asarray(fs[j], dtype=np.int64),
-            )
-            for j in range(m)
-        ]
+        group_edges = []
+        for spec, alphabet in zip(self.extractor.specs, self.extractor.alphabets, strict=True):
+            heads, mods, strings = instantiate_edges(spec, toks)
+            ids = alphabet.lookup_all(strings)
+            known = ids >= 0  # unknown strings fire nothing
+            group_edges.append((heads[known], mods[known], ids[known]))
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(n, group_edges, gold)
+        return CompiledDependency(len(instance.tokens), group_edges, gold)
 
     def edge_scores(
         self, weights: Sequence[np.ndarray], inst: CompiledDependency

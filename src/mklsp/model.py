@@ -33,6 +33,17 @@ from .templates import OBSERVATION, FeatureAlphabet, parse_templates
 
 MAGIC = "MKLSP1"
 
+# meta key -> (JSON type, required); list values hold strings only
+_META_FIELDS = {
+    "task": (str, True),
+    "n_columns": (int, True),
+    "groups": (list, True),
+    "labels": (list, True),
+    "decoder": (str, False),
+    "single_root": (bool, False),
+    "diagnostics": (dict, False),
+}
+
 
 class ModelFormatError(ValueError):
     """Raised for unreadable, truncated, or corrupted model files."""
@@ -215,7 +226,8 @@ class Model:
             meta = json.loads(blocks[0].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelFormatError(f"bad meta block: {exc}") from exc
-        groups = list(meta["groups"])
+        _check_meta(meta)
+        groups = meta["groups"]
         m = len(groups)
         if len(blocks) != 3 + 2 * m:
             raise ModelFormatError(
@@ -231,13 +243,31 @@ class Model:
         return cls(
             meta["task"],
             template_text,
-            int(meta["n_columns"]),
+            meta["n_columns"],
             groups,
-            list(meta["labels"]),
+            meta["labels"],
             alphabets,
             mu,
             weights,
             decoder=meta.get("decoder", "projective"),
-            single_root=bool(meta.get("single_root", False)),
-            diagnostics=dict(meta.get("diagnostics", {})),
+            single_root=meta.get("single_root", False),
+            diagnostics=meta.get("diagnostics", {}),
         )
+
+
+def _check_meta(meta) -> None:
+    """Raise ModelFormatError unless `meta` has the keys and types `read` uses."""
+    if not isinstance(meta, dict):
+        raise ModelFormatError("meta block is not a JSON object")
+    for key, (kind, required) in _META_FIELDS.items():
+        if key not in meta:
+            if required:
+                raise ModelFormatError(f"meta block lacks {key!r}")
+            continue
+        value = meta[key]
+        # bool subclasses int in Python, but JSON true is no column count
+        ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+        if ok and kind is list:
+            ok = all(isinstance(item, str) for item in value)
+        if not ok:
+            raise ModelFormatError(f"meta {key!r} must be a JSON {kind.__name__}, got {value!r}")

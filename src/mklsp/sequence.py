@@ -27,7 +27,7 @@ from .templates import (
     FeatureAlphabet,
     TemplateSpec,
     index_corpus,
-    instantiate,
+    instantiate_all,
 )
 
 BRUTE_FORCE_LIMIT = 1_000_000
@@ -192,16 +192,10 @@ class SequenceTask:
         return dims
 
     def compile(self, instance: SequenceInstance) -> CompiledSequence:
-        tokens = instance.tokens
-        l = len(tokens)
-        feats = []
-        for spec, alphabet in zip(self.specs, self.alphabets, strict=True):
-            ids = np.full(l, -1, dtype=np.int64)
-            for t in range(l):
-                idx = alphabet.lookup(instantiate(spec, tokens, t))
-                if idx is not None:
-                    ids[t] = idx
-            feats.append(ids)
+        feats = [
+            alphabet.lookup_all(instantiate_all(spec, instance.tokens))
+            for spec, alphabet in zip(self.specs, self.alphabets, strict=True)
+        ]
         gold = None
         if instance.labels is not None:
             gold = np.asarray(instance.labels, dtype=np.int64)

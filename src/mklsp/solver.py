@@ -9,12 +9,21 @@ restricted subproblem is the saddle problem
         alpha . q  -  1/2 alpha' ( sum_j mu_j Q^j ) alpha
 
 over A = {alpha >= 0, sum(alpha) <= C}, where Q^j is the Gram matrix of the
-rows' group-j parts.  It is solved by alternating an exact QP in alpha with
-the closed-form update mu_j <- mu_j * gamma_j (renormalized),
-gamma_j = sqrt(alpha' Q^j alpha); the loop stops on a computable duality
-certificate.  Group weights recover as w_j = -mu_j * sum_r alpha_r p_j^r.
-Training stops when the decoded violation R_emp exceeds the working-set
-value R_s by less than epsilon.
+rows' group-j parts.  Groups with a pinned mu_j fold into
+Qpin = sum_pinned mu_j Q^j; the free groups share the remaining simplex
+mass M.  The subproblem is solved in its epigraph form
+
+    min  -q.alpha + 1/2 alpha' Qpin alpha + (M/2) t
+    s.t. alpha' Q^j alpha <= t  for every free group j,  alpha in A,
+
+by log-barrier path following (damped Newton centering, barrier weight
+raised tenfold per stage).  Free mu_j are twice the multipliers of the
+group constraints, rescaled to sum to M.  An exact QP in alpha at that mu
+(projected gradient, then an exact solve on the active face) replaces the
+barrier's alpha when it gives the higher dual value; with no free group
+that QP is the whole solve.  Group weights recover as
+w_j = -mu_j * sum_r alpha_r p_j^r.  Training stops when the decoded
+violation R_emp exceeds the working-set value R_s by less than epsilon.
 """
 
 from __future__ import annotations

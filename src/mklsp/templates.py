@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count, filterfalse, repeat
 from typing import Iterable, Sequence
+
+import numpy as np
 
 OBSERVATION = "observation"
 TRANSITION = "transition"
@@ -87,6 +90,21 @@ def instantiate(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]], t: int) -
     return spec.index + ":" + "/".join(parts)
 
 
+def instantiate_all(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]]) -> list[str]:
+    """Feature strings of `spec` at every position of one sentence.
+
+    Entry t equals ``instantiate(spec, tokens, t)``: each macro's column of
+    values (boundary sentinels included) is read once, then the columns are
+    joined position by position.
+    """
+    l = len(tokens)
+    columns = [
+        [tokens[p][col] if 0 <= p < l else boundary_symbol(p, l) for p in range(row, row + l)]
+        for row, col in spec.macros
+    ]
+    return list(map((spec.index + ":").__add__, map("/".join, zip(*columns))))
+
+
 def validate_columns(specs: Iterable[TemplateSpec], n_columns: int) -> None:
     for spec in specs:
         for _, col in spec.macros:
@@ -130,8 +148,25 @@ class FeatureAlphabet:
             self._ids[s] = idx
         return idx
 
+    def intern_all(self, strings: Iterable[str]) -> None:
+        """Intern every string in order; the same ids as `intern` one by one."""
+        new = filterfalse(self._ids.__contains__, dict.fromkeys(strings))
+        if self._frozen:
+            first = next(new, None)
+            if first is not None:
+                raise ValueError(f"alphabet {self.group_id} is frozen; cannot add {first!r}")
+            return
+        # `new` holds each string once, so ids are handed out in first-seen order
+        self._ids.update(zip(new, count(len(self._ids))))
+
     def lookup(self, s: str) -> int | None:
         return self._ids.get(s)
+
+    def lookup_all(self, strings: Sequence[str]) -> np.ndarray:
+        """Ids of `strings` as an int64 array, -1 where a string is unknown."""
+        return np.fromiter(
+            map(self._ids.get, strings, repeat(-1)), dtype=np.int64, count=len(strings)
+        )
 
     def strings(self) -> list[str]:
         # dicts preserve insertion order, which is the id order
@@ -155,10 +190,8 @@ def index_corpus(specs: Sequence[TemplateSpec], corpus: Sequence) -> list[Featur
     validate_columns(obs, len(corpus[0].tokens[0]) if corpus[0].tokens else 0)
     alphabets = [FeatureAlphabet(s.index) for s in obs]
     for inst in corpus:
-        tokens = inst.tokens
-        for t in range(len(tokens)):
-            for spec, alphabet in zip(obs, alphabets):
-                alphabet.intern(instantiate(spec, tokens, t))
+        for spec, alphabet in zip(obs, alphabets):
+            alphabet.intern_all(instantiate_all(spec, inst.tokens))
     for alphabet in alphabets:
         alphabet.freeze()
     return alphabets

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 face enumeration, and dense grids.  Nothing imports the package's decoders
-or solvers.
+or solvers; the edge-feature references loop over edges one at a time with
+the package's per-edge definition, `instantiate_edge`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+
+from mklsp.dependency import augment, instantiate_edge
 
 
 def dense_emissions(feats, tables, k):
@@ -194,3 +197,39 @@ def qcqp_oracle(grams, q, C, rounds=4, steps=24):
         center = best_mu
         radius /= steps / 4.0
     return best_v
+
+
+def candidate_edges(n):
+    """Edges head u -> modifier v over positions 0..n-1, u outer, v inner."""
+    return [(u, v) for u in range(n) for v in range(1, n) if u != v]
+
+
+def edge_alphabets(specs, corpus):
+    """Per-template feature strings, first seen over (sentence, head,
+    modifier, between position)."""
+    alphabets = [{} for _ in specs]
+    for inst in corpus:
+        toks = augment(inst.tokens)
+        for u, v in candidate_edges(len(toks)):
+            for spec, ids in zip(specs, alphabets):
+                for s in instantiate_edge(spec, toks, u, v):
+                    ids.setdefault(s, len(ids))
+    return [list(ids) for ids in alphabets]
+
+
+def compile_edges(specs, alphabets, tokens):
+    """Per-template (u, v, feature id) int64 arrays over every candidate edge
+    in order, with strings missing from the alphabet dropped."""
+    toks = augment(tokens)
+    lookups = [{s: i for i, s in enumerate(strings)} for strings in alphabets]
+    groups = []
+    for spec, ids in zip(specs, lookups):
+        us, vs, fs = [], [], []
+        for u, v in candidate_edges(len(toks)):
+            for s in instantiate_edge(spec, toks, u, v):
+                if s in ids:
+                    us.append(u)
+                    vs.append(v)
+                    fs.append(ids[s])
+        groups.append(tuple(np.asarray(x, dtype=np.int64) for x in (us, vs, fs)))
+    return groups

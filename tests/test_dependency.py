@@ -3,9 +3,11 @@ the parsing task protocol."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mklsp.corpus import DependencyInstance
 from mklsp.dependency import (
+    FIELDS,
     DependencyTask,
     EdgeFeatureExtractor,
     augment,
@@ -15,6 +17,7 @@ from mklsp.dependency import (
     distance_bucket,
     eisner_decode,
     instantiate_edge,
+    instantiate_edges,
     is_arborescence,
     is_projective,
     parent_loss,
@@ -22,7 +25,15 @@ from mklsp.dependency import (
 )
 from mklsp.templates import TemplateError
 
-from _oracles import tree_best, tree_tables, valid_arborescence, valid_projective
+from _oracles import (
+    candidate_edges,
+    compile_edges,
+    edge_alphabets,
+    tree_best,
+    tree_tables,
+    valid_arborescence,
+    valid_projective,
+)
 
 
 def toy_sentence():
@@ -97,6 +108,61 @@ def test_between_features_one_per_distinct_value():
     ]
     # adjacent pair: nothing between, no features at all
     assert instantiate_edge(spec, toks, 1, 2) == []
+
+
+# small vocabularies, so that between values repeat within a span
+TOKEN = st.tuples(
+    st.sampled_from("abc"), st.sampled_from("ab"), st.sampled_from("XY"), st.sampled_from("XYZ")
+)
+SENTENCE = st.lists(TOKEN, min_size=1, max_size=8)
+FIELD = st.sampled_from(sorted(FIELDS))
+
+
+@st.composite
+def edge_template(draw, index):
+    selectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        anchor = draw(st.sampled_from(["head", "mod"]))
+        offset = draw(st.integers(-2, 2))
+        shift = f"{offset:+d}" if offset else ""
+        selectors.append(f"{anchor}{shift}.{draw(FIELD)}")
+    if draw(st.booleans()):
+        selectors.insert(draw(st.integers(0, len(selectors))), f"between.{draw(FIELD)}")
+    return f"{index}:" + "/".join(selectors)
+
+
+@st.composite
+def edge_template_specs(draw):
+    lines = [draw(edge_template(f"P{j}")) for j in range(draw(st.integers(1, 3)))]
+    return parse_edge_templates("\n".join([*lines, "PB:between.CPOSTAG"]))
+
+
+@given(SENTENCE, edge_template_specs())
+def test_instantiate_edges_matches_per_edge_definition(sentence, specs):
+    toks = augment(sentence)
+    for spec in specs:
+        heads, mods, strings = instantiate_edges(spec, toks)
+        want = [
+            (u, v, s)
+            for u, v in candidate_edges(len(toks))
+            for s in instantiate_edge(spec, toks, u, v)
+        ]
+        assert list(zip(heads.tolist(), mods.tolist(), strings)) == want
+        assert heads.dtype == mods.dtype == np.int64
+
+
+@given(st.lists(SENTENCE, min_size=1, max_size=3), SENTENCE, edge_template_specs())
+def test_build_and_compile_match_per_edge_reference(corpus, unseen, specs):
+    instances = [DependencyInstance(s, None) for s in corpus]
+    task = DependencyTask.build(specs, instances)
+    alphabets = edge_alphabets(specs, instances)
+    assert [a.strings() for a in task.extractor.alphabets] == alphabets
+    for tokens in [*corpus, unseen]:
+        got = task.compile(DependencyInstance(tokens, None)).group_edges
+        for group, ref in zip(got, compile_edges(specs, alphabets, tokens), strict=True):
+            for a, b in zip(group, ref, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- decoders

@@ -1,11 +1,15 @@
 """On-disk model format: round trips, checksums, corruption detection, and
 task reconstruction from the stored blocks."""
 
+import hashlib
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from mklsp import cli
 from mklsp.dependency import DependencyTask, parse_edge_templates
 from mklsp.model import MAGIC, Model, ModelFormatError
 from mklsp.sequence import SequenceTask
@@ -134,18 +138,72 @@ def test_bad_magic_and_header_lines():
         Model.read(io.BytesIO(b"MKLSP1\ncreated=now\n\n"))
 
 
+def signed(blocks):
+    """A model file around payload `blocks`, with a checksum that matches."""
+    payload = b"".join(struct.pack("<Q", len(b)) + b for b in blocks)
+    digest = hashlib.sha256(payload).hexdigest()
+    return f"{MAGIC}\nchecksum={digest}\n\n".encode() + payload
+
+
+@pytest.fixture(scope="module")
+def seq_model():
+    return trained_sequence_model()[0]
+
+
+def with_meta(model, edit):
+    """`model`'s signed file after `edit` changed its meta object in place."""
+    blocks = model._payload_blocks()
+    meta = json.loads(blocks[0])
+    edit(meta)
+    blocks[0] = json.dumps(meta).encode()
+    return signed(blocks)
+
+
 def test_block_count_must_match_group_count(tmp_path):
     model, _, _ = trained_sequence_model()
     # drop the final weight block but keep lengths consistent
-    blocks = model._payload_blocks()[:-1]
-    import hashlib
-    import struct
-
-    payload = b"".join(struct.pack("<Q", len(b)) + b for b in blocks)
-    digest = hashlib.sha256(payload).hexdigest()
-    raw = f"{MAGIC}\nchecksum={digest}\n\n".encode() + payload
+    raw = signed(model._payload_blocks()[:-1])
     with pytest.raises(ModelFormatError, match="blocks"):
         Model.read(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("key", ["task", "n_columns", "groups", "labels"])
+def test_meta_without_required_key_is_a_format_error(seq_model, tmp_path, capsys, key):
+    raw = with_meta(seq_model, lambda meta: meta.pop(key))
+    with pytest.raises(ModelFormatError, match=key):
+        Model.read(io.BytesIO(raw))
+    path = tmp_path / "m.mkl"
+    path.write_bytes(raw)
+    assert cli.main(["weights", "-m", str(path)]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("task", 3),
+        ("n_columns", "2"),
+        ("n_columns", True),
+        ("groups", "U00"),
+        ("groups", [0, 1]),
+        ("labels", None),
+        ("labels", [1]),
+        ("decoder", 0),
+        ("single_root", "no"),
+        ("diagnostics", [["a", "b"]]),
+    ],
+)
+def test_meta_value_of_wrong_type_is_a_format_error(seq_model, key, value):
+    raw = with_meta(seq_model, lambda meta: meta.__setitem__(key, value))
+    with pytest.raises(ModelFormatError, match=key):
+        Model.read(io.BytesIO(raw))
+
+
+def test_meta_must_be_an_object(seq_model):
+    blocks = seq_model._payload_blocks()
+    blocks[0] = b"[]"
+    with pytest.raises(ModelFormatError, match="object"):
+        Model.read(io.BytesIO(signed(blocks)))
 
 
 def test_model_field_validation():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from mklsp.templates import (
     extract_token_features,
     index_corpus,
     instantiate,
+    instantiate_all,
     parse_templates,
     validate_columns,
 )
@@ -101,6 +103,30 @@ def test_instantiate_total_over_positions():
         assert s.startswith("U07:")
 
 
+@given(
+    st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("xyz")), max_size=6),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 1)), min_size=1, max_size=3),
+)
+def test_instantiate_all_matches_per_position(tokens, macros):
+    body = "/".join(f"%x[{row},{col}]" for row, col in macros)
+    (spec,) = parse_templates(f"U09:{body}")
+    assert instantiate_all(spec, tokens) == [
+        instantiate(spec, tokens, t) for t in range(len(tokens))
+    ]
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=8), st.lists(st.sampled_from("abcde")))
+def test_batch_intern_and_lookup_match_one_at_a_time(first, second):
+    one, batch = FeatureAlphabet("U00"), FeatureAlphabet("U00")
+    for s in first:
+        one.intern(s)
+    batch.intern_all(first)
+    assert batch.strings() == one.strings()
+    ids = batch.lookup_all(second)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [-1 if one.lookup(s) is None else one.lookup(s) for s in second]
+
+
 def test_validate_columns():
     specs = parse_templates("U00:%x[0,2]")
     validate_columns(specs, 3)
@@ -141,6 +167,10 @@ def test_frozen_alphabet_rejects_new():
     assert a.lookup("U00:y") is None
     with pytest.raises(ValueError, match="frozen"):
         a.intern("U00:y")
+    a.intern_all(["U00:x"])
+    with pytest.raises(ValueError, match="frozen"):
+        a.intern_all(["U00:x", "U00:y"])
+    assert a.strings() == ["U00:x"]
 
 
 def test_extract_token_features():
