@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add
@@ -31,7 +31,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import DependencyInstance, heads_form_tree
-from .sparse import GroupedSparseVector
 from .templates import FeatureAlphabet, TemplateError, boundary_symbol
 
 ROOT_TOKEN = ("<root>", "<root>", "<root>", "<root>")
@@ -492,7 +491,6 @@ class CompiledDependency:
     n: int  # token count, excluding root
     group_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (u, v, feat)
     gold: np.ndarray | None
-    gold_map: GroupedSparseVector | None = field(default=None, repr=False)
 
 
 class DependencyTask:
@@ -519,10 +517,6 @@ class DependencyTask:
         single_root: bool = False,
     ) -> "DependencyTask":
         return cls(EdgeFeatureExtractor.build(specs, corpus), decoder, single_root)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.extractor.specs)
 
     @property
     def group_ids(self) -> list[str]:
@@ -557,21 +551,12 @@ class DependencyTask:
 
     def joint_feature_map(
         self, inst: CompiledDependency, heads: Sequence[int]
-    ) -> GroupedSparseVector:
-        """Summed edge features over the tree's edges (frequency values)."""
+    ) -> list[np.ndarray]:
+        """Weight ids fired by the tree's edges, per group, one entry per firing."""
         if len(heads) != inst.n:
             raise ValueError("tree size does not match the sentence")
         harr = np.asarray(heads, dtype=np.int64)
-        dicts: list[dict[int, float]] = []
-        for u, v, f in inst.group_edges:
-            d: dict[int, float] = {}
-            if f.size:
-                on_tree = harr[v - 1] == u
-                for idx in f[on_tree]:
-                    key = int(idx)
-                    d[key] = d.get(key, 0.0) + 1.0
-            dicts.append(d)
-        return GroupedSparseVector.from_dicts(dicts)
+        return [f[harr[v - 1] == u] for u, v, f in inst.group_edges]
 
     def _run_decoder(self, S: np.ndarray) -> tuple[list[int], float]:
         if self.single_root:
@@ -586,11 +571,6 @@ class DependencyTask:
         if inst.gold is None:
             raise ValueError("instance has no gold heads")
         return [int(h) for h in inst.gold]
-
-    def gold_feature_map(self, inst: CompiledDependency) -> GroupedSparseVector:
-        if inst.gold_map is None:
-            inst.gold_map = self.joint_feature_map(inst, self.gold_output(inst))
-        return inst.gold_map
 
     def loss(self, gold: Sequence[int], other: Sequence[int]) -> float:
         return parent_loss(gold, other)

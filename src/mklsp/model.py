@@ -12,7 +12,9 @@ The payload is a sequence of length-prefixed blocks (u64 little endian):
 meta JSON, template text, mu, then one alphabet block and one weight block
 per feature group.  The checksum covers the payload only, so two runs that
 learn identical parameters produce byte-identical payloads regardless of
-when they were written.
+when they were written.  `Model.read` raises ModelFormatError unless mu is
+a point of the simplex and every weight block is finite and sized for its
+group, so every model that loads can decode.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .sequence import SequenceTask
 from .templates import OBSERVATION, FeatureAlphabet, parse_templates
 
 MAGIC = "MKLSP1"
+_MU_SUM_TOL = 1e-9  # trained mu sums to 1 within a few ulps
 
 # meta key -> (JSON type, required); list values hold strings only
 _META_FIELDS = {
@@ -234,12 +237,20 @@ class Model:
                 f"expected {3 + 2 * m} blocks for {m} groups, found {len(blocks)}"
             )
         template_text = blocks[1].decode("utf-8")
-        mu = np.frombuffer(blocks[2], dtype="<f8").copy()
+        mu = _floats(blocks[2], "mu")
+        if mu.size != m or mu.min(initial=0.0) < 0 or abs(mu.sum() - 1.0) > _MU_SUM_TOL:
+            raise ModelFormatError(f"mu is not a point of the {m}-group simplex: {mu!r}")
         alphabets = [
             blocks[3 + j].decode("utf-8").split("\n") if blocks[3 + j] else []
             for j in range(m)
         ]
-        weights = [np.frombuffer(blocks[3 + m + j], dtype="<f8").copy() for j in range(m)]
+        weights = []
+        for j, gid in enumerate(groups):
+            w = _floats(blocks[3 + m + j], f"group {gid!r} weight")
+            want = _weight_size(meta, gid, len(alphabets[j]))
+            if w.size != want:
+                raise ModelFormatError(f"group {gid!r} has {w.size} weights, expected {want}")
+            weights.append(w)
         return cls(
             meta["task"],
             template_text,
@@ -253,6 +264,24 @@ class Model:
             single_root=meta.get("single_root", False),
             diagnostics=meta.get("diagnostics", {}),
         )
+
+
+def _floats(block: bytes, what: str) -> np.ndarray:
+    """A block of finite little-endian float64s."""
+    if len(block) % 8:
+        raise ModelFormatError(f"{what} block is {len(block)} bytes, not whole float64s")
+    values = np.frombuffer(block, dtype="<f8").copy()
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"{what} block holds a non-finite value")
+    return values
+
+
+def _weight_size(meta: dict, gid: str, n_strings: int) -> int:
+    """Weights of one group: one per string (dep), or per string and label (seq)."""
+    if meta["task"] != "seq":
+        return n_strings
+    k = len(meta["labels"])
+    return k * k if gid == "B" else n_strings * k
 
 
 def _check_meta(meta) -> None:

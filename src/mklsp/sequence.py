@@ -4,7 +4,7 @@ Viterbi / loss-augmented / brute-force decoders.
 Feature layout per observation group j: the flat weight index of feature f
 conjoined with label y is ``f * k + y``.  The optional transition group (one
 weight per label pair, no observation conjunction) uses ``prev * k + cur``
-and always sits last in grouped vectors.
+and always sits last.
 
 All decoders break score ties toward the lexicographically smallest label
 sequence: the DP runs backward to get exact suffix values, then the sequence
@@ -14,13 +14,12 @@ is rebuilt front to back taking the first argmax at each position.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import LabelTable, SequenceInstance
-from .sparse import GroupedSparseVector
 from .templates import (
     OBSERVATION,
     TRANSITION,
@@ -46,13 +45,9 @@ class SequenceScorer:
 class CompiledSequence:
     """A sentence reduced to firing feature ids (-1 where a group is silent)."""
 
+    length: int  # token count
     feats: list[np.ndarray]  # per observation group, int64 array of length l
     gold: np.ndarray | None
-    gold_map: GroupedSparseVector | None = field(default=None, repr=False)
-
-    @property
-    def length(self) -> int:
-        return int(self.feats[0].size) if self.feats else 0
 
 
 def hamming_loss(gold: Sequence[int], other: Sequence[int]) -> float:
@@ -173,10 +168,6 @@ class SequenceTask:
         return len(self.labels)
 
     @property
-    def n_groups(self) -> int:
-        return len(self.specs) + (1 if self.transition else 0)
-
-    @property
     def group_ids(self) -> list[str]:
         ids = [s.index for s in self.specs]
         if self.transition:
@@ -199,7 +190,7 @@ class SequenceTask:
         gold = None
         if instance.labels is not None:
             gold = np.asarray(instance.labels, dtype=np.int64)
-        return CompiledSequence(feats, gold)
+        return CompiledSequence(len(instance.tokens), feats, gold)
 
     def scorer(self, weights: Sequence[np.ndarray]) -> SequenceScorer:
         k = self.k
@@ -211,28 +202,19 @@ class SequenceTask:
 
     def joint_feature_map(
         self, inst: CompiledSequence, labels: Sequence[int]
-    ) -> GroupedSparseVector:
-        """Counts of label-conjoined features along `labels` (frequency values)."""
-        k = self.k
-        l = inst.length
-        if len(labels) != l:
+    ) -> list[np.ndarray]:
+        """Weight ids fired along `labels`, per group, one entry per firing."""
+        y = np.asarray(labels, dtype=np.int64)
+        if y.size != inst.length:
             raise ValueError("labeling length does not match the sentence")
-        dicts: list[dict[int, float]] = []
+        k = self.k
+        ids = []
         for feats in inst.feats:
-            d: dict[int, float] = {}
-            for t in range(l):
-                f = feats[t]
-                if f >= 0:
-                    key = int(f) * k + labels[t]
-                    d[key] = d.get(key, 0.0) + 1.0
-            dicts.append(d)
+            on = feats >= 0
+            ids.append(feats[on] * k + y[on])
         if self.transition:
-            d = {}
-            for t in range(1, l):
-                key = labels[t - 1] * k + labels[t]
-                d[key] = d.get(key, 0.0) + 1.0
-            dicts.append(d)
-        return GroupedSparseVector.from_dicts(dicts)
+            ids.append(y[:-1] * k + y[1:])
+        return ids
 
     # --- solver-facing protocol ---
 
@@ -240,11 +222,6 @@ class SequenceTask:
         if inst.gold is None:
             raise ValueError("instance has no gold labels")
         return [int(y) for y in inst.gold]
-
-    def gold_feature_map(self, inst: CompiledSequence) -> GroupedSparseVector:
-        if inst.gold_map is None:
-            inst.gold_map = self.joint_feature_map(inst, self.gold_output(inst))
-        return inst.gold_map
 
     def loss(self, gold: Sequence[int], other: Sequence[int]) -> float:
         return hamming_loss(gold, other)

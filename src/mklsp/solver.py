@@ -28,8 +28,8 @@ violation R_emp exceeds the working-set value R_s by less than epsilon.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,6 +38,8 @@ import numpy as np
 from .sparse import GroupedSparseVector, SparseVector, sparse_dot
 
 _QP_MAX_ITER = 50_000
+_BARRIER_GAP = 1e-8  # duality gap bound n_con / tbar at which the barrier stops
+_NEWTON_BUDGET = 12_000  # Newton steps over all barrier stages
 
 
 @dataclass
@@ -48,17 +50,14 @@ class SolverConfig:
     epsilon: float = 0.5
     max_iterations: int = 500
     mode: str = "mkl"  # "mkl" learns group weights, "uniform" pins them
-    qp_tol: float = 1e-8
-    alt_tol: float = 1e-7
-    max_alternations: int = 200
     jobs: int = 1
     fixed_groups: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"C must be positive and finite, got {self.C!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.mode not in ("mkl", "uniform"):
@@ -77,9 +76,7 @@ class ConstraintRow:
 class SubproblemSolution:
     alpha: np.ndarray
     mu: np.ndarray
-    theta: float
     dual_objective: float
-    alternations: int
 
 
 @dataclass
@@ -223,13 +220,13 @@ def _dual_value(
     pinned_part: np.ndarray,
     free: np.ndarray,
     free_mass: float,
-) -> tuple[float, np.ndarray]:
-    """d(alpha) and the per-group gamma^2 it was computed from."""
+) -> float:
+    """The dual value d(alpha) at the worst-case mu for the free groups."""
     gamma_sq = np.array([max(float(alpha @ Q @ alpha), 0.0) for Q in grams])
     quad = float(pinned_part @ gamma_sq)
     if free.any():
         quad += free_mass * float(gamma_sq[free].max())
-    return float(q @ alpha) - 0.5 * quad, gamma_sq
+    return float(q @ alpha) - 0.5 * quad
 
 
 def _barrier_qcqp(
@@ -238,8 +235,6 @@ def _barrier_qcqp(
     q: np.ndarray,
     C: float,
     free_mass: float,
-    gap_target: float,
-    newton_budget: int,
     alpha0: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log-barrier path following for the epigraph form of the subproblem.
@@ -345,7 +340,7 @@ def _barrier_qcqp(
             t = t + scale * dt
             if decrement <= 1e-10:
                 break
-        if n_con / tbar <= gap_target or tbar >= 1e14 or spent >= newton_budget:
+        if n_con / tbar <= _BARRIER_GAP or tbar >= 1e14 or spent >= _NEWTON_BUDGET:
             break
         tbar *= 10.0
 
@@ -363,10 +358,6 @@ def solve_subproblem(
     C: float,
     *,
     pinned: np.ndarray | None = None,
-    qp_tol: float = 1e-8,
-    alt_tol: float = 1e-7,
-    max_alternations: int = 200,
-    mu0: np.ndarray | None = None,
     alpha0: np.ndarray | None = None,
 ) -> SubproblemSolution:
     """Solve the restricted saddle problem over the collected rows.
@@ -400,19 +391,13 @@ def solve_subproblem(
     Qpin = 0.5 * (Qpin + Qpin.T)
 
     mu = np.where(fixed, pinned, 0.0)
-    inner = 0
     if not free.any() or free_mass == 0.0:
         if free.any():
             mu[free] = 0.0
-        alpha = solve_qp(q, Qpin, C, tol=qp_tol, x0=alpha0)
+        alpha = solve_qp(q, Qpin, C, x0=alpha0)
     else:
         grams_free = [grams[j] for j in range(m) if free[j]]
-        gap_target = 0.1 * min(alt_tol, 1e-7)
-        budget = max(max_alternations, 50) * 60
-        alpha, lambdas = _barrier_qcqp(
-            grams_free, Qpin, q, C, free_mass, gap_target, budget, alpha0
-        )
-        inner = 1
+        alpha, lambdas = _barrier_qcqp(grams_free, Qpin, q, C, free_mass, alpha0)
         mu_free = 2.0 * lambdas
         total = mu_free.sum()
         if total > 0:
@@ -426,9 +411,9 @@ def solve_subproblem(
             if mu_j > 0:
                 H += mu_j * Q
         H = 0.5 * (H + H.T)
-        polished = solve_qp(q, H, C, tol=qp_tol, x0=alpha)
-        d_raw, _ = _dual_value(grams, q, alpha, pinned_part, free, free_mass)
-        d_pol, _ = _dual_value(grams, q, polished, pinned_part, free, free_mass)
+        polished = solve_qp(q, H, C, x0=alpha)
+        d_raw = _dual_value(grams, q, alpha, pinned_part, free, free_mass)
+        d_pol = _dual_value(grams, q, polished, pinned_part, free, free_mass)
         if d_pol > d_raw:
             alpha = polished
 
@@ -438,35 +423,36 @@ def solve_subproblem(
         alpha *= C / alpha.sum()
     mu = np.maximum(mu, 0.0)
 
-    dual, gamma_sq = _dual_value(grams, q, alpha, pinned_part, free, free_mass)
-    theta = 0.5 * float(gamma_sq.max()) if m else 0.0
-    return SubproblemSolution(alpha, mu, theta, dual, inner)
+    dual = _dual_value(grams, q, alpha, pinned_part, free, free_mass)
+    return SubproblemSolution(alpha, mu, dual)
 
 
 def build_constraint_row(task, instances: Sequence, outputs: Sequence) -> ConstraintRow:
-    """Average the feature gaps and losses of the decoded outputs into a row."""
+    """Average the feature gaps and losses of the decoded outputs into a row.
+
+    Per group the feature part is (counts of the decoded ids - counts of the
+    gold ids) / n, over every sentence; the counts are exact integers.
+    """
     n = len(instances)
     if n == 0:
         raise ValueError("empty corpus")
-    m = len(task.group_dims)
-    acc: list[dict[int, float]] = [defaultdict(float) for _ in range(m)]
+    dims = task.group_dims
+    decoded: list[list[np.ndarray]] = [[] for _ in dims]
+    reference: list[list[np.ndarray]] = [[] for _ in dims]
     loss_total = 0.0
     for inst, out in zip(instances, outputs, strict=True):
         gold = task.gold_output(inst)
         loss_total += task.loss(gold, out)
-        decoded = task.joint_feature_map(inst, out)
-        reference = task.gold_feature_map(inst)
-        for j in range(m):
-            sv = decoded.groups[j]
-            for i, v in zip(sv.indices, sv.values):
-                acc[j][int(i)] += float(v)
-            sv = reference.groups[j]
-            for i, v in zip(sv.indices, sv.values):
-                acc[j][int(i)] -= float(v)
+        for acc, ids in zip(decoded, task.joint_feature_map(inst, out), strict=True):
+            acc.append(ids)
+        for acc, ids in zip(reference, task.joint_feature_map(inst, gold), strict=True):
+            acc.append(ids)
     groups = []
-    for d in acc:
-        scaled = {i: v / n for i, v in d.items() if v != 0.0}
-        groups.append(SparseVector.from_dict(scaled))
+    for d, dec, ref in zip(dims, decoded, reference, strict=True):
+        counts = np.bincount(np.concatenate(dec), minlength=d)
+        counts -= np.bincount(np.concatenate(ref), minlength=d)
+        nonzero = np.flatnonzero(counts)
+        groups.append(SparseVector(nonzero, counts[nonzero] / n))
     q = loss_total / n
     if q < 0:
         raise AssertionError("negative averaged loss")
@@ -542,19 +528,6 @@ def parallel_decode(
         _POOL_STATE = None
 
 
-def compute_gap(
-    task,
-    weights: Sequence[np.ndarray],
-    instances: Sequence,
-    rows: Sequence[ConstraintRow],
-    jobs: int = 1,
-) -> tuple[float, float]:
-    """(R_emp, R_s) at the given weights: one oracle pass + working-set max."""
-    outputs = parallel_decode(task, weights, instances, jobs, augmented=True)
-    row = build_constraint_row(task, instances, outputs)
-    return row_value(row, weights), working_set_value(rows, weights)
-
-
 def _format_record(record: IterationRecord, group_ids: Sequence[str]) -> str:
     mu_txt = ",".join(f"{g}:{m:.6f}" for g, m in zip(group_ids, record.mu))
     return (
@@ -572,9 +545,15 @@ def train(
 ) -> TrainResult:
     """Run the cutting-plane loop until the gap drops below epsilon.
 
-    `task` provides the structure-specific pieces: group_dims/group_ids,
-    gold_output, gold_feature_map, joint_feature_map, loss, and the
-    loss-augmented decoder `most_violated`.
+    `task` provides the structure-specific pieces:
+
+    - `group_dims`, `group_ids`: the weight-vector size and name per group;
+    - `gold_output(inst)`: the gold output of a compiled instance;
+    - `loss(gold, out)`: the task loss of `out`, >= 0;
+    - `joint_feature_map(inst, out)`: per group, an int64 array of the weight
+      ids `out` fires, one entry per firing, so repeats count;
+    - `most_violated(weights, inst)` and `decode(weights, inst)`: the
+      loss-augmented and the plain argmax, each as (output, score).
     """
     n = len(instances)
     if n == 0:
@@ -652,10 +631,6 @@ def train(
             qvec,
             config.C,
             pinned=pinned,
-            qp_tol=config.qp_tol,
-            alt_tol=config.alt_tol,
-            max_alternations=config.max_alternations,
-            mu0=mu,
             alpha0=np.append(alpha, 0.0),
         )
         alpha, mu, dual = solution.alpha, solution.mu, solution.dual_objective

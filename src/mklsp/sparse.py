@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
-_EMPTY_VAL = np.empty(0, dtype=np.float64)
-
 
 class SparseVector:
     """Immutable-by-convention sparse vector with strictly increasing indices."""
@@ -17,18 +14,6 @@ class SparseVector:
         self.indices = indices
         self.values = values
 
-    @classmethod
-    def empty(cls) -> "SparseVector":
-        return cls(_EMPTY_IDX, _EMPTY_VAL)
-
-    @classmethod
-    def from_dict(cls, entries: dict[int, float]) -> "SparseVector":
-        items = sorted((i, v) for i, v in entries.items() if v != 0.0)
-        if not items:
-            return cls.empty()
-        idx, val = zip(*items)
-        return cls(np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64))
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
@@ -37,9 +22,6 @@ class SparseVector:
         if self.indices.size == 0:
             return 0.0
         return float(np.dot(w[self.indices], self.values))
-
-    def norm_sq(self) -> float:
-        return float(np.dot(self.values, self.values))
 
     def __eq__(self, other) -> bool:
         return (
@@ -80,25 +62,8 @@ class GroupedSparseVector:
     def __init__(self, groups: list[SparseVector]):
         self.groups = groups
 
-    @classmethod
-    def from_dicts(cls, dicts: list[dict[int, float]]) -> "GroupedSparseVector":
-        return cls([SparseVector.from_dict(d) for d in dicts])
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    def dot(self, other: "GroupedSparseVector") -> float:
-        return sum(sparse_dot(a, b) for a, b in zip(self.groups, other.groups, strict=True))
-
-    def group_dot(self, other: "GroupedSparseVector", j: int) -> float:
-        return sparse_dot(self.groups[j], other.groups[j])
-
     def dot_dense(self, weights: list[np.ndarray]) -> float:
         return sum(g.dot_dense(w) for g, w in zip(self.groups, weights, strict=True))
-
-    def is_zero(self) -> bool:
-        return all(g.nnz == 0 for g in self.groups)
 
     def __eq__(self, other) -> bool:
         return (

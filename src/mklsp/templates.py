@@ -196,19 +196,3 @@ def index_corpus(specs: Sequence[TemplateSpec], corpus: Sequence) -> list[Featur
         alphabet.freeze()
     return alphabets
 
-
-def extract_token_features(
-    specs: Sequence[TemplateSpec],
-    alphabets: Sequence[FeatureAlphabet],
-    tokens: Sequence[tuple[str, ...]],
-    t: int,
-) -> list[int | None]:
-    """Per-group firing feature index at position `t` (value 1.0 by convention).
-
-    Unknown strings under a frozen alphabet yield None for that group.
-    """
-    obs = [s for s in specs if s.kind == OBSERVATION]
-    return [
-        alphabet.lookup(instantiate(spec, tokens, t))
-        for spec, alphabet in zip(obs, alphabets, strict=True)
-    ]

@@ -1,19 +1,24 @@
 """Independent reference implementations used to check the package.
 
 Everything here favors obviousness over speed: exhaustive enumeration,
-face enumeration, and dense grids.  Nothing imports the package's decoders
-or solvers; the edge-feature references loop over edges one at a time with
-the package's per-edge definition, `instantiate_edge`.
+face enumeration, dense grids, and dicts counted one firing at a time.
+Nothing imports the package's decoders or solvers; the edge-feature
+references loop over edges one at a time with the package's per-edge
+definition, `instantiate_edge`, and the constraint-row reference only
+reuses the package's containers.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
 
 from mklsp.dependency import augment, instantiate_edge
+from mklsp.solver import ConstraintRow
+from mklsp.sparse import GroupedSparseVector, SparseVector
 
 
 def dense_emissions(feats, tables, k):
@@ -233,3 +238,67 @@ def compile_edges(specs, alphabets, tokens):
                     fs.append(ids[s])
         groups.append(tuple(np.asarray(x, dtype=np.int64) for x in (us, vs, fs)))
     return groups
+
+
+def sparse_vector(entries):
+    """SparseVector of a {index: value} dict: sorted int64 indices, zeros dropped."""
+    items = sorted((i, v) for i, v in entries.items() if v != 0.0)
+    return SparseVector(
+        np.array([i for i, _ in items], dtype=np.int64),
+        np.array([v for _, v in items], dtype=np.float64),
+    )
+
+
+def grouped_vector(dicts):
+    return GroupedSparseVector([sparse_vector(d) for d in dicts])
+
+
+def feature_counts(task, inst, output):
+    """Per-group {weight id: firing count} of `output`, counted one firing at
+    a time: by position for a tagger (ids f * k + y, transitions
+    prev * k + cur last), by candidate edge on the tree for a parser."""
+    if hasattr(inst, "feats"):
+        k = task.k
+        dicts = []
+        for feats in inst.feats:
+            d = {}
+            for t in range(inst.length):
+                if feats[t] >= 0:
+                    key = int(feats[t]) * k + output[t]
+                    d[key] = d.get(key, 0.0) + 1.0
+            dicts.append(d)
+        if task.transition:
+            d = {}
+            for t in range(1, inst.length):
+                key = output[t - 1] * k + output[t]
+                d[key] = d.get(key, 0.0) + 1.0
+            dicts.append(d)
+        return dicts
+    dicts = []
+    for us, vs, fs in inst.group_edges:
+        d = {}
+        for u, v, f in zip(us.tolist(), vs.tolist(), fs.tolist()):
+            if output[v - 1] == u:
+                d[f] = d.get(f, 0.0) + 1.0
+        dicts.append(d)
+    return dicts
+
+
+def reference_constraint_row(task, instances, outputs):
+    """The averaged constraint row by dict accumulation: per group, decoded
+    counts minus gold counts summed over sentences, divided by n."""
+    n = len(instances)
+    acc = [defaultdict(float) for _ in task.group_dims]
+    loss_total = 0.0
+    for inst, out in zip(instances, outputs, strict=True):
+        gold = task.gold_output(inst)
+        loss_total += task.loss(gold, out)
+        decoded = feature_counts(task, inst, out)
+        reference = feature_counts(task, inst, gold)
+        for j in range(len(acc)):
+            for i, v in decoded[j].items():
+                acc[j][i] += v
+            for i, v in reference[j].items():
+                acc[j][i] -= v
+    groups = [{i: v / n for i, v in d.items() if v != 0.0} for d in acc]
+    return ConstraintRow(grouped_vector(groups), loss_total / n)

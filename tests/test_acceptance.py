@@ -86,7 +86,7 @@ def test_acceptance_1_sequence_decoders(capsys):
                 tables = [rng.uniform(-1.0, 1.0, size=(d, k)) for d in dims]
                 trans = rng.uniform(-1.0, 1.0, size=(k, k))
             scorer = SequenceScorer(tables, trans, k)
-            inst = CompiledSequence(feats, None)
+            inst = CompiledSequence(l, feats, None)
             gold = [int(y) for y in rng.integers(0, k, size=l)]
             emit = dense_emissions(feats, tables, k)
 

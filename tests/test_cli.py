@@ -206,6 +206,45 @@ def test_unreadable_model_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("-c", "nan"), ("-c", "inf"), ("-e", "nan")])
+def test_non_finite_c_or_epsilon_exits_1(seq_setup, capsys, flag, value):
+    d = seq_setup
+    assert cli.main(train_args(d, **{flag: value})) == 1
+    err = capsys.readouterr().err
+    assert "must be positive and finite" in err and "Traceback" not in err
+    assert not (d / "model.mkl").exists()
+
+
+def test_non_finite_c_from_env_exits_1(seq_setup, capsys, monkeypatch):
+    d = seq_setup
+    args = train_args(d)
+    i = args.index("-c")
+    del args[i : i + 2]
+    monkeypatch.setenv("MTL_C", "nan")
+    assert cli.main(args) == 1
+    assert "C must be positive and finite" in capsys.readouterr().err
+    assert not (d / "model.mkl").exists()
+
+
+def test_transition_only_templates_train_and_predict(seq_setup, capsys):
+    d = seq_setup
+    (d / "templates.txt").write_text("B\n")
+    assert cli.main(train_args(d)) == 0
+    assert "halt=" in capsys.readouterr().err
+    model = Model.load(str(d / "model.mkl"))
+    assert model.group_ids == ["B"]
+    assert model.weights[0].size == len(model.labels) ** 2
+    code = cli.main([
+        "predict", "-m", str(d / "model.mkl"),
+        "--data", str(d / "test_bare.txt"), "-o", str(d / "pred.txt"), "--jobs", "1",
+    ])
+    assert code == 0
+    assert "predicted=4" in capsys.readouterr().err
+    tokens = [line for line in (d / "pred.txt").read_text().splitlines() if line.strip()]
+    bare = [line for line in (d / "test_bare.txt").read_text().splitlines() if line.strip()]
+    assert len(tokens) == len(bare)
+
+
 def test_predict_empty_input_is_fine(seq_setup, capsys):
     d = seq_setup
     assert cli.main(train_args(d)) == 0

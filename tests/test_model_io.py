@@ -234,3 +234,96 @@ def test_rebuilt_task_keeps_alphabets_frozen(tmp_path):
 
     rebuilt.compile(SequenceInstance([("neverseen", "x9")]))
     assert [len(a) for a in rebuilt.alphabets] == before
+
+
+# ---------------------------------------------------------------- parameter blocks
+
+
+@pytest.fixture(scope="module")
+def dep_model():
+    return trained_dependency_model()[0]
+
+
+def with_blocks(model, edit):
+    """`model`'s signed file after `edit(blocks, m)` changed its payload blocks."""
+    blocks = model._payload_blocks()
+    edit(blocks, len(model.group_ids))
+    return signed(blocks)
+
+
+def floats(values):
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+def test_short_observation_weight_block_is_a_format_error(seq_model):
+    def edit(blocks, m):
+        blocks[3 + m] = blocks[3 + m][:-8]
+
+    with pytest.raises(ModelFormatError, match="U00.*weights, expected"):
+        Model.read(io.BytesIO(with_blocks(seq_model, edit)))
+
+
+def test_transition_block_must_hold_k_squared_weights(seq_model):
+    k = len(seq_model.labels)
+    assert seq_model.group_ids[-1] == "B" and seq_model.weights[-1].size == k * k
+
+    def edit(blocks, m):
+        blocks[-1] += floats([0.0] * k)
+
+    with pytest.raises(ModelFormatError, match=f"'B' has {k * k + k} weights, expected {k * k}"):
+        Model.read(io.BytesIO(with_blocks(seq_model, edit)))
+
+
+def test_short_dependency_weight_block_is_a_format_error(dep_model, tmp_path, capsys):
+    def edit(blocks, m):
+        blocks[3 + m] = blocks[3 + m][:-8]
+
+    raw = with_blocks(dep_model, edit)
+    with pytest.raises(ModelFormatError, match="P00.*weights, expected"):
+        Model.read(io.BytesIO(raw))
+    (tmp_path / "m.mkl").write_bytes(raw)
+    (tmp_path / "in.conll").write_text(dependency_text(2, seed=43))
+    code = cli.main([
+        "predict", "-m", str(tmp_path / "m.mkl"), "--data", str(tmp_path / "in.conll"),
+        "-o", str(tmp_path / "out.conll"), "--jobs", "1",
+    ])
+    assert code == 1
+    assert "expected" in capsys.readouterr().err
+
+
+def test_ragged_float_block_is_a_format_error(dep_model):
+    def edit(blocks, m):
+        blocks[-1] += b"\0"
+
+    with pytest.raises(ModelFormatError, match="not whole float64s"):
+        Model.read(io.BytesIO(with_blocks(dep_model, edit)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weight_is_a_format_error(seq_model, bad):
+    def edit(blocks, m):
+        w = np.frombuffer(blocks[3 + m], dtype="<f8").copy()
+        w[0] = bad
+        blocks[3 + m] = floats(w)
+
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        Model.read(io.BytesIO(with_blocks(seq_model, edit)))
+
+
+@pytest.mark.parametrize(
+    "change,match",
+    [
+        (lambda mu: np.where(np.arange(mu.size) == 0, np.nan, mu), "non-finite"),
+        (lambda mu: mu * 5.0, "simplex"),
+        (lambda mu: np.append(mu[:-1], mu[-1] + 1e-6), "simplex"),
+        (lambda mu: 2.0 * np.eye(mu.size)[0] - np.eye(mu.size)[1], "simplex"),  # sums to 1
+        (lambda mu: mu[:-1] / mu[:-1].sum(), "simplex"),
+    ],
+    ids=["nan", "times-5", "sum-off-by-1e-6", "negative", "one-short"],
+)
+def test_mu_off_the_simplex_is_a_format_error(dep_model, change, match):
+    def edit(blocks, m):
+        blocks[2] = floats(change(np.frombuffer(blocks[2], dtype="<f8")))
+
+    with pytest.raises(ModelFormatError, match=match):
+        Model.read(io.BytesIO(with_blocks(dep_model, edit)))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mklsp.corpus import LabelTable, SequenceInstance
+from mklsp.dependency import DependencyTask, parse_edge_templates
 from mklsp.sequence import SequenceTask
 from mklsp.solver import (
     ConstraintRow,
     SolverConfig,
     build_constraint_row,
-    compute_gap,
     parallel_decode,
     primal_objective,
     project_capped_simplex,
@@ -23,11 +23,16 @@ from mklsp.solver import (
     train,
     working_set_value,
 )
-from mklsp.sparse import GroupedSparseVector
-from mklsp.synthetic import SEQ_TEMPLATES, load_sequence, sequence_text
+from mklsp.synthetic import (
+    SEQ_TEMPLATES,
+    dependency_text,
+    load_dependency,
+    load_sequence,
+    sequence_text,
+)
 from mklsp.templates import parse_templates
 
-from _oracles import active_set_qp, qcqp_oracle
+from _oracles import active_set_qp, grouped_vector, qcqp_oracle, reference_constraint_row
 
 
 def random_psd(rng, s, scale=1.0):
@@ -190,7 +195,7 @@ def test_constraint_row_of_gold_outputs_is_zero():
     task, insts = toy_task()
     row = build_constraint_row(task, insts, [[0, 1], [1, 0]])
     assert row.q == 0.0
-    assert row.p.is_zero()
+    assert all(g.nnz == 0 for g in row.p.groups)
     assert row_value(row, [np.zeros(d) for d in task.group_dims]) == 0.0
 
 
@@ -212,10 +217,53 @@ def test_constraint_row_feature_part_is_average_gap():
     w = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
     manual = 0.0
     for inst, y in zip(insts, out):
-        decoded = task.joint_feature_map(inst, y).dot_dense(w)
-        gold = task.gold_feature_map(inst).dot_dense(w)
+        decoded = sum(wj[ids].sum() for wj, ids in zip(w, task.joint_feature_map(inst, y)))
+        gold_ids = task.joint_feature_map(inst, task.gold_output(inst))
+        gold = sum(wj[ids].sum() for wj, ids in zip(w, gold_ids))
         manual += (decoded - gold) / len(insts)
     assert row.p.dot_dense(w) == pytest.approx(manual, abs=1e-12)
+
+
+def row_task(kind):
+    """A small compiled corpus: a tagger with or without transitions, or a parser."""
+    if kind == "dep":
+        instances = load_dependency(dependency_text(5, seed=3))
+        specs = parse_edge_templates(
+            "P00:head.CPOSTAG/mod.CPOSTAG\nP01:head.FORM\nP02:head.CPOSTAG/between.CPOSTAG\n"
+        )
+        task = DependencyTask.build(specs, instances, decoder="nonprojective")
+    else:
+        instances, table = load_sequence(sequence_text(6, seed=3))
+        text = SEQ_TEMPLATES if kind == "seq" else SEQ_TEMPLATES.replace("\nB\n", "\n")
+        task = SequenceTask.build(parse_templates(text), instances, table)
+    return task, [task.compile(i) for i in instances]
+
+
+ROW_TASKS = {kind: row_task(kind) for kind in ("seq", "seq-no-B", "dep")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(ROW_TASKS)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.booleans(),
+)
+def test_constraint_row_matches_dict_reference(kind, seed, scale, augmented):
+    task, insts = ROW_TASKS[kind]
+    assert ("B" in task.group_ids) == (kind == "seq")
+    rng = np.random.default_rng(seed)
+    w = [rng.uniform(-scale, scale, size=d) for d in task.group_dims]
+    outputs = parallel_decode(task, w, insts, jobs=1, augmented=augmented)
+    row = build_constraint_row(task, insts, outputs)
+    want = reference_constraint_row(task, insts, outputs)
+    assert row.q == want.q
+    assert len(row.p.groups) == len(want.p.groups) == len(task.group_ids)
+    for got, ref in zip(row.p.groups, want.p.groups):
+        assert got.indices.dtype == ref.indices.dtype == np.int64
+        assert got.values.dtype == ref.values.dtype == np.float64
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.values, ref.values)
 
 
 def test_rows_equal_is_exact():
@@ -235,8 +283,8 @@ def test_working_set_value_empty_is_zero():
 
 
 def test_recover_primal_shapes_and_scaling():
-    p1 = GroupedSparseVector.from_dicts([{0: 1.0, 2: -2.0}, {1: 3.0}])
-    p2 = GroupedSparseVector.from_dicts([{0: -1.0}, {}])
+    p1 = grouped_vector([{0: 1.0, 2: -2.0}, {1: 3.0}])
+    p2 = grouped_vector([{0: -1.0}, {}])
     rows = [ConstraintRow(p1, 1.0), ConstraintRow(p2, 0.5)]
     dims = [3, 2]
 
@@ -267,9 +315,17 @@ def test_primal_objective_formula():
 # ---------------------------------------------------------------- gap
 
 
+def empirical_and_working_set_risk(task, weights, instances, rows):
+    """(R_emp, R_s) at `weights`: one oracle pass + the working-set max."""
+    outputs = parallel_decode(task, weights, instances, jobs=1, augmented=True)
+    row = build_constraint_row(task, instances, outputs)
+    return row_value(row, weights), working_set_value(rows, weights)
+
+
 def test_compute_gap_at_zero_weights_is_average_max_loss():
     task, insts = toy_task()
-    r_emp, r_s = compute_gap(task, [np.zeros(d) for d in task.group_dims], insts, [])
+    w = [np.zeros(d) for d in task.group_dims]
+    r_emp, r_s = empirical_and_working_set_risk(task, w, insts, [])
     assert r_emp == pytest.approx(2.0)  # every position can be flipped
     assert r_s == 0.0
 
@@ -279,7 +335,7 @@ def test_compute_gap_closes_after_adding_the_row():
     w = [np.zeros(d) for d in task.group_dims]
     outputs = parallel_decode(task, w, insts, jobs=1, augmented=True)
     row = build_constraint_row(task, insts, outputs)
-    r_emp, r_s = compute_gap(task, w, insts, [row])
+    r_emp, r_s = empirical_and_working_set_risk(task, w, insts, [row])
     assert r_emp == pytest.approx(r_s)
 
 
@@ -291,6 +347,11 @@ def test_config_validation():
         SolverConfig(C=0.0)
     with pytest.raises(ValueError, match="epsilon"):
         SolverConfig(C=1.0, epsilon=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="C"):
+            SolverConfig(C=bad)
+        with pytest.raises(ValueError, match="epsilon"):
+            SolverConfig(C=1.0, epsilon=bad)
     with pytest.raises(ValueError, match="max_iterations"):
         SolverConfig(C=1.0, max_iterations=0)
     with pytest.raises(ValueError, match="mode"):
@@ -348,7 +409,7 @@ def test_train_uniform_mode_pins_every_group():
     task = SequenceTask.build(specs, instances, table)
     compiled = [task.compile(i) for i in instances]
     out = train(task, compiled, SolverConfig(C=1.0, epsilon=0.1, mode="uniform"))
-    m = task.n_groups
+    m = len(task.group_ids)
     for rec in out.trace:
         assert np.allclose(rec.mu, 1.0 / m)
     assert np.allclose(out.mu, 1.0 / m)
@@ -359,7 +420,7 @@ def test_train_fixed_groups_pin_named_groups_only():
     specs = parse_templates(SEQ_TEMPLATES)
     task = SequenceTask.build(specs, instances, table)
     compiled = [task.compile(i) for i in instances]
-    m = task.n_groups
+    m = len(task.group_ids)
     out = train(
         task, compiled, SolverConfig(C=1.0, epsilon=0.1, fixed_groups=("U00",))
     )

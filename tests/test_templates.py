@@ -9,7 +9,6 @@ from mklsp.templates import (
     FeatureAlphabet,
     TemplateError,
     boundary_symbol,
-    extract_token_features,
     index_corpus,
     instantiate,
     instantiate_all,
@@ -171,17 +170,6 @@ def test_frozen_alphabet_rejects_new():
     with pytest.raises(ValueError, match="frozen"):
         a.intern_all(["U00:x", "U00:y"])
     assert a.strings() == ["U00:x"]
-
-
-def test_extract_token_features():
-    specs = parse_templates("U00:%x[0,0]\nU01:%x[-1,0]")
-    corpus = make_corpus([["a", "b"]])
-    alphabets = index_corpus(specs, corpus)
-    feats = extract_token_features(specs, alphabets, corpus[0].tokens, 0)
-    assert feats == [alphabets[0].lookup("U00:a"), alphabets[1].lookup("U01:_B-1")]
-    # unseen strings at prediction time fall out silently
-    feats = extract_token_features(specs, alphabets, [("zzz",), ("a",)], 0)
-    assert feats[0] is None
 
 
 def test_feature_strings_embed_template_index():
