@@ -17,8 +17,12 @@ mass M.  The subproblem is solved in its epigraph form
     s.t. alpha' Q^j alpha <= t  for every free group j,  alpha in A,
 
 by log-barrier path following (damped Newton centering, barrier weight
-raised tenfold per stage).  Free mu_j are twice the multipliers of the
-group constraints, rescaled to sum to M.  An exact QP in alpha at that mu
+raised tenfold per stage).  The free Gram matrices are stacked into one
+(groups, rows, rows) tensor, and each Newton system is assembled from
+that tensor's product with alpha rather than group by group; the summation
+order this changed means model checksums from before it may differ in the
+last bits.  Free mu_j are twice the multipliers of the group constraints,
+rescaled to sum to M.  An exact QP in alpha at that mu
 (projected gradient, then an exact solve on the active face) replaces the
 barrier's alpha when it gives the higher dual value; with no free group
 that QP is the whole solve.  Group weights recover as
@@ -242,10 +246,16 @@ def _barrier_qcqp(
     Minimizes -q.a + 1/2 a'Qpin a + (free_mass/2) t subject to
     a'Q_j a <= t (one constraint per free group), a >= 0, sum(a) <= C.
     Returns the final alpha and the free-group multiplier estimates.
+    The free Gram matrices are stacked into one (mf, s, s) tensor G, so
+    each Newton system comes from the single product G @ alpha and every
+    group's quadratic form from (G @ a) @ a.
     """
     s = q.size
     mf = len(grams_free)
+    assert mf >= 1, "the barrier needs a free group"
     n_con = s + 1 + mf
+    G = np.stack(grams_free)
+    ridge = 1e-12 * np.eye(s + 1)
 
     alpha = np.full(s, C / (2.0 * s))
     if alpha0 is not None and alpha0.size == s:
@@ -255,8 +265,13 @@ def _barrier_qcqp(
         if total >= C * (1.0 - 1e-3):
             warm *= C * (1.0 - 1e-3) / total
         alpha = 0.9 * warm + 0.1 * alpha
-    gam = np.array([float(alpha @ Q @ alpha) for Q in grams_free])
-    t = 2.0 * float(gam.max()) + 1.0 if mf else 0.0
+    t = 2.0 * float(((G @ alpha) @ alpha).max()) + 1.0
+
+    def value(a, tt, c):
+        """The barrier objective at (a, tt), given the group slacks c."""
+        v = tbar * (-float(q @ a) + 0.5 * float(a @ Qpin @ a) + free_mass * tt / 2.0)
+        v -= float(np.log(a).sum()) + np.log(C - a.sum())
+        return v - float(np.log(c).sum())
 
     tbar = 1.0
     spent = 0
@@ -264,44 +279,32 @@ def _barrier_qcqp(
         # center at the current barrier weight
         for _ in range(60):
             spent += 1
-            Qa = [Q @ alpha for Q in grams_free]
-            c_grp = t - np.array([float(alpha @ va) for va in Qa]) if mf else np.zeros(0)
+            Qa = G @ alpha
+            c_grp = t - Qa @ alpha
             c_sum = C - float(alpha.sum())
+            inv = 1.0 / c_grp
+            inv2 = inv * inv
 
-            g_a = tbar * (Qpin @ alpha - q) - 1.0 / alpha + (1.0 / c_sum)
+            # group j's constraint c_j = t - a'Q_j a has gradient (-2 Q_j a, 1)
+            g_a = tbar * (Qpin @ alpha - q) - 1.0 / alpha + (1.0 / c_sum) + 2.0 * (inv @ Qa)
+            g_t = tbar * free_mass / 2.0 - float(inv.sum())
             # the scalar broadcast adds the rank-one (1/c^2) 11' sum-constraint block
             H_a = tbar * Qpin + np.diag(1.0 / alpha**2) + (1.0 / c_sum**2)
-            g_t = tbar * free_mass / 2.0
-            h_tt = 0.0
-            h_ta = np.zeros(s)
-            for j in range(mf):
-                inv = 1.0 / c_grp[j]
-                grad_c = -2.0 * Qa[j]  # d c_j / d alpha
-                g_a += -inv * grad_c
-                g_t += -inv
-                H_a += inv * inv * np.outer(grad_c, grad_c) + inv * 2.0 * grams_free[j]
-                h_ta += inv * inv * grad_c
-                h_tt += inv * inv
-
-            if mf:
-                K = np.zeros((s + 1, s + 1))
-                K[:s, :s] = H_a
-                K[:s, s] = h_ta
-                K[s, :s] = h_ta
-                K[s, s] = h_tt
-                grad = np.append(g_a, g_t)
-            else:
-                K = H_a
-                grad = g_a
+            H_a += 4.0 * ((Qa.T * inv2) @ Qa) + 2.0 * np.tensordot(inv, G, 1)
+            K = np.empty((s + 1, s + 1))
+            K[:s, :s] = H_a
+            K[:s, s] = K[s, :s] = -2.0 * (inv2 @ Qa)
+            K[s, s] = inv2.sum()
+            grad = np.append(g_a, g_t)
             try:
-                step = -np.linalg.solve(K + 1e-12 * np.eye(K.shape[0]), grad)
+                step = -np.linalg.solve(K + ridge, grad)
             except np.linalg.LinAlgError:
                 step = -grad / max(float(np.abs(np.diag(K)).max()), 1.0)
             decrement = -float(grad @ step)
             if decrement <= 2e-12:
                 break
 
-            da, dt = (step[:s], float(step[s])) if mf else (step, 0.0)
+            da, dt = step[:s], float(step[s])
             # largest step that keeps every constraint strictly positive
             scale = 1.0
             neg = da < 0
@@ -312,43 +315,33 @@ def _barrier_qcqp(
             for _ in range(80):
                 a_new = alpha + scale * da
                 t_new = t + scale * dt
-                ok = a_new.min() > 0 and a_new.sum() < C
-                if ok and mf:
-                    ok = all(t_new - float(a_new @ Q @ a_new) > 0 for Q in grams_free)
-                if ok:
-                    break
+                if a_new.min() > 0 and a_new.sum() < C:
+                    c_new = t_new - (G @ a_new) @ a_new
+                    if c_new.min() > 0:
+                        break
                 scale *= 0.5
             else:
                 scale = 0.0
             if scale == 0.0:
                 break
-            # backtracking on the barrier value
-            def value(a, tt):
-                v = tbar * (-float(q @ a) + 0.5 * float(a @ Qpin @ a) + free_mass * tt / 2.0)
-                v -= float(np.log(a).sum()) + np.log(C - a.sum())
-                for Q in grams_free:
-                    v -= np.log(tt - float(a @ Q @ a))
-                return v
-
-            base = value(alpha, t)
+            # backtracking on the barrier value, from the trial point just found
+            base = value(alpha, t, c_grp)
             slope = float(grad @ step)
             while scale > 1e-12:
-                if value(alpha + scale * da, t + scale * dt) <= base + 0.25 * scale * slope:
+                if value(a_new, t_new, c_new) <= base + 0.25 * scale * slope:
                     break
                 scale *= 0.5
-            alpha = alpha + scale * da
-            t = t + scale * dt
+                a_new = alpha + scale * da
+                t_new = t + scale * dt
+                c_new = t_new - (G @ a_new) @ a_new
+            alpha, t = a_new, t_new
             if decrement <= 1e-10:
                 break
         if n_con / tbar <= _BARRIER_GAP or tbar >= 1e14 or spent >= _NEWTON_BUDGET:
             break
         tbar *= 10.0
 
-    lambdas = (
-        np.array([1.0 / (tbar * (t - float(alpha @ Q @ alpha))) for Q in grams_free])
-        if mf
-        else np.zeros(0)
-    )
+    lambdas = 1.0 / (tbar * (t - (G @ alpha) @ alpha))
     return alpha, lambdas
 
 
@@ -366,7 +359,8 @@ def solve_subproblem(
     Free groups are handled through the epigraph QCQP (one quadratic
     constraint per group) by an interior-point pass whose multipliers give
     mu; a fixed-mu exact QP polish then keeps whichever alpha scores the
-    better dual value.  Returned alpha and mu are exactly feasible.
+    better dual value.  Returned alpha and mu are exactly feasible; a
+    non-finite alpha or mu raises RuntimeError.
     """
     m = len(grams)
     s = q.size
@@ -398,6 +392,8 @@ def solve_subproblem(
     else:
         grams_free = [grams[j] for j in range(m) if free[j]]
         alpha, lambdas = _barrier_qcqp(grams_free, Qpin, q, C, free_mass, alpha0)
+        if not (np.isfinite(alpha).all() and np.isfinite(lambdas).all()):
+            raise RuntimeError("non-finite alpha or multipliers from the barrier")
         mu_free = 2.0 * lambdas
         total = mu_free.sum()
         if total > 0:
@@ -422,6 +418,8 @@ def solve_subproblem(
     if alpha.sum() > C:
         alpha *= C / alpha.sum()
     mu = np.maximum(mu, 0.0)
+    if not (np.isfinite(alpha).all() and np.isfinite(mu).all()):
+        raise RuntimeError("non-finite alpha or mu from the subproblem")
 
     dual = _dual_value(grams, q, alpha, pinned_part, free, free_mass)
     return SubproblemSolution(alpha, mu, dual)

@@ -5,7 +5,8 @@ a comment, blank lines are ignored.  An observation rule looks like
 ``U02:%x[0,0]`` where ``%x[row,col]`` picks the token ``row`` positions away
 from the current one and reads its column ``col``; several macros can be
 joined with ``/`` (``U05:%x[-1,0]/%x[0,0]``).  The bare line ``B`` switches
-on the label-transition group.  Each rule owns one feature group.
+on the label-transition group, so ``B`` is not an observation index.  Each
+rule owns one feature group.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ def parse_templates(text: str) -> list[TemplateSpec]:
                 raise TemplateError(
                     f"line {lineno}: expected 'Index:%x[row,col]/...' or 'B', got {raw!r}"
                 )
+            if index == "B":
+                # a model reads the group named B as the transition block
+                raise TemplateError(f"line {lineno}: index 'B' is reserved for transitions")
             macros = []
             for part in body.split("/"):
                 m = _MACRO.match(part)

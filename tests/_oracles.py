@@ -4,8 +4,9 @@ Everything here favors obviousness over speed: exhaustive enumeration,
 face enumeration, dense grids, and dicts counted one firing at a time.
 Nothing imports the package's decoders or solvers; the edge-feature
 references loop over edges one at a time with the package's per-edge
-definition, `instantiate_edge`, and the constraint-row reference only
-reuses the package's containers.
+definition, `instantiate_edge`, the constraint-row reference only
+reuses the package's containers, and the barrier reference only the
+solver's stopping constants.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from mklsp.dependency import augment, instantiate_edge
-from mklsp.solver import ConstraintRow
+from mklsp.solver import _BARRIER_GAP, _NEWTON_BUDGET, ConstraintRow
 from mklsp.sparse import GroupedSparseVector, SparseVector
 
 
@@ -302,3 +303,130 @@ def reference_constraint_row(task, instances, outputs):
                 acc[j][i] -= v
     groups = [{i: v / n for i, v in d.items() if v != 0.0} for d in acc]
     return ConstraintRow(grouped_vector(groups), loss_total / n)
+
+
+def reference_barrier_qcqp(
+    grams_free: list[np.ndarray],
+    Qpin: np.ndarray,
+    q: np.ndarray,
+    C: float,
+    free_mass: float,
+    alpha0: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log-barrier path following for the epigraph form of the subproblem.
+
+    Minimizes -q.a + 1/2 a'Qpin a + (free_mass/2) t subject to
+    a'Q_j a <= t (one constraint per free group), a >= 0, sum(a) <= C.
+    Returns the final alpha and the free-group multiplier estimates.
+
+    The same path as `mklsp.solver._barrier_qcqp` (stages, step rules,
+    budget), with the Newton system assembled one group at a time and every
+    quadratic form computed on its own.
+    """
+    s = q.size
+    mf = len(grams_free)
+    n_con = s + 1 + mf
+
+    alpha = np.full(s, C / (2.0 * s))
+    if alpha0 is not None and alpha0.size == s:
+        lo = C * 1e-8 / s
+        warm = np.maximum(alpha0, lo)
+        total = warm.sum()
+        if total >= C * (1.0 - 1e-3):
+            warm *= C * (1.0 - 1e-3) / total
+        alpha = 0.9 * warm + 0.1 * alpha
+    gam = np.array([float(alpha @ Q @ alpha) for Q in grams_free])
+    t = 2.0 * float(gam.max()) + 1.0 if mf else 0.0
+
+    tbar = 1.0
+    spent = 0
+    while True:
+        # center at the current barrier weight
+        for _ in range(60):
+            spent += 1
+            Qa = [Q @ alpha for Q in grams_free]
+            c_grp = t - np.array([float(alpha @ va) for va in Qa]) if mf else np.zeros(0)
+            c_sum = C - float(alpha.sum())
+
+            g_a = tbar * (Qpin @ alpha - q) - 1.0 / alpha + (1.0 / c_sum)
+            # the scalar broadcast adds the rank-one (1/c^2) 11' sum-constraint block
+            H_a = tbar * Qpin + np.diag(1.0 / alpha**2) + (1.0 / c_sum**2)
+            g_t = tbar * free_mass / 2.0
+            h_tt = 0.0
+            h_ta = np.zeros(s)
+            for j in range(mf):
+                inv = 1.0 / c_grp[j]
+                grad_c = -2.0 * Qa[j]  # d c_j / d alpha
+                g_a += -inv * grad_c
+                g_t += -inv
+                H_a += inv * inv * np.outer(grad_c, grad_c) + inv * 2.0 * grams_free[j]
+                h_ta += inv * inv * grad_c
+                h_tt += inv * inv
+
+            if mf:
+                K = np.zeros((s + 1, s + 1))
+                K[:s, :s] = H_a
+                K[:s, s] = h_ta
+                K[s, :s] = h_ta
+                K[s, s] = h_tt
+                grad = np.append(g_a, g_t)
+            else:
+                K = H_a
+                grad = g_a
+            try:
+                step = -np.linalg.solve(K + 1e-12 * np.eye(K.shape[0]), grad)
+            except np.linalg.LinAlgError:
+                step = -grad / max(float(np.abs(np.diag(K)).max()), 1.0)
+            decrement = -float(grad @ step)
+            if decrement <= 2e-12:
+                break
+
+            da, dt = (step[:s], float(step[s])) if mf else (step, 0.0)
+            # largest step that keeps every constraint strictly positive
+            scale = 1.0
+            neg = da < 0
+            if neg.any():
+                scale = min(scale, 0.99 * float((alpha[neg] / -da[neg]).min()))
+            if da.sum() > 0:
+                scale = min(scale, 0.99 * c_sum / float(da.sum()))
+            for _ in range(80):
+                a_new = alpha + scale * da
+                t_new = t + scale * dt
+                ok = a_new.min() > 0 and a_new.sum() < C
+                if ok and mf:
+                    ok = all(t_new - float(a_new @ Q @ a_new) > 0 for Q in grams_free)
+                if ok:
+                    break
+                scale *= 0.5
+            else:
+                scale = 0.0
+            if scale == 0.0:
+                break
+            # backtracking on the barrier value
+            def value(a, tt):
+                v = tbar * (-float(q @ a) + 0.5 * float(a @ Qpin @ a) + free_mass * tt / 2.0)
+                v -= float(np.log(a).sum()) + np.log(C - a.sum())
+                for Q in grams_free:
+                    v -= np.log(tt - float(a @ Q @ a))
+                return v
+
+            base = value(alpha, t)
+            slope = float(grad @ step)
+            while scale > 1e-12:
+                if value(alpha + scale * da, t + scale * dt) <= base + 0.25 * scale * slope:
+                    break
+                scale *= 0.5
+            alpha = alpha + scale * da
+            t = t + scale * dt
+            if decrement <= 1e-10:
+                break
+        if n_con / tbar <= _BARRIER_GAP or tbar >= 1e14 or spent >= _NEWTON_BUDGET:
+            break
+        tbar *= 10.0
+
+    lambdas = (
+        np.array([1.0 / (tbar * (t - float(alpha @ Q @ alpha))) for Q in grams_free])
+        if mf
+        else np.zeros(0)
+    )
+    return alpha, lambdas

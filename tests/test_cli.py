@@ -177,6 +177,15 @@ def test_template_error_exits_1(seq_setup, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_observation_rule_indexed_b_exits_1(seq_setup, capsys):
+    d = seq_setup
+    (d / "templates.txt").write_text("B:%x[0,0]\nU01:%x[0,1]\n")
+    assert cli.main(train_args(d)) == 1
+    err = capsys.readouterr().err
+    assert "index 'B' is reserved" in err and "Traceback" not in err
+    assert not (d / "model.mkl").exists()
+
+
 def test_corpus_error_exits_1(seq_setup, capsys):
     d = seq_setup
     (d / "train.txt").write_text("a x L0\nb L1\n\n")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mklsp import solver
 from mklsp.corpus import LabelTable, SequenceInstance
-from mklsp.dependency import DependencyTask, parse_edge_templates
+from mklsp.dependency import DependencyTask, default_edge_templates, parse_edge_templates
 from mklsp.sequence import SequenceTask
 from mklsp.solver import (
     ConstraintRow,
@@ -32,7 +33,13 @@ from mklsp.synthetic import (
 )
 from mklsp.templates import parse_templates
 
-from _oracles import active_set_qp, grouped_vector, qcqp_oracle, reference_constraint_row
+from _oracles import (
+    active_set_qp,
+    grouped_vector,
+    qcqp_oracle,
+    reference_barrier_qcqp,
+    reference_constraint_row,
+)
 
 
 def random_psd(rng, s, scale=1.0):
@@ -174,6 +181,80 @@ def test_subproblem_input_validation():
         solve_subproblem(
             [np.eye(1), np.eye(1)], np.array([1.0]), 1.0, pinned=np.array([0.8, 0.8])
         )
+
+
+@pytest.mark.parametrize("bad", ["alpha", "multipliers"])
+def test_subproblem_rejects_non_finite_barrier_output(monkeypatch, bad):
+    def broken(grams_free, Qpin, q, C, free_mass, alpha0):
+        alpha = np.full(q.size, np.nan if bad == "alpha" else C / (2 * q.size))
+        lambdas = np.full(len(grams_free), np.nan if bad == "multipliers" else 0.25)
+        return alpha, lambdas
+
+    monkeypatch.setattr(solver, "_barrier_qcqp", broken)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        solve_subproblem([np.eye(2), 2.0 * np.eye(2)], np.array([1.0, 0.5]), 1.0)
+
+
+def test_subproblem_rejects_non_finite_qp_output(monkeypatch):
+    monkeypatch.setattr(solver, "solve_qp", lambda q, H, cap, x0=None: np.full(q.size, np.nan))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        solve_subproblem(
+            [np.eye(2), 2.0 * np.eye(2)], np.array([1.0, 0.5]), 1.0, pinned=np.array([0.5, 0.5])
+        )
+
+
+def barrier_problem(seed, s, mf, pinned, warm):
+    """Barrier input shaped like the trainer's: Gram matrices of s rows over
+    1..s features with entries of order 1, C <= 1, and a warm start whose
+    last (newest) row is 0."""
+    rng = np.random.default_rng(seed)
+    grams = []
+    for _ in range(mf + pinned):
+        d = int(rng.integers(1, s + 1))
+        P = rng.uniform(-1.0, 1.0, size=(s, d))
+        grams.append(P @ P.T / d)
+    Qpin = float(rng.uniform(0.1, 0.5)) * grams.pop() if pinned else np.zeros((s, s))
+    q = rng.uniform(0.0, 1.0, size=s)
+    C = float(rng.uniform(0.1, 1.0))
+    free_mass = float(rng.uniform(0.2, 0.9)) if pinned else 1.0
+    alpha0 = None
+    if warm:
+        alpha0 = rng.uniform(0.0, 1.0, size=s) * C / s
+        alpha0[-1] = 0.0
+    return grams, Qpin, q, C, free_mass, alpha0
+
+
+def epigraph_dual(grams, Qpin, q, free_mass, alpha):
+    worst = max(float(alpha @ Q @ alpha) for Q in grams)
+    return float(q @ alpha) - 0.5 * (float(alpha @ Qpin @ alpha) + free_mass * worst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_barrier_matches_per_group_reference(s, mf, seed, pinned, warm):
+    problem = barrier_problem(seed, s, mf, pinned, warm)
+    grams, Qpin, q, C, free_mass, _ = problem
+    alpha, lambdas = solver._barrier_qcqp(*problem)
+    ref_alpha, ref_lambdas = reference_barrier_qcqp(*problem)
+    assert alpha.shape == ref_alpha.shape == (s,)
+    assert lambdas.shape == ref_lambdas.shape == (mf,)
+    assert epigraph_dual(grams, Qpin, q, free_mass, alpha) == pytest.approx(
+        epigraph_dual(grams, Qpin, q, free_mass, ref_alpha), rel=1e-9
+    )
+    # The final centering can stall in either implementation: near the end
+    # the Armijo test compares barrier values of about 1e9 whose rounding
+    # exceeds the predicted decrease, so a few draws in a thousand end off
+    # the central path by up to ~5e-5 in mu.  A wrong Newton system is off
+    # by 1e-2 and more.
+    mu = lambdas / lambdas.sum()
+    ref_mu = ref_lambdas / ref_lambdas.sum()
+    assert np.abs(mu - ref_mu).max() <= 1e-4
 
 
 # ---------------------------------------------------------------- rows
@@ -448,6 +529,21 @@ def test_train_group_order_permutation_is_cosmetic():
         a, _ = fwd.decode(out_f.weights, fwd.compile(inst))
         b, _ = rev.decode(out_r.weights, rev.compile(inst))
         assert a == b
+
+
+def test_train_with_reference_barrier_takes_the_same_path(monkeypatch):
+    instances = load_dependency(dependency_text(12, seed=21))
+    specs = parse_edge_templates(default_edge_templates())
+    task = DependencyTask.build(specs, instances, decoder="nonprojective")
+    assert len(task.group_ids) == 20
+    compiled = [task.compile(i) for i in instances]
+    cfg = SolverConfig(C=1.0, epsilon=1e-3)
+    fast = train(task, compiled, cfg)
+    monkeypatch.setattr(solver, "_barrier_qcqp", reference_barrier_qcqp)
+    ref = train(task, compiled, cfg)
+    assert fast.n_iterations == ref.n_iterations
+    assert fast.halt_reason == ref.halt_reason == "converged"
+    assert np.abs(fast.mu - ref.mu).max() <= 1e-6
 
 
 def test_train_rejects_empty_corpus():

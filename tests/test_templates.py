@@ -55,6 +55,13 @@ def test_duplicate_index_rejected():
         parse_templates("U00:%x[0,0]\nU00:%x[1,0]")
 
 
+def test_observation_rule_may_not_use_the_transition_index():
+    with pytest.raises(TemplateError, match="line 1: index 'B'"):
+        parse_templates("B:%x[0,0]\nU01:%x[0,1]")
+    with pytest.raises(TemplateError, match="line 2: index 'B'"):
+        parse_templates("U00:%x[0,0]\nB:%x[-1,0]/%x[0,0]")
+
+
 def test_duplicate_transition_rejected():
     with pytest.raises(TemplateError):
         parse_templates("B\nB")
