@@ -364,6 +364,10 @@ def main(argv=None) -> int:
     except (TemplateError, CorpusFormatError, ModelFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ArithmeticError, RuntimeError) as exc:
+        # numerical breakdown, e.g. an overflow in the solver at an extreme -c
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

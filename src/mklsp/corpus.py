@@ -204,11 +204,13 @@ def write_sequence_corpus(
         dest.write("\n")
 
 
-def heads_form_tree(heads: Sequence[int]) -> bool:
-    """True when every token reaches the root 0 without cycles.
+def find_cycle(heads: Sequence[int]) -> list[int] | None:
+    """The first cycle met walking up from tokens 1..n in turn, or None.
 
-    Assumes values already range-checked to [0, len(heads)].  Multiple
-    children of the root are allowed.
+    `heads[v - 1]` is the head of token v, 0 the root; values must already
+    be range-checked to [0, len(heads)].  None means every token reaches
+    the root; multiple children of the root are allowed.  A cycle is listed
+    in walk order, starting at the token where the walk closed it.
     """
     n = len(heads)
     state = [0] * (n + 1)  # 0 unvisited, 1 on current path, 2 done
@@ -221,10 +223,10 @@ def heads_form_tree(heads: Sequence[int]) -> bool:
             path.append(node)
             node = heads[node - 1]
         if state[node] == 1:
-            return False
+            return path[path.index(node) :]
         for visited in path:
             state[visited] = 2
-    return True
+    return None
 
 
 _CONLL_FIELDS = 10
@@ -275,7 +277,7 @@ def read_dependency_corpus(source) -> list[DependencyInstance]:
                     raise CorpusFormatError(
                         f"sentence {sent_no}: HEAD {h} out of range 0..{n}"
                     )
-            if not heads_form_tree(heads):
+            if find_cycle(heads) is not None:
                 raise CorpusFormatError(
                     f"sentence {sent_no}: HEAD assignment is not a tree (cycle)"
                 )

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import DependencyInstance, heads_form_tree
+from .corpus import DependencyInstance, find_cycle
 from .templates import FeatureAlphabet, TemplateError, boundary_symbol
 
 ROOT_TOKEN = ("<root>", "<root>", "<root>", "<root>")
@@ -292,7 +292,7 @@ def is_arborescence(heads: Sequence[int]) -> bool:
     for v, h in enumerate(heads, start=1):
         if not 0 <= h <= n or h == v:
             return False
-    return heads_form_tree(list(heads))
+    return find_cycle(heads) is None
 
 
 def is_projective(heads: Sequence[int]) -> bool:
@@ -400,7 +400,7 @@ def _cle(S: np.ndarray) -> np.ndarray:
     for v in range(1, n):
         bh[v] = int(np.argmax(S[:, v]))
 
-    cycle = _find_cycle(bh)
+    cycle = find_cycle(bh[1:].tolist())
     if cycle is None:
         return bh
 
@@ -445,25 +445,6 @@ def _cle(S: np.ndarray) -> np.ndarray:
     entry_parent = old_of[int(sub[c])]
     heads[enter_choice[entry_parent]] = entry_parent
     return heads
-
-
-def _find_cycle(bh: np.ndarray) -> list[int] | None:
-    n = bh.size
-    state = np.zeros(n, dtype=np.int8)  # 0 new, 1 on path, 2 done
-    state[0] = 2
-    for start in range(1, n):
-        path = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = int(bh[v])
-        if state[v] == 1:
-            cycle = path[path.index(v) :]
-            return cycle
-        for p in path:
-            state[p] = 2
-    return None
 
 
 def decode_single_root(scores: np.ndarray, projective: bool) -> tuple[list[int], float]:

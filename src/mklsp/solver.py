@@ -16,12 +16,14 @@ mass M.  The subproblem is solved in its epigraph form
     min  -q.alpha + 1/2 alpha' Qpin alpha + (M/2) t
     s.t. alpha' Q^j alpha <= t  for every free group j,  alpha in A,
 
-by log-barrier path following (damped Newton centering, barrier weight
-raised tenfold per stage).  The free Gram matrices are stacked into one
-(groups, rows, rows) tensor, and each Newton system is assembled from
-that tensor's product with alpha rather than group by group; the summation
-order this changed means model checksums from before it may differ in the
-last bits.  Free mu_j are twice the multipliers of the group constraints,
+by log-barrier path following: centering by damped Newton steps, barrier
+weight raised tenfold per stage.  The objective is a convex quadratic and
+the barrier terms are -log of linear and of concave quadratic slacks, so
+the barrier is self-concordant; the damped step 1/(1 + lambda), lambda
+the Newton decrement, then stays inside the domain and needs no line
+search.  The Gram matrices are one (groups, rows, rows) tensor, and each
+Newton system is assembled from its product with alpha rather than group
+by group.  Free mu_j are twice the multipliers of the group constraints,
 rescaled to sum to M.  An exact QP in alpha at that mu
 (projected gradient, then an exact solve on the active face) replaces the
 barrier's alpha when it gives the higher dual value; with no free group
@@ -218,7 +220,7 @@ def _polish_qp(q: np.ndarray, H: np.ndarray, cap: float, x: np.ndarray) -> np.nd
 
 
 def _dual_value(
-    grams: Sequence[np.ndarray],
+    grams: np.ndarray,
     q: np.ndarray,
     alpha: np.ndarray,
     pinned_part: np.ndarray,
@@ -234,7 +236,7 @@ def _dual_value(
 
 
 def _barrier_qcqp(
-    grams_free: list[np.ndarray],
+    G: np.ndarray,
     Qpin: np.ndarray,
     q: np.ndarray,
     C: float,
@@ -246,15 +248,25 @@ def _barrier_qcqp(
     Minimizes -q.a + 1/2 a'Qpin a + (free_mass/2) t subject to
     a'Q_j a <= t (one constraint per free group), a >= 0, sum(a) <= C.
     Returns the final alpha and the free-group multiplier estimates.
-    The free Gram matrices are stacked into one (mf, s, s) tensor G, so
-    each Newton system comes from the single product G @ alpha and every
-    group's quadratic form from (G @ a) @ a.
+    G holds the free Gram matrices as one (mf, s, s) tensor, so each Newton
+    system comes from the single product G @ alpha and every group's
+    quadratic form from (G @ a) @ a.
+
+    Each centering step has length 1/(1 + lambda), lambda = sqrt(grad'K^-1
+    grad) the Newton decrement.  For a self-concordant barrier (this one
+    is: a convex quadratic plus -log of linear and concave quadratic
+    slacks) that damped step stays in the Dikin ellipsoid, so inside the
+    domain, and lowers the barrier by at least lambda - log(1 + lambda);
+    near the center it tends to the full step and converges quadratically
+    (Nesterov & Nemirovski 1994; Boyd & Vandenberghe 2004, 9.6).  No line
+    search is needed.  Halving remains only as a strict-feasibility
+    safeguard against rounding and against the gradient step taken when
+    the system is singular; when 80 halvings fail, the stage ends.
     """
     s = q.size
-    mf = len(grams_free)
+    mf = len(G)
     assert mf >= 1, "the barrier needs a free group"
     n_con = s + 1 + mf
-    G = np.stack(grams_free)
     ridge = 1e-12 * np.eye(s + 1)
 
     alpha = np.full(s, C / (2.0 * s))
@@ -266,12 +278,6 @@ def _barrier_qcqp(
             warm *= C * (1.0 - 1e-3) / total
         alpha = 0.9 * warm + 0.1 * alpha
     t = 2.0 * float(((G @ alpha) @ alpha).max()) + 1.0
-
-    def value(a, tt, c):
-        """The barrier objective at (a, tt), given the group slacks c."""
-        v = tbar * (-float(q @ a) + 0.5 * float(a @ Qpin @ a) + free_mass * tt / 2.0)
-        v -= float(np.log(a).sum()) + np.log(C - a.sum())
-        return v - float(np.log(c).sum())
 
     tbar = 1.0
     spent = 0
@@ -305,35 +311,20 @@ def _barrier_qcqp(
                 break
 
             da, dt = step[:s], float(step[s])
-            # largest step that keeps every constraint strictly positive
-            scale = 1.0
-            neg = da < 0
-            if neg.any():
-                scale = min(scale, 0.99 * float((alpha[neg] / -da[neg]).min()))
-            if da.sum() > 0:
-                scale = min(scale, 0.99 * c_sum / float(da.sum()))
+            # damped Newton step; halving only guards strict feasibility
+            scale = 1.0 / (1.0 + math.sqrt(decrement))
             for _ in range(80):
                 a_new = alpha + scale * da
                 t_new = t + scale * dt
-                if a_new.min() > 0 and a_new.sum() < C:
-                    c_new = t_new - (G @ a_new) @ a_new
-                    if c_new.min() > 0:
-                        break
-                scale *= 0.5
-            else:
-                scale = 0.0
-            if scale == 0.0:
-                break
-            # backtracking on the barrier value, from the trial point just found
-            base = value(alpha, t, c_grp)
-            slope = float(grad @ step)
-            while scale > 1e-12:
-                if value(a_new, t_new, c_new) <= base + 0.25 * scale * slope:
+                if (
+                    a_new.min() > 0
+                    and a_new.sum() < C
+                    and (t_new - (G @ a_new) @ a_new).min() > 0
+                ):
                     break
                 scale *= 0.5
-                a_new = alpha + scale * da
-                t_new = t + scale * dt
-                c_new = t_new - (G @ a_new) @ a_new
+            else:
+                break
             alpha, t = a_new, t_new
             if decrement <= 1e-10:
                 break
@@ -362,7 +353,8 @@ def solve_subproblem(
     better dual value.  Returned alpha and mu are exactly feasible; a
     non-finite alpha or mu raises RuntimeError.
     """
-    m = len(grams)
+    G = np.asarray(grams)
+    m = len(G)
     s = q.size
     if m == 0:
         raise ValueError("no feature groups")
@@ -378,20 +370,15 @@ def solve_subproblem(
     free_mass = max(free_mass, 0.0)
 
     pinned_part = np.where(fixed, pinned, 0.0)
-    Qpin = np.zeros((s, s))
-    for w_j, Q in zip(pinned_part, grams):
-        if w_j > 0:
-            Qpin += w_j * Q
+    Qpin = (pinned_part[:, None, None] * G).sum(axis=0)
     Qpin = 0.5 * (Qpin + Qpin.T)
 
-    mu = np.where(fixed, pinned, 0.0)
+    mu = pinned_part.copy()
     if not free.any() or free_mass == 0.0:
-        if free.any():
-            mu[free] = 0.0
         alpha = solve_qp(q, Qpin, C, x0=alpha0)
     else:
-        grams_free = [grams[j] for j in range(m) if free[j]]
-        alpha, lambdas = _barrier_qcqp(grams_free, Qpin, q, C, free_mass, alpha0)
+        G_free = G[free]
+        alpha, lambdas = _barrier_qcqp(G_free, Qpin, q, C, free_mass, alpha0)
         if not (np.isfinite(alpha).all() and np.isfinite(lambdas).all()):
             raise RuntimeError("non-finite alpha or multipliers from the barrier")
         mu_free = 2.0 * lambdas
@@ -399,17 +386,14 @@ def solve_subproblem(
         if total > 0:
             mu_free *= free_mass / total
         else:
-            mu_free = np.full(len(grams_free), free_mass / len(grams_free))
+            mu_free = np.full(len(G_free), free_mass / len(G_free))
         mu[free] = mu_free
         # exact QP polish at the recovered mu; keep the better dual value
-        H = Qpin.copy()
-        for mu_j, Q in zip(mu_free, grams_free):
-            if mu_j > 0:
-                H += mu_j * Q
+        H = Qpin + (mu_free[:, None, None] * G_free).sum(axis=0)
         H = 0.5 * (H + H.T)
         polished = solve_qp(q, H, C, x0=alpha)
-        d_raw = _dual_value(grams, q, alpha, pinned_part, free, free_mass)
-        d_pol = _dual_value(grams, q, polished, pinned_part, free, free_mass)
+        d_raw = _dual_value(G, q, alpha, pinned_part, free, free_mass)
+        d_pol = _dual_value(G, q, polished, pinned_part, free, free_mass)
         if d_pol > d_raw:
             alpha = polished
 
@@ -421,7 +405,7 @@ def solve_subproblem(
     if not (np.isfinite(alpha).all() and np.isfinite(mu).all()):
         raise RuntimeError("non-finite alpha or mu from the subproblem")
 
-    dual = _dual_value(grams, q, alpha, pinned_part, free, free_mass)
+    dual = _dual_value(G, q, alpha, pinned_part, free, free_mass)
     return SubproblemSolution(alpha, mu, dual)
 
 
@@ -574,13 +558,13 @@ def train(
 
     weights = [np.zeros(d) for d in dims]
     rows: list[ConstraintRow] = []
-    grams: list[np.ndarray] = [np.zeros((0, 0)) for _ in range(m)]
+    grams = np.zeros((m, 0, 0))
     qvec = np.zeros(0)
     mu = np.full(m, 1.0 / m)
     alpha = np.zeros(0)
     dual = 0.0
     trace: list[IterationRecord] = []
-    halt = "max-iterations"
+    halt = None
 
     for iteration in range(1, config.max_iterations + 1):
         outputs = parallel_decode(task, weights, instances, config.jobs, augmented=True)
@@ -590,52 +574,30 @@ def train(
         gap = r_emp - r_s
 
         if gap < config.epsilon:
-            record = IterationRecord(
-                iteration, r_emp, r_s, gap, dual,
-                primal_objective(weights, rows, config.C), len(rows), mu.copy(),
-            )
-            trace.append(record)
-            if log:
-                log(_format_record(record, ids))
             halt = "converged"
-            break
-        if any(rows_equal(row, seen) for seen in rows):
+        elif any(rows_equal(row, seen) for seen in rows):
             # exact duplicates imply gap <= 0, so this is a float-edge guard
-            record = IterationRecord(
-                iteration, r_emp, r_s, gap, dual,
-                primal_objective(weights, rows, config.C), len(rows), mu.copy(),
-            )
-            trace.append(record)
-            if log:
-                log(_format_record(record, ids))
             halt = "stalled"
-            break
-
-        rows.append(row)
-        for j in range(m):
-            old = grams[j]
+        else:
+            rows.append(row)
             size = len(rows)
-            grown = np.zeros((size, size))
-            grown[: size - 1, : size - 1] = old
-            for r, other in enumerate(rows):
-                dot = sparse_dot(row.p.groups[j], other.p.groups[j])
-                grown[size - 1, r] = dot
-                grown[r, size - 1] = dot
-            grams[j] = grown
-        qvec = np.append(qvec, row.q)
+            grown = np.zeros((m, size, size))
+            grown[:, :-1, :-1] = grams
+            for j in range(m):
+                for r, other in enumerate(rows):
+                    dot = sparse_dot(row.p.groups[j], other.p.groups[j])
+                    grown[j, -1, r] = grown[j, r, -1] = dot
+            grams = grown
+            qvec = np.append(qvec, row.q)
 
-        solution = solve_subproblem(
-            grams,
-            qvec,
-            config.C,
-            pinned=pinned,
-            alpha0=np.append(alpha, 0.0),
-        )
-        alpha, mu, dual = solution.alpha, solution.mu, solution.dual_objective
-        weights = recover_primal(rows, alpha, mu, dims)
-        for w in weights:
-            if not np.all(np.isfinite(w)):
-                raise RuntimeError("non-finite weights from primal recovery")
+            solution = solve_subproblem(
+                grams, qvec, config.C, pinned=pinned, alpha0=np.append(alpha, 0.0)
+            )
+            alpha, mu, dual = solution.alpha, solution.mu, solution.dual_objective
+            weights = recover_primal(rows, alpha, mu, dims)
+            for w in weights:
+                if not np.all(np.isfinite(w)):
+                    raise RuntimeError("non-finite weights from primal recovery")
 
         record = IterationRecord(
             iteration, r_emp, r_s, gap, dual,
@@ -644,5 +606,7 @@ def train(
         trace.append(record)
         if log:
             log(_format_record(record, ids))
+        if halt:
+            break
 
-    return TrainResult(weights, mu, alpha, rows, trace, halt)
+    return TrainResult(weights, mu, alpha, rows, trace, halt or "max-iterations")

@@ -319,9 +319,13 @@ def reference_barrier_qcqp(
     a'Q_j a <= t (one constraint per free group), a >= 0, sum(a) <= C.
     Returns the final alpha and the free-group multiplier estimates.
 
-    The same path as `mklsp.solver._barrier_qcqp` (stages, step rules,
-    budget), with the Newton system assembled one group at a time and every
-    quadratic form computed on its own.
+    The stages, Newton system, stopping rules and budget of
+    `mklsp.solver._barrier_qcqp`, implemented independently: the system is
+    assembled one group at a time, every quadratic form is computed on its
+    own, and the step length comes from a 0.99 fraction-to-boundary cap and
+    Armijo backtracking on the barrier value instead of the damped Newton
+    step.  Both follow the same central path to the same point, but late in
+    a stage this Armijo search can stall (see the tests).
     """
     s = q.size
     mf = len(grams_free)

@@ -1,9 +1,15 @@
 """End-to-end command tests through cli.main: exit codes, stream separation,
 environment overrides, and the full train/predict/eval/weights loop."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from mklsp import cli
+import mklsp
+from mklsp import cli, solver
 from mklsp.model import Model
 from mklsp.synthetic import SEQ_TEMPLATES, dependency_text, sequence_text
 
@@ -232,6 +238,32 @@ def test_non_finite_c_from_env_exits_1(seq_setup, capsys, monkeypatch):
     monkeypatch.setenv("MTL_C", "nan")
     assert cli.main(args) == 1
     assert "C must be positive and finite" in capsys.readouterr().err
+    assert not (d / "model.mkl").exists()
+
+
+def test_huge_c_exits_1_without_traceback(seq_setup):
+    # C = 1e300 overflows in the barrier; run as a user would, in a process
+    d = seq_setup
+    src = os.path.dirname(os.path.dirname(mklsp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mklsp.cli", *train_args(d, **{"-c": "1e300"})],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "error: numerical failure" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (d / "model.mkl").exists()
+
+
+def test_non_finite_barrier_output_exits_1(seq_setup, capsys, monkeypatch):
+    def broken(G, Qpin, q, C, free_mass, alpha0):
+        return np.full(q.size, np.nan), np.full(len(G), np.nan)
+
+    monkeypatch.setattr(solver, "_barrier_qcqp", broken)
+    d = seq_setup
+    assert cli.main(train_args(d)) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
     assert not (d / "model.mkl").exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from mklsp.corpus import (
     CorpusFormatError,
     LabelTable,
-    heads_form_tree,
+    find_cycle,
     read_dependency_corpus,
     read_sequence_corpus,
     write_dependency_corpus,
@@ -158,12 +158,15 @@ class TestDependencyWrite:
         assert lines[1].split("\t")[6] == "0"
 
 
-def test_heads_form_tree():
-    assert heads_form_tree([0])
-    assert heads_form_tree([2, 0])
-    assert heads_form_tree([0, 0])
-    assert not heads_form_tree([2, 1])
-    assert not heads_form_tree([3, 1, 2])
+def test_find_cycle():
+    assert find_cycle([0]) is None
+    assert find_cycle([2, 0]) is None
+    assert find_cycle([0, 0]) is None
+    assert find_cycle([2, 1]) == [1, 2]
+    assert find_cycle([3, 1, 2]) == [1, 3, 2]
+    # the walk from token 1 enters the cycle 2 -> 3 -> 2 at token 2
+    assert find_cycle([2, 3, 2]) == [2, 3]
+    assert find_cycle([0, 3, 2]) == [2, 3]
 
 
 def test_label_table_first_seen_and_freeze():

@@ -204,9 +204,9 @@ def test_subproblem_rejects_non_finite_qp_output(monkeypatch):
 
 
 def barrier_problem(seed, s, mf, pinned, warm):
-    """Barrier input shaped like the trainer's: Gram matrices of s rows over
-    1..s features with entries of order 1, C <= 1, and a warm start whose
-    last (newest) row is 0."""
+    """Barrier input shaped like the trainer's: an (mf, s, s) tensor of Gram
+    matrices of s rows over 1..s features with entries of order 1, C <= 1,
+    and a warm start whose last (newest) row is 0."""
     rng = np.random.default_rng(seed)
     grams = []
     for _ in range(mf + pinned):
@@ -214,6 +214,7 @@ def barrier_problem(seed, s, mf, pinned, warm):
         P = rng.uniform(-1.0, 1.0, size=(s, d))
         grams.append(P @ P.T / d)
     Qpin = float(rng.uniform(0.1, 0.5)) * grams.pop() if pinned else np.zeros((s, s))
+    grams = np.stack(grams)
     q = rng.uniform(0.0, 1.0, size=s)
     C = float(rng.uniform(0.1, 1.0))
     free_mass = float(rng.uniform(0.2, 0.9)) if pinned else 1.0
@@ -247,11 +248,11 @@ def test_barrier_matches_per_group_reference(s, mf, seed, pinned, warm):
     assert epigraph_dual(grams, Qpin, q, free_mass, alpha) == pytest.approx(
         epigraph_dual(grams, Qpin, q, free_mass, ref_alpha), rel=1e-9
     )
-    # The final centering can stall in either implementation: near the end
-    # the Armijo test compares barrier values of about 1e9 whose rounding
-    # exceeds the predicted decrease, so a few draws in a thousand end off
-    # the central path by up to ~5e-5 in mu.  A wrong Newton system is off
-    # by 1e-2 and more.
+    # The reference's final centering can stall: near the end its Armijo
+    # test compares barrier values of about 1e9 whose rounding exceeds the
+    # predicted decrease, so a few draws in a thousand end off the central
+    # path by up to ~5e-5 in mu.  The damped Newton step has no such search.
+    # A wrong Newton system is off by 1e-2 and more.
     mu = lambdas / lambdas.sum()
     ref_mu = ref_lambdas / ref_lambdas.sum()
     assert np.abs(mu - ref_mu).max() <= 1e-4
@@ -544,6 +545,28 @@ def test_train_with_reference_barrier_takes_the_same_path(monkeypatch):
     assert fast.n_iterations == ref.n_iterations
     assert fast.halt_reason == ref.halt_reason == "converged"
     assert np.abs(fast.mu - ref.mu).max() <= 1e-6
+
+
+def test_barrier_ends_on_the_central_path(monkeypatch):
+    # On the central path the t-component of the barrier gradient is zero,
+    # tbar * free_mass / 2 = sum_j 1 / c_j, so 2 * sum(lambdas) = free_mass.
+    instances = load_dependency(dependency_text(40, seed=5))
+    specs = parse_edge_templates(default_edge_templates())
+    task = DependencyTask.build(specs, instances, decoder="nonprojective")
+    compiled = [task.compile(i) for i in instances]
+    offsets = []
+    barrier = solver._barrier_qcqp
+
+    def recording(G, Qpin, q, C, free_mass, alpha0):
+        alpha, lambdas = barrier(G, Qpin, q, C, free_mass, alpha0)
+        offsets.append(abs(2.0 * lambdas.sum() - free_mass) / free_mass)
+        return alpha, lambdas
+
+    monkeypatch.setattr(solver, "_barrier_qcqp", recording)
+    result = train(task, compiled, SolverConfig(C=1.0, epsilon=1e-3))
+    assert result.halt_reason == "converged"
+    assert len(offsets) == len(result.rows)
+    assert max(offsets) <= 1e-5
 
 
 def test_train_rejects_empty_corpus():
