@@ -353,7 +353,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # numpy overflow and invalid values raise FloatingPointError (exit 1 below)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

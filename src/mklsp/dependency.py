@@ -387,82 +387,56 @@ def cle_decode(scores: np.ndarray) -> tuple[list[int], float]:
     smallest head index among ties.
     """
     S = _masked(scores)
-    heads_full = _cle(S)
-    heads = [int(h) for h in heads_full[1:]]
-    total = float(sum(S[h, v] for v, h in enumerate(heads, start=1)))
-    return heads, total
+    heads = _cle(S)[1:].tolist()
+    return heads, _tree_score(S, heads)
+
+
+def _tree_score(S: np.ndarray, heads: Sequence[int]) -> float:
+    return float(sum(S[h, v] for v, h in enumerate(heads, start=1)))
 
 
 def _cle(S: np.ndarray) -> np.ndarray:
-    n = S.shape[0]
-    bh = np.zeros(n, dtype=np.int64)
-    bh[0] = -1
-    for v in range(1, n):
-        bh[v] = int(np.argmax(S[:, v]))
+    """Heads of the maximum arborescence of masked scores (entry 0 unused).
 
+    Every node takes its best head, the smallest among ties.  A cycle among
+    them is contracted to node c over the outside nodes: a -> c scores a's
+    best gain from taking over a cycle node's head, c -> a the best cycle
+    edge into a.  The tree on that matrix breaks the cycle where it enters.
+    """
+    bh = S.argmax(axis=0)
     cycle = find_cycle(bh[1:].tolist())
     if cycle is None:
         return bh
-
-    in_cycle = np.zeros(n, dtype=bool)
-    in_cycle[cycle] = True
-    outside = [v for v in range(n) if not in_cycle[v]]  # keeps 0 first
-    m = len(outside) + 1
-    c = m - 1  # supernode id
-    old_of = {new: old for new, old in enumerate(outside)}
-
-    S2 = np.full((m, m), NEG)
-    for a_new, a_old in enumerate(outside):
-        for b_new, b_old in enumerate(outside):
-            if a_new != b_new:
-                S2[a_new, b_new] = S[a_old, b_old]
-    enter_choice: dict[int, int] = {}  # outside node -> replaced cycle node
-    exit_choice: dict[int, int] = {}  # outside node -> cycle node heading it
-    for a_new, a_old in enumerate(outside):
-        # edge into the cycle: gain from replacing v's current cycle edge
-        gains = [S[a_old, v] - S[bh[v], v] for v in cycle]
-        best = int(np.argmax(gains))
-        enter_choice[a_old] = cycle[best]
-        S2[a_new, c] = gains[best]
-        # edge out of the cycle
-        if a_old != 0:
-            outs = [S[v, a_old] for v in cycle]
-            best_out = int(np.argmax(outs))
-            S2[c, a_new] = outs[best_out]
-            exit_choice[a_old] = cycle[best_out]
-
+    cyc = np.array(cycle)
+    out = np.flatnonzero(np.bincount(cyc, minlength=S.shape[0]) == 0)  # 0 stays first
+    c = out.size  # the contracted cycle's index
+    gains = S[out[:, None], cyc] - S[bh[cyc], cyc]
+    enter = gains.argmax(axis=1)  # where each outside node would enter the cycle
+    exits = cyc[S[cyc[:, None], out].argmax(axis=0)]  # the cycle node heading each
+    S2 = np.full((c + 1, c + 1), NEG)
+    S2[:c, :c] = S[out[:, None], out]
+    S2[:c, c] = gains.max(axis=1)
+    S2[c, :c] = S[exits, out]
     sub = _cle(S2)
-
-    heads = np.zeros(n, dtype=np.int64)
-    heads[0] = -1
-    for a_new, a_old in enumerate(outside):
-        if a_old == 0:
-            continue
-        h_new = int(sub[a_new])
-        heads[a_old] = exit_choice[a_old] if h_new == c else old_of[h_new]
-    for v in cycle:
-        heads[v] = bh[v]
-    entry_parent = old_of[int(sub[c])]
-    heads[enter_choice[entry_parent]] = entry_parent
-    return heads
+    into = sub[1:c]  # cycle nodes keep their heads but the one entered
+    bh[out[1:]] = np.where(into == c, exits[1:], np.append(out, -1)[into])
+    bh[cyc[enter[sub[c]]]] = out[sub[c]]
+    return bh
 
 
 def decode_single_root(scores: np.ndarray, projective: bool) -> tuple[list[int], float]:
-    """Best tree with exactly one child of the root (re-run per candidate)."""
-    S = np.asarray(scores, dtype=float)
-    n = S.shape[0]
-    decode = eisner_decode if projective else cle_decode
-    best: tuple[list[int], float] | None = None
-    for child in range(1, n):
-        masked = S.copy()
-        keep = masked[0, child]
-        masked[0, :] = NEG
-        masked[0, child] = keep
-        heads, total = decode(masked)
-        if best is None or total > best[1]:
-            best = (heads, total)
-    assert best is not None
-    return best
+    """Best tree with exactly one child of the root, in one decode.
+
+    Root edges are charged 1 + (l+1)(max - min) over the finite scores, more
+    than two trees' scores can differ, so the best charged tree has one root
+    child (Gabow & Tarjan's root penalty); its total uses the uncharged
+    scores.  Ties may resolve unlike a search over each root child in turn.
+    """
+    S = _masked(scores)
+    charged = S.copy()
+    charged[0] -= 1.0 + S.shape[0] * np.ptp(S[np.isfinite(S)])
+    heads, _ = (eisner_decode if projective else cle_decode)(charged)
+    return heads, _tree_score(S, heads)
 
 
 @dataclass
@@ -542,9 +516,7 @@ class DependencyTask:
     def _run_decoder(self, S: np.ndarray) -> tuple[list[int], float]:
         if self.single_root:
             return decode_single_root(S, self.decoder == "projective")
-        if self.decoder == "projective":
-            return eisner_decode(S)
-        return cle_decode(S)
+        return (eisner_decode if self.decoder == "projective" else cle_decode)(S)
 
     # --- solver-facing protocol ---
 

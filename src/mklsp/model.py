@@ -12,9 +12,10 @@ The payload is a sequence of length-prefixed blocks (u64 little endian):
 meta JSON, template text, mu, then one alphabet block and one weight block
 per feature group.  The checksum covers the payload only, so two runs that
 learn identical parameters produce byte-identical payloads regardless of
-when they were written.  `Model.read` raises ModelFormatError unless mu is
-a point of the simplex and every weight block is finite and sized for its
-group, so every model that loads can decode.
+when they were written.  `Model.read` raises ModelFormatError unless the
+text blocks are UTF-8, the template text defines exactly the meta groups,
+mu is a point of the simplex and every weight block is finite and sized
+for its group, so every model that loads can decode.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ import numpy as np
 from .corpus import LabelTable
 from .dependency import DependencyTask, EdgeFeatureExtractor, parse_edge_templates
 from .sequence import SequenceTask
-from .templates import OBSERVATION, FeatureAlphabet, parse_templates
+from .templates import OBSERVATION, FeatureAlphabet, parse_templates, validate_columns
 
 MAGIC = "MKLSP1"
 _MU_SUM_TOL = 1e-9  # trained mu sums to 1 within a few ulps
 
-# meta key -> (JSON type, required); list values hold strings only
+# meta key -> (JSON type, required); list values hold distinct strings only
 _META_FIELDS = {
     "task": (str, True),
     "n_columns": (int, True),
@@ -46,6 +47,7 @@ _META_FIELDS = {
     "single_root": (bool, False),
     "diagnostics": (dict, False),
 }
+_META_CHOICES = {"task": ("seq", "dep"), "decoder": ("projective", "nonprojective")}
 
 
 class ModelFormatError(ValueError):
@@ -127,13 +129,14 @@ class Model:
         if self.task_kind == "seq":
             specs = parse_templates(self.template_text)
             obs = [s for s in specs if s.kind == OBSERVATION]
+            transition = "B" in self.group_ids
+            obs_strings = self.alphabets[:-1] if transition else self.alphabets  # B's is last
             alphabets = [
                 FeatureAlphabet(s.index, strings, frozen=True)
-                for s, strings in zip(obs, self.alphabets, strict=False)
+                for s, strings in zip(obs, obs_strings, strict=True)
             ]
             table = LabelTable(self.labels)
             table.freeze()
-            transition = "B" in self.group_ids
             return SequenceTask(obs, alphabets, table, transition)
         specs = parse_edge_templates(self.template_text)
         alphabets = [
@@ -236,14 +239,15 @@ class Model:
             raise ModelFormatError(
                 f"expected {3 + 2 * m} blocks for {m} groups, found {len(blocks)}"
             )
-        template_text = blocks[1].decode("utf-8")
+        try:
+            template_text = blocks[1].decode("utf-8")
+            alphabets = [b.decode("utf-8").split("\n") if b else [] for b in blocks[3 : 3 + m]]
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"a template or alphabet block is not UTF-8: {exc}") from exc
+        _check_template(meta, template_text)
         mu = _floats(blocks[2], "mu")
         if mu.size != m or mu.min(initial=0.0) < 0 or abs(mu.sum() - 1.0) > _MU_SUM_TOL:
             raise ModelFormatError(f"mu is not a point of the {m}-group simplex: {mu!r}")
-        alphabets = [
-            blocks[3 + j].decode("utf-8").split("\n") if blocks[3 + j] else []
-            for j in range(m)
-        ]
         weights = []
         for j, gid in enumerate(groups):
             w = _floats(blocks[3 + m + j], f"group {gid!r} weight")
@@ -266,6 +270,22 @@ class Model:
         )
 
 
+def _check_template(meta: dict, text: str) -> None:
+    """Raise ModelFormatError unless `text` defines exactly the meta groups, in order."""
+    try:
+        if meta["task"] == "seq":
+            # observation rules in file order, then B, as `SequenceTask.group_ids`
+            specs = sorted(parse_templates(text), key=lambda s: s.kind != OBSERVATION)
+            validate_columns(specs, meta["n_columns"])
+        else:
+            specs = parse_edge_templates(text)
+    except ValueError as exc:  # a TemplateError
+        raise ModelFormatError(f"template block: {exc}") from exc
+    ids = [s.index for s in specs]
+    if ids != meta["groups"]:
+        raise ModelFormatError(f"template block defines groups {ids}, meta lists {meta['groups']}")
+
+
 def _floats(block: bytes, what: str) -> np.ndarray:
     """A block of finite little-endian float64s."""
     if len(block) % 8:
@@ -285,7 +305,7 @@ def _weight_size(meta: dict, gid: str, n_strings: int) -> int:
 
 
 def _check_meta(meta) -> None:
-    """Raise ModelFormatError unless `meta` has the keys and types `read` uses."""
+    """Raise ModelFormatError unless `meta` has the keys, types and values `read` uses."""
     if not isinstance(meta, dict):
         raise ModelFormatError("meta block is not a JSON object")
     for key, (kind, required) in _META_FIELDS.items():
@@ -300,3 +320,8 @@ def _check_meta(meta) -> None:
             ok = all(isinstance(item, str) for item in value)
         if not ok:
             raise ModelFormatError(f"meta {key!r} must be a JSON {kind.__name__}, got {value!r}")
+        choices = _META_CHOICES.get(key)
+        if choices and value not in choices:
+            raise ModelFormatError(f"meta {key!r} must be one of {choices}, got {value!r}")
+        if kind is list and len(set(value)) < len(value):
+            raise ModelFormatError(f"meta {key!r} repeats an entry: {value!r}")

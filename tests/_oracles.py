@@ -2,11 +2,16 @@
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 face enumeration, dense grids, and dicts counted one firing at a time.
-Nothing imports the package's decoders or solvers; the edge-feature
-references loop over edges one at a time with the package's per-edge
-definition, `instantiate_edge`, the constraint-row reference only
-reuses the package's containers, and the barrier reference only the
-solver's stopping constants.
+Nothing imports the package's solvers; the edge-feature references loop
+over edges one at a time with the package's per-edge definition,
+`instantiate_edge`, the constraint-row reference only reuses the
+package's containers, and the barrier reference only the solver's
+stopping constants.  The tree-decoder references are the package's
+earlier decoders, kept as they were: a maximum arborescence contracted
+with dicts and Python loops, and a single-root search that runs a whole
+decoder once per root child.  They share the package's score masking,
+cycle walk and span DP (`eisner_decode`, itself checked against
+enumeration).
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from mklsp.dependency import augment, instantiate_edge
+from mklsp.corpus import find_cycle
+from mklsp.dependency import NEG, _masked, augment, eisner_decode, instantiate_edge
 from mklsp.solver import _BARRIER_GAP, _NEWTON_BUDGET, ConstraintRow
 from mklsp.sparse import GroupedSparseVector, SparseVector
 
@@ -434,3 +440,88 @@ def reference_barrier_qcqp(
         else np.zeros(0)
     )
     return alpha, lambdas
+
+
+def reference_cle_decode(scores):
+    """Maximum spanning arborescence rooted at 0 (greedy + cycle contraction).
+
+    Root out-degree is unconstrained.  Greedy head selection takes the
+    smallest head index among ties.
+    """
+    S = _masked(scores)
+    heads_full = _reference_cle(S)
+    heads = [int(h) for h in heads_full[1:]]
+    total = float(sum(S[h, v] for v, h in enumerate(heads, start=1)))
+    return heads, total
+
+
+def _reference_cle(S):
+    n = S.shape[0]
+    bh = np.zeros(n, dtype=np.int64)
+    bh[0] = -1
+    for v in range(1, n):
+        bh[v] = int(np.argmax(S[:, v]))
+
+    cycle = find_cycle(bh[1:].tolist())
+    if cycle is None:
+        return bh
+
+    in_cycle = np.zeros(n, dtype=bool)
+    in_cycle[cycle] = True
+    outside = [v for v in range(n) if not in_cycle[v]]  # keeps 0 first
+    m = len(outside) + 1
+    c = m - 1  # supernode id
+    old_of = {new: old for new, old in enumerate(outside)}
+
+    S2 = np.full((m, m), NEG)
+    for a_new, a_old in enumerate(outside):
+        for b_new, b_old in enumerate(outside):
+            if a_new != b_new:
+                S2[a_new, b_new] = S[a_old, b_old]
+    enter_choice = {}  # outside node -> replaced cycle node
+    exit_choice = {}  # outside node -> cycle node heading it
+    for a_new, a_old in enumerate(outside):
+        # edge into the cycle: gain from replacing v's current cycle edge
+        gains = [S[a_old, v] - S[bh[v], v] for v in cycle]
+        best = int(np.argmax(gains))
+        enter_choice[a_old] = cycle[best]
+        S2[a_new, c] = gains[best]
+        # edge out of the cycle
+        if a_old != 0:
+            outs = [S[v, a_old] for v in cycle]
+            best_out = int(np.argmax(outs))
+            S2[c, a_new] = outs[best_out]
+            exit_choice[a_old] = cycle[best_out]
+
+    sub = _reference_cle(S2)
+
+    heads = np.zeros(n, dtype=np.int64)
+    heads[0] = -1
+    for a_new, a_old in enumerate(outside):
+        if a_old == 0:
+            continue
+        h_new = int(sub[a_new])
+        heads[a_old] = exit_choice[a_old] if h_new == c else old_of[h_new]
+    for v in cycle:
+        heads[v] = bh[v]
+    entry_parent = old_of[int(sub[c])]
+    heads[enter_choice[entry_parent]] = entry_parent
+    return heads
+
+
+def reference_single_root(scores, projective):
+    """Best tree with exactly one child of the root (re-run per candidate)."""
+    S = np.asarray(scores, dtype=float)
+    n = S.shape[0]
+    decode = eisner_decode if projective else reference_cle_decode
+    best = None
+    for child in range(1, n):
+        masked = S.copy()
+        keep = masked[0, child]
+        masked[0, :] = NEG
+        masked[0, child] = keep
+        heads, total = decode(masked)
+        if best is None or total > best[1]:
+            best = (heads, total)
+    assert best is not None
+    return best

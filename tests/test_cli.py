@@ -1,6 +1,7 @@
 """End-to-end command tests through cli.main: exit codes, stream separation,
 environment overrides, and the full train/predict/eval/weights loop."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 import mklsp
 from mklsp import cli, solver
+from mklsp.corpus import read_dependency_corpus
+from mklsp.dependency import is_arborescence, is_projective
 from mklsp.model import Model
 from mklsp.synthetic import SEQ_TEMPLATES, dependency_text, sequence_text
 
@@ -22,13 +25,14 @@ def strip_labels(text):
     return "\n".join(lines) + "\n"
 
 
-def blank_heads(text):
-    """Erase the HEAD column of a CoNLL corpus."""
+def blank_heads(text, head="_"):
+    """Set every HEAD of a CoNLL corpus to `head`: erased by default, and
+    with "0" every token hangs off the root."""
     lines = []
     for line in text.splitlines():
         if line.strip():
             fields = line.split("\t")
-            fields[6] = "_"
+            fields[6] = head
             line = "\t".join(fields)
         lines.append(line)
     return "\n".join(lines) + "\n"
@@ -140,6 +144,52 @@ def test_full_dependency_pipeline(tmp_path, capsys):
     kv = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
     assert 0.0 <= float(kv["accuracy"]) <= 1.0
     assert 0.0 <= float(kv["complete"]) <= 1.0
+
+
+def root_children(path):
+    return [inst.heads.count(0) for inst in read_dependency_corpus(str(path))]
+
+
+@pytest.mark.parametrize("decoder", ["projective", "nonprojective"])
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_single_root_train_and_predict(tmp_path, capsys, monkeypatch, decoder, how):
+    # gold trees hang every token off the root, so a model trained on them
+    # predicts several root children unless single-root decoding is on
+    (tmp_path / "train.conll").write_text(blank_heads(dependency_text(10, seed=55), "0"))
+    (tmp_path / "test_bare.conll").write_text(blank_heads(dependency_text(4, seed=56)))
+
+    def train_and_predict(*extra):
+        args = [
+            "train", "--task", "dep",
+            "--data", str(tmp_path / "train.conll"),
+            "-o", str(tmp_path / "model.mkl"),
+            "-c", "1", "-e", "0.2", "--jobs", "1", "--decoder", decoder, *extra,
+        ]
+        assert cli.main(args) == 0
+        code = cli.main([
+            "predict", "-m", str(tmp_path / "model.mkl"),
+            "--data", str(tmp_path / "test_bare.conll"),
+            "-o", str(tmp_path / "pred.conll"), "--jobs", "1",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        return Model.load(str(tmp_path / "model.mkl"))
+
+    assert not train_and_predict().single_root
+    assert max(root_children(tmp_path / "pred.conll")) > 1
+
+    if how == "flag":
+        model = train_and_predict("--single-root")
+    else:
+        monkeypatch.setenv("MTL_SINGLE_ROOT", "1")
+        model = train_and_predict()
+    assert model.single_root is True and model.decoder == decoder
+    assert json.loads(model._payload_blocks()[0])["single_root"] is True
+    assert root_children(tmp_path / "pred.conll") == [1, 1, 1, 1]
+    for inst in read_dependency_corpus(str(tmp_path / "pred.conll")):
+        assert is_arborescence(inst.heads)
+        if decoder == "projective":
+            assert is_projective(inst.heads)
 
 
 def test_weights_table_and_csv(seq_setup, capsys):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mklsp.corpus import DependencyInstance
 from mklsp.dependency import (
@@ -31,6 +32,8 @@ from _oracles import (
     compile_edges,
     edge_alphabets,
     feature_counts,
+    reference_cle_decode,
+    reference_single_root,
     tree_best,
     tree_tables,
     valid_arborescence,
@@ -262,6 +265,72 @@ def test_single_root_decoding():
             cols = np.arange(1, l + 1)
             want = S[singles, cols].sum(axis=1).max()
             assert score == pytest.approx(float(want), abs=1e-9)
+
+
+@st.composite
+def score_tables(draw, max_l, elements):
+    l = draw(st.integers(1, max_l))
+    # every entry drawn on its own: a shared fill value would give the root
+    # every column and leave no cycle to contract
+    return draw(arrays(np.float64, (l + 1, l + 1), elements=elements, fill=st.nothing()))
+
+
+@st.composite
+def seeded_tables(draw, max_l, tied):
+    """Scores drawn by numpy from a seed: uniform floats (no ties), or
+    integers in -9..9, which tie often and close many cycles."""
+    l = draw(st.integers(1, max_l))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tied:
+        return rng.integers(-9, 10, size=(l + 1, l + 1)).astype(float)
+    return rng.uniform(-1.0, 1.0, size=(l + 1, l + 1))
+
+
+FLOAT_SCORES = st.floats(-1e6, 1e6)
+TIED_SCORES = st.integers(-2, 2).map(float)  # few values, so optimal trees tie
+
+
+@given(
+    st.one_of(
+        score_tables(30, FLOAT_SCORES),
+        score_tables(30, TIED_SCORES),
+        seeded_tables(30, tied=True),
+    )
+)
+def test_cle_matches_reference(S):
+    # same tree and bit-identical score, ties included
+    assert cle_decode(S) == reference_cle_decode(S)
+
+
+def check_single_root(S, projective):
+    """decode_single_root's tree is valid with one root child and as good as
+    the per-child reference; returns (its heads, the reference heads)."""
+    heads, score = decode_single_root(S, projective)
+    want_heads, want = reference_single_root(S, projective)
+    assert heads.count(0) == 1
+    assert valid_arborescence(heads)
+    if projective:
+        assert valid_projective(heads)
+    assert score == pytest.approx(want, abs=1e-9)
+    return heads, want_heads
+
+
+@given(
+    st.one_of(
+        score_tables(12, st.floats(-1.0, 1.0)),
+        score_tables(12, TIED_SCORES),
+        seeded_tables(12, tied=True),
+    ),
+    st.booleans(),
+)
+def test_single_root_matches_reference(S, projective):
+    check_single_root(S, projective)
+
+
+@given(seeded_tables(12, tied=False), st.booleans())
+def test_single_root_heads_match_reference_without_ties(S, projective):
+    heads, want_heads = check_single_root(S, projective)
+    assert heads == want_heads
 
 
 # ---------------------------------------------------------------- validators

@@ -8,6 +8,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mklsp import cli
 from mklsp.dependency import DependencyTask, parse_edge_templates
@@ -327,3 +328,165 @@ def test_mu_off_the_simplex_is_a_format_error(dep_model, change, match):
 
     with pytest.raises(ModelFormatError, match=match):
         Model.read(io.BytesIO(with_blocks(dep_model, edit)))
+
+
+# ---------------------------------------------------------------- template and text blocks
+
+
+@pytest.fixture(scope="module")
+def predict_inputs(tmp_path_factory):
+    """Unlabeled inputs for `mklsp predict`, one per task kind."""
+    d = tmp_path_factory.mktemp("predict")
+    rows = [" ".join(line.split()[:-1]) for line in sequence_text(3, seed=44).splitlines()]
+    (d / "seq.txt").write_text("\n".join(rows) + "\n")
+    (d / "dep.conll").write_text(dependency_text(3, seed=45))
+    return d
+
+
+def predict_exit_code(raw, kind, d):
+    """Exit code of `mklsp predict` with the model file `raw`."""
+    (d / "m.mkl").write_bytes(raw)
+    data = d / ("seq.txt" if kind == "seq" else "dep.conll")
+    return cli.main([
+        "predict", "-m", str(d / "m.mkl"), "--data", str(data),
+        "-o", str(d / "out.txt"), "--jobs", "1",
+    ])
+
+
+def with_template(model, text):
+    def edit(blocks, m):
+        blocks[1] = text
+
+    return with_blocks(model, edit)
+
+
+SEQ_LINES = SEQ_TEMPLATES.splitlines()[1:]  # U00..U03 and B, comment dropped
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        (b"U00:%x[0,0]", "defines groups"),
+        (b"U00:%x[0,9]\nB", "column 9"),
+        ("\n".join([*SEQ_LINES[:3], "U03:%x[0,9]", "B"]).encode(), "column 9"),
+        ("\n".join([SEQ_LINES[1], SEQ_LINES[0], *SEQ_LINES[2:]]).encode(), "defines groups"),
+        ("\n".join(SEQ_LINES[:4]).encode(), "defines groups"),
+        ("\n".join(["B", *SEQ_LINES[:4]]).encode(), None),  # B's line may come first
+        (b"U00 %x[0,0]", "template block"),
+        (b"U00:%x[0,0]\n\xff", "not UTF-8"),
+    ],
+    ids=["one-rule", "column-9-one-rule", "column-9", "swapped", "no-B", "B-first",
+         "unparsable", "not-utf8"],
+)
+def test_seq_template_block_must_define_exactly_the_groups(
+    seq_model, predict_inputs, text, match
+):
+    raw = with_template(seq_model, text)
+    if match is None:
+        assert Model.read(io.BytesIO(raw)).template_text == text.decode()
+        assert predict_exit_code(raw, "seq", predict_inputs) == 0
+        return
+    with pytest.raises(ModelFormatError, match=match):
+        Model.read(io.BytesIO(raw))
+    assert predict_exit_code(raw, "seq", predict_inputs) == 1
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        (b"P00:head.CPOSTAG/mod.CPOSTAG", "defines groups"),
+        (b"P01:head.FORM/mod.FORM\nP00:head.CPOSTAG/mod.CPOSTAG", "defines groups"),
+        (b"P00:head.SHAPE\nP01:head.FORM", "template block"),
+        (b"U00:%x[0,0]\nU01:%x[0,1]", "template block"),
+        (b"P00:head.FORM\nP01:head.\xc3", "not UTF-8"),
+    ],
+    ids=["one-rule", "swapped", "bad-field", "seq-rules", "not-utf8"],
+)
+def test_dep_template_block_must_define_exactly_the_groups(
+    dep_model, predict_inputs, text, match
+):
+    raw = with_template(dep_model, text)
+    with pytest.raises(ModelFormatError, match=match):
+        Model.read(io.BytesIO(raw))
+    assert predict_exit_code(raw, "dep", predict_inputs) == 1
+
+
+@pytest.mark.parametrize("kind", ["seq", "dep"])
+def test_alphabet_block_must_be_utf8(seq_model, dep_model, kind):
+    def edit(blocks, m):
+        blocks[3] += b"\n\xff\xfe"
+
+    raw = with_blocks(seq_model if kind == "seq" else dep_model, edit)
+    with pytest.raises(ModelFormatError, match="not UTF-8"):
+        Model.read(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("task", "tree"), ("decoder", "greedy"), ("labels", ["L0", "L1", "L0"])],
+)
+def test_meta_value_out_of_range_is_a_format_error(seq_model, key, value):
+    # repeated labels would load and then write every tag under one name
+    raw = with_meta(seq_model, lambda meta: meta.__setitem__(key, value))
+    with pytest.raises(ModelFormatError, match=key):
+        Model.read(io.BytesIO(raw))
+
+
+def test_build_task_rejects_misaligned_alphabets(seq_model):
+    model = Model.read(io.BytesIO(signed(seq_model._payload_blocks())))
+    model.alphabets.insert(0, ["U00:x"])
+    model.weights.insert(0, np.zeros(len(model.labels)))
+    with pytest.raises(ValueError):
+        model.build_task()
+
+
+# ---------------------------------------------------------------- fuzzing
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
+)
+EXTRA_RULES = ["U09:%x[0,7]", "U04:%x[-2,1]", "P00:head.FORM", "P02:between.POSTAG", "B", "U00"]
+
+
+def mutate(blocks, meta, template_lines, draw):
+    """`blocks` with one random defect: a block truncated, a byte flipped, a
+    block deleted or duplicated, one meta value or the template text replaced."""
+    blocks = list(blocks)
+    j = draw(st.integers(0, len(blocks) - 1))
+    kind = draw(st.sampled_from(["truncate", "flip", "delete", "duplicate", "meta", "template"]))
+    if kind == "truncate":
+        blocks[j] = blocks[j][: draw(st.integers(0, max(len(blocks[j]) - 1, 0)))]
+    elif kind == "flip" and blocks[j]:
+        i = draw(st.integers(0, len(blocks[j]) - 1))
+        flipped = blocks[j][i] ^ draw(st.integers(1, 255))
+        blocks[j] = blocks[j][:i] + bytes([flipped]) + blocks[j][i + 1 :]
+    elif kind == "delete":
+        del blocks[j]
+    elif kind == "duplicate":
+        blocks.insert(j, blocks[j])
+    elif kind == "meta":
+        words = [*meta["groups"], *meta["labels"], "seq", "dep", "projective", "nonprojective"]
+        value = draw(JSON_VALUES | st.sampled_from(words) | st.lists(st.sampled_from(words)))
+        blocks[0] = json.dumps({**meta, draw(st.sampled_from(sorted(meta))): value}).encode()
+    elif kind == "template":
+        lines = st.lists(st.sampled_from([*template_lines, *EXTRA_RULES]), max_size=6)
+        blocks[1] = draw(lines.map("\n".join) | st.text(max_size=20)).encode()
+    return blocks
+
+
+@pytest.mark.parametrize("kind", ["seq", "dep"])
+@given(data=st.data())
+def test_mutated_model_is_rejected_or_runs(seq_model, dep_model, predict_inputs, kind, data):
+    model = seq_model if kind == "seq" else dep_model
+    blocks = model._payload_blocks()
+    lines = model.template_text.splitlines()
+    raw = signed(mutate(blocks, json.loads(blocks[0]), lines, data.draw))
+    try:
+        Model.read(io.BytesIO(raw))
+    except ModelFormatError:
+        return
+    assert predict_exit_code(raw, kind, predict_inputs) in (0, 1)
+    assert cli.main(["weights", "-m", str(predict_inputs / "m.mkl")]) in (0, 1)
