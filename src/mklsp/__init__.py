@@ -31,7 +31,7 @@ from .metrics import (
     evaluate_sequence,
 )
 from .model import Model, ModelFormatError
-from .sequence import SequenceTask, brute_force_decode, loss_augmented_decode, viterbi_decode
+from .sequence import SequenceTask, loss_augmented_decode, viterbi_decode
 from .solver import SolverConfig, TrainResult, solve_subproblem, train
 from .templates import TemplateError, parse_templates
 
@@ -50,7 +50,6 @@ __all__ = [
     "SolverConfig",
     "TemplateError",
     "TrainResult",
-    "brute_force_decode",
     "cle_decode",
     "default_edge_templates",
     "eisner_decode",

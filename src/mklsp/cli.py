@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -216,23 +217,22 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = Model.load(args.model)
     task = model.build_task()
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        if model.task_kind == "seq":
-            instances = read_sequence_corpus(
-                args.data, expected_columns=model.n_columns, labeled=False
-            )
-            compiled = [task.compile(inst) for inst in instances]
-            outputs = parallel_decode(task, model.weights, compiled, args.jobs, augmented=False)
+    seq = isinstance(task, SequenceTask)
+    if seq:
+        instances = read_sequence_corpus(
+            args.data, expected_columns=model.n_columns, labeled=False
+        )
+    else:
+        instances = read_dependency_corpus(args.data)
+    compiled = [task.compile(inst) for inst in instances]
+    outputs = parallel_decode(task, model.weights, compiled, args.jobs, augmented=False)
+    # the output opens only now, so a failed run leaves an existing file as it was
+    sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with sink as out:
+        if seq:
             write_sequence_corpus(instances, out, task.labels, labels_override=outputs)
         else:
-            instances = read_dependency_corpus(args.data)
-            compiled = [task.compile(inst) for inst in instances]
-            outputs = parallel_decode(task, model.weights, compiled, args.jobs, augmented=False)
             write_dependency_corpus(instances, out, heads_override=outputs)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     _log(f"predicted={len(instances)} model={args.model}")
     return 0
 
@@ -321,10 +321,10 @@ def cmd_eval(args) -> int:
 
 def cmd_weights(args) -> int:
     model = Model.load(args.model)
-    m = len(model.group_ids)
+    m = len(model.task.group_ids)
     rows = sorted(
         zip(
-            model.group_ids,
+            model.task.group_ids,
             model.mu,
             (float(np.linalg.norm(w)) for w in model.weights),
             (w.size for w in model.weights),

@@ -1,5 +1,11 @@
 """Trained-model container and its on-disk format.
 
+A `Model` holds the task it decodes with (a `SequenceTask` or a
+`DependencyTask`), plus the template text that task was built from, the
+corpus column count, the group weighting `mu`, one weight vector per group
+and the training diagnostics.  The task owns the group layout: the group
+names and their order, each group's alphabet and its weight-vector size.
+
 Layout: an ASCII prologue followed by a binary payload.
 
     MKLSP1\n
@@ -10,12 +16,19 @@ Layout: an ASCII prologue followed by a binary payload.
 
 The payload is a sequence of length-prefixed blocks (u64 little endian):
 meta JSON, template text, mu, then one alphabet block and one weight block
-per feature group.  The checksum covers the payload only, so two runs that
-learn identical parameters produce byte-identical payloads regardless of
-when they were written.  `Model.read` raises ModelFormatError unless the
-text blocks are UTF-8, the template text defines exactly the meta groups,
-mu is a point of the simplex and every weight block is finite and sized
-for its group, so every model that loads can decode.
+per feature group.  The meta and alphabet blocks are written from the task
+(the transition group `B` interns no strings, so its alphabet block is
+empty).  The checksum covers the payload only, so two runs that learn
+identical parameters produce byte-identical payloads regardless of when
+they were written.
+
+`Model.read` parses the template text once and builds the task from it and
+the alphabet blocks.  It raises ModelFormatError unless the text blocks are
+UTF-8, the task builds (the template parses, reads only columns the model
+has, and no alphabet repeats a string), its groups are the meta groups in
+order, `B`'s alphabet block is empty, mu is a point of the simplex and
+every weight block is finite and sized for its group, so every model that
+loads can decode.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -56,25 +69,12 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class Model:
-    task_kind: str  # "seq" or "dep"
+    task: SequenceTask | DependencyTask
     template_text: str
     n_columns: int
-    group_ids: list[str]
-    labels: list[str]
-    alphabets: list[list[str]]
     mu: np.ndarray
     weights: list[np.ndarray]
-    decoder: str = "projective"
-    single_root: bool = False
     diagnostics: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.task_kind not in ("seq", "dep"):
-            raise ValueError(f"unknown task kind {self.task_kind!r}")
-        if not (len(self.group_ids) == len(self.alphabets) == len(self.weights)):
-            raise ValueError("group ids, alphabets, and weights must align")
-        if self.mu.size != len(self.group_ids):
-            raise ValueError("one mu entry per group required")
 
     @classmethod
     def from_sequence(
@@ -86,20 +86,7 @@ class Model:
         weights: list[np.ndarray],
         diagnostics: dict[str, str] | None = None,
     ) -> "Model":
-        alphabets = [a.strings() for a in task.alphabets]
-        if task.transition:
-            alphabets.append([])  # the transition group interns nothing
-        return cls(
-            "seq",
-            template_text,
-            n_columns,
-            list(task.group_ids),
-            list(task.labels.labels()),
-            alphabets,
-            mu,
-            weights,
-            diagnostics=dict(diagnostics or {}),
-        )
+        return cls(task, template_text, n_columns, mu, weights, dict(diagnostics or {}))
 
     @classmethod
     def from_dependency(
@@ -110,63 +97,36 @@ class Model:
         weights: list[np.ndarray],
         diagnostics: dict[str, str] | None = None,
     ) -> "Model":
-        return cls(
-            "dep",
-            template_text,
-            10,
-            list(task.group_ids),
-            [],
-            [a.strings() for a in task.extractor.alphabets],
-            mu,
-            weights,
-            decoder=task.decoder,
-            single_root=task.single_root,
-            diagnostics=dict(diagnostics or {}),
-        )
+        return cls(task, template_text, 10, mu, weights, dict(diagnostics or {}))
 
-    def build_task(self):
-        """Reconstruct the decoding task with frozen alphabets."""
-        if self.task_kind == "seq":
-            specs = parse_templates(self.template_text)
-            obs = [s for s in specs if s.kind == OBSERVATION]
-            transition = "B" in self.group_ids
-            obs_strings = self.alphabets[:-1] if transition else self.alphabets  # B's is last
-            alphabets = [
-                FeatureAlphabet(s.index, strings, frozen=True)
-                for s, strings in zip(obs, obs_strings, strict=True)
-            ]
-            table = LabelTable(self.labels)
-            table.freeze()
-            return SequenceTask(obs, alphabets, table, transition)
-        specs = parse_edge_templates(self.template_text)
-        alphabets = [
-            FeatureAlphabet(s.index, strings, frozen=True)
-            for s, strings in zip(specs, self.alphabets, strict=True)
-        ]
-        extractor = EdgeFeatureExtractor(specs, alphabets)
-        return DependencyTask(extractor, self.decoder, self.single_root)
+    def build_task(self) -> SequenceTask | DependencyTask:
+        """The decoding task, with frozen alphabets."""
+        return self.task
 
     # --- serialization ---
 
     def _payload_blocks(self) -> list[bytes]:
+        task = self.task
+        seq = isinstance(task, SequenceTask)
         meta = {
-            "task": self.task_kind,
+            "task": "seq" if seq else "dep",
             "n_columns": self.n_columns,
-            "groups": self.group_ids,
-            "labels": self.labels,
-            "decoder": self.decoder,
-            "single_root": self.single_root,
+            "groups": task.group_ids,
+            "labels": task.labels.labels() if seq else [],
+            # a tagger stores the parser defaults
+            "decoder": "projective" if seq else task.decoder,
+            "single_root": False if seq else task.single_root,
             "diagnostics": self.diagnostics,
         }
+        alphabets = _alphabets(task)
         blocks = [
             json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"),
             self.template_text.encode("utf-8"),
             np.ascontiguousarray(self.mu, dtype="<f8").tobytes(),
         ]
-        for strings in self.alphabets:
-            blocks.append("\n".join(strings).encode("utf-8"))
-        for w in self.weights:
-            blocks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        blocks += ["\n".join(a.strings()).encode("utf-8") for a in alphabets]
+        blocks += [b""] * (len(task.group_ids) - len(alphabets))  # B interns nothing
+        blocks += [np.ascontiguousarray(w, dtype="<f8").tobytes() for w in self.weights]
         return blocks
 
     def payload(self) -> bytes:
@@ -241,49 +201,61 @@ class Model:
             )
         try:
             template_text = blocks[1].decode("utf-8")
-            alphabets = [b.decode("utf-8").split("\n") if b else [] for b in blocks[3 : 3 + m]]
+            strings = [b.decode("utf-8").split("\n") if b else [] for b in blocks[3 : 3 + m]]
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"a template or alphabet block is not UTF-8: {exc}") from exc
-        _check_template(meta, template_text)
+        try:
+            task = _build_task(meta, template_text, strings)
+        except ValueError as exc:  # a TemplateError, a repeated string, too many rules
+            raise ModelFormatError(f"template block or alphabets: {exc}") from exc
+        if task.group_ids != groups:
+            raise ModelFormatError(
+                f"template block defines groups {task.group_ids}, meta lists {groups}"
+            )
+        n_alphabets = len(_alphabets(task))
+        if any(strings[n_alphabets:]):
+            raise ModelFormatError(f"group {groups[-1]!r} interns no strings, but stores some")
         mu = _floats(blocks[2], "mu")
         if mu.size != m or mu.min(initial=0.0) < 0 or abs(mu.sum() - 1.0) > _MU_SUM_TOL:
             raise ModelFormatError(f"mu is not a point of the {m}-group simplex: {mu!r}")
         weights = []
-        for j, gid in enumerate(groups):
-            w = _floats(blocks[3 + m + j], f"group {gid!r} weight")
-            want = _weight_size(meta, gid, len(alphabets[j]))
+        for gid, want, block in zip(groups, task.group_dims, blocks[3 + m :], strict=True):
+            w = _floats(block, f"group {gid!r} weight")
             if w.size != want:
                 raise ModelFormatError(f"group {gid!r} has {w.size} weights, expected {want}")
             weights.append(w)
         return cls(
-            meta["task"],
-            template_text,
-            meta["n_columns"],
-            groups,
-            meta["labels"],
-            alphabets,
-            mu,
-            weights,
-            decoder=meta.get("decoder", "projective"),
-            single_root=meta.get("single_root", False),
-            diagnostics=meta.get("diagnostics", {}),
+            task, template_text, meta["n_columns"], mu, weights, meta.get("diagnostics", {})
         )
 
 
-def _check_template(meta: dict, text: str) -> None:
-    """Raise ModelFormatError unless `text` defines exactly the meta groups, in order."""
-    try:
-        if meta["task"] == "seq":
-            # observation rules in file order, then B, as `SequenceTask.group_ids`
-            specs = sorted(parse_templates(text), key=lambda s: s.kind != OBSERVATION)
-            validate_columns(specs, meta["n_columns"])
-        else:
-            specs = parse_edge_templates(text)
-    except ValueError as exc:  # a TemplateError
-        raise ModelFormatError(f"template block: {exc}") from exc
-    ids = [s.index for s in specs]
-    if ids != meta["groups"]:
-        raise ModelFormatError(f"template block defines groups {ids}, meta lists {meta['groups']}")
+def _alphabets(task: SequenceTask | DependencyTask) -> list[FeatureAlphabet]:
+    """The task's alphabets in group order; `B`, last when present, has none."""
+    return task.alphabets if isinstance(task, SequenceTask) else task.extractor.alphabets
+
+
+def _build_task(
+    meta: dict, text: str, strings: list[list[str]]
+) -> SequenceTask | DependencyTask:
+    """The task that the template text and alphabet strings define (ValueError if none)."""
+    if meta["task"] == "seq":
+        specs = parse_templates(text)
+        validate_columns(specs, meta["n_columns"])
+        obs = [s for s in specs if s.kind == OBSERVATION]
+        table = LabelTable(meta["labels"])
+        table.freeze()
+        return SequenceTask(obs, _frozen(obs, strings), table, len(obs) < len(specs))
+    specs = parse_edge_templates(text)
+    extractor = EdgeFeatureExtractor(specs, _frozen(specs, strings))
+    return DependencyTask(
+        extractor, meta.get("decoder", "projective"), meta.get("single_root", False)
+    )
+
+
+def _frozen(specs: Sequence, strings: list[list[str]]) -> list[FeatureAlphabet]:
+    # pairs rules and blocks in order; zip stops at B's block, and a rule
+    # count unlike meta's fails the group check in `read`
+    return [FeatureAlphabet(s.index, group, frozen=True) for s, group in zip(specs, strings)]
 
 
 def _floats(block: bytes, what: str) -> np.ndarray:
@@ -294,14 +266,6 @@ def _floats(block: bytes, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ModelFormatError(f"{what} block holds a non-finite value")
     return values
-
-
-def _weight_size(meta: dict, gid: str, n_strings: int) -> int:
-    """Weights of one group: one per string (dep), or per string and label (seq)."""
-    if meta["task"] != "seq":
-        return n_strings
-    k = len(meta["labels"])
-    return k * k if gid == "B" else n_strings * k
 
 
 def _check_meta(meta) -> None:

@@ -1,19 +1,18 @@
 """Linear-chain sequence labeling: joint feature map, Hamming loss, exact
-Viterbi / loss-augmented / brute-force decoders.
+Viterbi and loss-augmented Viterbi decoders.
 
 Feature layout per observation group j: the flat weight index of feature f
 conjoined with label y is ``f * k + y``.  The optional transition group (one
 weight per label pair, no observation conjunction) uses ``prev * k + cur``
 and always sits last.
 
-All decoders break score ties toward the lexicographically smallest label
+Both decoders break score ties toward the lexicographically smallest label
 sequence: the DP runs backward to get exact suffix values, then the sequence
 is rebuilt front to back taking the first argmax at each position.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,8 +27,6 @@ from .templates import (
     index_corpus,
     instantiate_all,
 )
-
-BRUTE_FORCE_LIMIT = 1_000_000
 
 
 @dataclass
@@ -102,35 +99,6 @@ def loss_augmented_decode(
     emit += 1.0
     emit[np.arange(inst.length), np.asarray(gold, dtype=np.int64)] -= 1.0
     return _decode_from_emissions(emit, scorer.transitions)
-
-
-def brute_force_decode(
-    scorer: SequenceScorer, inst: CompiledSequence, gold: Sequence[int] | None = None
-) -> tuple[list[int], float]:
-    """Enumerate all k^l labelings (guarded) with the same tie rule.
-
-    With `gold` given, maximizes the Hamming-augmented score.  Search is in
-    lexicographic order keeping strict maxima, so the first optimum found is
-    the lexicographically smallest.
-    """
-    l, k = inst.length, scorer.k
-    if l == 0:
-        return [], 0.0
-    if k**l > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"label space {k}^{l} exceeds enumeration guard")
-    emit = _emissions(scorer, inst)
-    if gold is not None:
-        emit += 1.0
-        emit[np.arange(l), np.asarray(gold, dtype=np.int64)] -= 1.0
-    trans = scorer.transitions
-    if trans is None:
-        trans = np.zeros((k, k))
-    seqs = np.array(list(itertools.product(range(k), repeat=l)), dtype=np.int64)
-    totals = emit[0, seqs[:, 0]].copy()
-    for t in range(1, l):
-        totals += emit[t, seqs[:, t]] + trans[seqs[:, t - 1], seqs[:, t]]
-    best = int(np.argmax(totals))
-    return [int(y) for y in seqs[best]], float(totals[best])
 
 
 class SequenceTask:

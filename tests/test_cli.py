@@ -175,7 +175,7 @@ def test_single_root_train_and_predict(tmp_path, capsys, monkeypatch, decoder, h
         capsys.readouterr()
         return Model.load(str(tmp_path / "model.mkl"))
 
-    assert not train_and_predict().single_root
+    assert not train_and_predict().task.single_root
     assert max(root_children(tmp_path / "pred.conll")) > 1
 
     if how == "flag":
@@ -183,7 +183,7 @@ def test_single_root_train_and_predict(tmp_path, capsys, monkeypatch, decoder, h
     else:
         monkeypatch.setenv("MTL_SINGLE_ROOT", "1")
         model = train_and_predict()
-    assert model.single_root is True and model.decoder == decoder
+    assert model.task.single_root is True and model.task.decoder == decoder
     assert json.loads(model._payload_blocks()[0])["single_root"] is True
     assert root_children(tmp_path / "pred.conll") == [1, 1, 1, 1]
     for inst in read_dependency_corpus(str(tmp_path / "pred.conll")):
@@ -271,6 +271,22 @@ def test_unreadable_model_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data,code", [("test.txt", 1), ("absent.txt", 2)], ids=["labeled-input", "missing-input"]
+)
+def test_failed_predict_leaves_the_output_file(seq_setup, capsys, data, code):
+    # a labeled corpus has one column more than the model reads
+    d = seq_setup
+    assert cli.main(train_args(d)) == 0
+    (d / "pred.txt").write_text("earlier predictions\n")
+    assert cli.main([
+        "predict", "-m", str(d / "model.mkl"), "--data", str(d / data),
+        "-o", str(d / "pred.txt"), "--jobs", "1",
+    ]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert (d / "pred.txt").read_text() == "earlier predictions\n"
+
+
 @pytest.mark.parametrize("flag,value", [("-c", "nan"), ("-c", "inf"), ("-e", "nan")])
 def test_non_finite_c_or_epsilon_exits_1(seq_setup, capsys, flag, value):
     d = seq_setup
@@ -323,8 +339,8 @@ def test_transition_only_templates_train_and_predict(seq_setup, capsys):
     assert cli.main(train_args(d)) == 0
     assert "halt=" in capsys.readouterr().err
     model = Model.load(str(d / "model.mkl"))
-    assert model.group_ids == ["B"]
-    assert model.weights[0].size == len(model.labels) ** 2
+    assert model.task.group_ids == ["B"]
+    assert model.weights[0].size == len(model.task.labels) ** 2
     code = cli.main([
         "predict", "-m", str(d / "model.mkl"),
         "--data", str(d / "test_bare.txt"), "-o", str(d / "pred.txt"), "--jobs", "1",
@@ -386,7 +402,7 @@ def test_uniform_env_flag(seq_setup, capsys, monkeypatch):
     capsys.readouterr()
     model = Model.load(str(d / "model.mkl"))
     assert model.diagnostics["mode"] == "uniform"
-    m = len(model.group_ids)
+    m = len(model.task.group_ids)
     assert all(abs(mu_j - 1 / m) < 1e-12 for mu_j in model.mu)
 
 
@@ -395,9 +411,9 @@ def test_fixed_groups_flag(seq_setup, capsys):
     assert cli.main(train_args(d, **{"--fixed-groups": "U00,B"})) == 0
     capsys.readouterr()
     model = Model.load(str(d / "model.mkl"))
-    m = len(model.group_ids)
+    m = len(model.task.group_ids)
     for gid in ("U00", "B"):
-        assert model.mu[model.group_ids.index(gid)] == pytest.approx(1 / m)
+        assert model.mu[model.task.group_ids.index(gid)] == pytest.approx(1 / m)
 
 
 # ---------------------------------------------------------------- determinism

@@ -38,10 +38,10 @@ def trained_sequence_model(n=10, seed=41):
     return model, task, instances
 
 
-def trained_dependency_model(n=8, seed=42):
+def trained_dependency_model(n=8, seed=42, decoder="nonprojective", single_root=False):
     instances = load_dependency(dependency_text(n, seed=seed))
     specs = parse_edge_templates(DEP_TEMPLATES)
-    task = DependencyTask.build(specs, instances, decoder="nonprojective")
+    task = DependencyTask.build(specs, instances, decoder, single_root)
     compiled = [task.compile(i) for i in instances]
     out = train(task, compiled, SolverConfig(C=1.0, epsilon=0.2))
     model = Model.from_dependency(task, DEP_TEMPLATES, out.mu, out.weights)
@@ -55,9 +55,9 @@ def test_sequence_round_trip(tmp_path):
     assert len(checksum) == 64
 
     loaded = Model.load(str(path))
-    assert loaded.task_kind == "seq"
-    assert loaded.group_ids == model.group_ids
-    assert loaded.labels == model.labels
+    assert isinstance(loaded.task, SequenceTask)
+    assert loaded.task.group_ids == model.task.group_ids
+    assert loaded.task.labels.labels() == model.task.labels.labels()
     assert loaded.template_text == model.template_text
     assert loaded.n_columns == 2
     assert loaded.diagnostics == {"halt": "converged"}
@@ -78,16 +78,30 @@ def test_dependency_round_trip(tmp_path):
     path = tmp_path / "m.mkl"
     model.save(str(path))
     loaded = Model.load(str(path))
-    assert loaded.task_kind == "dep"
-    assert loaded.decoder == "nonprojective"
-    assert loaded.labels == []
+    assert isinstance(loaded.task, DependencyTask)
+    assert loaded.task.decoder == "nonprojective"
+    assert json.loads(loaded._payload_blocks()[0])["labels"] == []
     assert loaded.n_columns == 10
+    assert loaded.payload() == model.payload()
     rebuilt = loaded.build_task()
     assert rebuilt.decoder == "nonprojective"
     for inst in instances[:5]:
         a, _ = task.decode(model.weights, task.compile(inst))
         b, _ = rebuilt.decode(loaded.weights, rebuilt.compile(inst))
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "decoder,single_root",
+    [("projective", False), ("projective", True), ("nonprojective", True)],
+)
+def test_dependency_payload_round_trip(tmp_path, decoder, single_root):
+    model, _, _ = trained_dependency_model(decoder=decoder, single_root=single_root)
+    path = tmp_path / "m.mkl"
+    model.save(str(path))
+    loaded = Model.load(str(path))
+    assert loaded.task.decoder == decoder and loaded.task.single_root is single_root
+    assert loaded.payload() == model.payload()
 
 
 def test_payload_is_time_independent(tmp_path):
@@ -207,22 +221,16 @@ def test_meta_must_be_an_object(seq_model):
         Model.read(io.BytesIO(signed(blocks)))
 
 
-def test_model_field_validation():
-    with pytest.raises(ValueError, match="task kind"):
-        Model("tree", "", 10, [], [], [], np.zeros(0), [])
-    with pytest.raises(ValueError, match="align"):
-        Model("seq", "", 2, ["U00"], [], [], np.zeros(1), [])
-    with pytest.raises(ValueError, match="mu"):
-        Model("seq", "", 2, ["U00"], [], [["a"]], np.zeros(2), [np.zeros(1)])
-
-
 def test_empty_alphabet_block_round_trips(tmp_path):
-    # the transition group stores no strings; [] must survive a round trip
+    # the transition group stores no strings; its empty block must survive a round trip
     model, _, _ = trained_sequence_model()
-    assert model.alphabets[-1] == []
+    m = len(model.task.group_ids)
+    assert model._payload_blocks()[2 + m] == b""
     path = tmp_path / "m.mkl"
     model.save(str(path))
-    assert Model.load(str(path)).alphabets[-1] == []
+    loaded = Model.load(str(path))
+    assert loaded._payload_blocks()[2 + m] == b""
+    assert len(loaded.task.alphabets) == m - 1
 
 
 def test_rebuilt_task_keeps_alphabets_frozen(tmp_path):
@@ -248,7 +256,7 @@ def dep_model():
 def with_blocks(model, edit):
     """`model`'s signed file after `edit(blocks, m)` changed its payload blocks."""
     blocks = model._payload_blocks()
-    edit(blocks, len(model.group_ids))
+    edit(blocks, len(model.task.group_ids))
     return signed(blocks)
 
 
@@ -265,8 +273,8 @@ def test_short_observation_weight_block_is_a_format_error(seq_model):
 
 
 def test_transition_block_must_hold_k_squared_weights(seq_model):
-    k = len(seq_model.labels)
-    assert seq_model.group_ids[-1] == "B" and seq_model.weights[-1].size == k * k
+    k = seq_model.task.k
+    assert seq_model.task.group_ids[-1] == "B" and seq_model.weights[-1].size == k * k
 
     def edit(blocks, m):
         blocks[-1] += floats([0.0] * k)
@@ -432,12 +440,49 @@ def test_meta_value_out_of_range_is_a_format_error(seq_model, key, value):
         Model.read(io.BytesIO(raw))
 
 
-def test_build_task_rejects_misaligned_alphabets(seq_model):
+def test_read_rejects_misaligned_alphabets(seq_model):
+    # an extra group in front shifts every alphabet off its template rule
+    def edit(blocks, m):
+        blocks[3 + m : 3 + m] = [floats(np.zeros(seq_model.task.k))]
+        blocks[3:3] = [b"U00:x"]
+        meta = json.loads(blocks[0])
+        meta["groups"].insert(0, "U09")
+        blocks[0] = json.dumps(meta).encode()
+
+    with pytest.raises(ModelFormatError, match="defines groups"):
+        Model.read(io.BytesIO(with_blocks(seq_model, edit)))
+
+
+def test_build_task_returns_the_task_read(seq_model):
     model = Model.read(io.BytesIO(signed(seq_model._payload_blocks())))
-    model.alphabets.insert(0, ["U00:x"])
-    model.weights.insert(0, np.zeros(len(model.labels)))
-    with pytest.raises(ValueError):
-        model.build_task()
+    model.template_text = "not a template"  # read parsed it; build_task does not
+    assert model.build_task() is model.task
+
+
+@pytest.mark.parametrize("kind", ["seq", "dep"])
+def test_alphabet_block_repeating_a_string_is_a_format_error(
+    seq_model, dep_model, predict_inputs, capsys, kind
+):
+    def edit(blocks, m):  # the last string becomes the first; the size stays
+        strings = blocks[3].split(b"\n")
+        blocks[3] = b"\n".join([*strings[:-1], strings[0]])
+
+    raw = with_blocks(seq_model if kind == "seq" else dep_model, edit)
+    with pytest.raises(ModelFormatError, match="duplicate feature string"):
+        Model.read(io.BytesIO(raw))
+    capsys.readouterr()
+    assert predict_exit_code(raw, kind, predict_inputs) == 1
+    assert cli.main(["weights", "-m", str(predict_inputs / "m.mkl")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("duplicate feature string") == 2 and "Traceback" not in err
+
+
+def test_transition_block_holding_strings_is_a_format_error(seq_model):
+    def edit(blocks, m):
+        blocks[2 + m] = b"B:x"
+
+    with pytest.raises(ModelFormatError, match="'B' interns no strings"):
+        Model.read(io.BytesIO(with_blocks(seq_model, edit)))
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -8,11 +8,9 @@ import pytest
 
 from mklsp.corpus import LabelTable, SequenceInstance
 from mklsp.sequence import (
-    BRUTE_FORCE_LIMIT,
     CompiledSequence,
     SequenceScorer,
     SequenceTask,
-    brute_force_decode,
     hamming_loss,
     loss_augmented_decode,
     viterbi_decode,
@@ -127,23 +125,6 @@ def test_viterbi_dominates_any_labeling():
         value = emit[np.arange(6), y].sum()
         value += scorer.transitions[y[:-1], y[1:]].sum()
         assert best >= value - 1e-9
-
-
-def test_brute_force_agrees_and_guards_blowup():
-    rng = np.random.default_rng(16)
-    scorer, inst = random_case(rng, 6, 4)
-    labels, score = brute_force_decode(scorer, inst)
-    v_labels, v_score = viterbi_decode(scorer, inst)
-    assert labels == v_labels and score == pytest.approx(v_score, abs=1e-9)
-    gold = [int(y) for y in inst.gold]
-    labels, score = brute_force_decode(scorer, inst, gold)
-    a_labels, a_score = loss_augmented_decode(scorer, inst, gold)
-    assert labels == a_labels and score == pytest.approx(a_score, abs=1e-9)
-    big = CompiledSequence(30, [np.zeros(30, dtype=np.int64)], None)
-    wide = zero_scorer(4, 1)
-    assert 4**30 > BRUTE_FORCE_LIMIT
-    with pytest.raises(ValueError, match="enumeration guard"):
-        brute_force_decode(wide, big)
 
 
 # ---------------------------------------------------------------- hamming
