@@ -319,65 +319,65 @@ def eisner_decode(scores: np.ndarray) -> tuple[list[int], float]:
     """Highest-scoring projective tree by the complete/incomplete span DP.
 
     `scores[u, v]` is the score of attaching modifier v (1..l) to head u
-    (0..l); column 0 and the diagonal are ignored.  Ties are resolved by the
-    fixed iteration order (first maximum wins), which is deterministic but
-    carries no lexicographic guarantee.
+    (0..l); column 0 and the diagonal are ignored.  The charts are filled one
+    span width w at a time, every span of that width at once.  A chart X is
+    kept left-anchored, ``L[s, w] = X[s, s+w]``, where it is read by left end,
+    and right-anchored, ``R[t, w] = X[t-w, t]``, where it is read by right
+    end, so the split candidates of a whole diagonal are two plain slices:
+    ``LCR[:n-w, :w] + RCL[w:, w-1::-1]`` for the incomplete spans.  Ties go
+    to the first maximum over ascending split points, as in a cell-by-cell
+    fill, which is deterministic but carries no lexicographic guarantee.
+    The backtrack walks an explicit stack, so sentence length is not bound
+    by the recursion limit.
     """
     S = _masked(scores)
     n = S.shape[0]
-    IL = np.full((n, n), NEG)
-    IR = np.full((n, n), NEG)
-    CL = np.full((n, n), NEG)
-    CR = np.full((n, n), NEG)
-    np.fill_diagonal(CL, 0.0)
-    np.fill_diagonal(CR, 0.0)
-    bI = np.zeros((n, n), dtype=np.int64)
-    bCL = np.zeros((n, n), dtype=np.int64)
-    bCR = np.zeros((n, n), dtype=np.int64)
+    LCR, RCR, LCL, RCL, LIR, RIL = (np.full((n, n), NEG) for _ in range(6))
+    for chart in (LCR, RCR, LCL, RCL):
+        chart[:, 0] = 0.0
+    # split offsets from the left end, left-anchored like the charts
+    bI, bCL, bCR = (np.zeros((n, n), dtype=np.intp) for _ in range(3))
+    rows = np.arange(n)
 
-    for span in range(1, n):
-        for s in range(0, n - span):
-            t = s + span
-            vals = CR[s, s:t] + CL[s + 1 : t + 1, t]
-            r = int(np.argmax(vals))
-            bI[s, t] = s + r
-            IR[s, t] = vals[r] + S[s, t]
-            IL[s, t] = vals[r] + S[t, s]  # NEG when s == 0 via the mask
-            valsL = CL[s, s:t] + IL[s:t, t]
-            rL = int(np.argmax(valsL))
-            bCL[s, t] = s + rL
-            CL[s, t] = valsL[rL]
-            valsR = IR[s, s + 1 : t + 1] + CR[s + 1 : t + 1, t]
-            rR = int(np.argmax(valsR))
-            bCR[s, t] = s + 1 + rR
-            CR[s, t] = valsR[rR]
+    for w in range(1, n):
+        m = n - w  # spans of width w: s = 0..m-1, t = w..n-1
+        ar = rows[:m]
+        vals = LCR[:m, :w] + RCL[w:, w - 1 :: -1]
+        r = vals.argmax(axis=1)
+        best = vals[ar, r]
+        bI[:m, w] = r
+        LIR[:m, w] = best + S.diagonal(w)
+        RIL[w:, w] = best + S.diagonal(-w)  # NEG when s == 0 via the mask
+        vals = LCL[:m, :w] + RIL[w:, w:0:-1]
+        r = vals.argmax(axis=1)
+        bCL[:m, w] = r
+        LCL[:m, w] = RCL[w:, w] = vals[ar, r]
+        vals = LIR[:m, 1 : w + 1] + RCR[w:, w - 1 :: -1]
+        r = vals.argmax(axis=1)
+        bCR[:m, w] = r + 1
+        LCR[:m, w] = RCR[w:, w] = vals[ar, r]
 
     heads = [0] * (n - 1)
-
-    def backtrack(s: int, t: int, state: str) -> None:
-        if s == t:
-            return
+    stack = [(0, n - 1, "CR")]
+    while stack:
+        s, t, state = stack.pop()
+        w = t - s
+        if w == 0:
+            continue
         if state == "CR":
-            r = bCR[s, t]
-            backtrack(s, r, "IR")
-            backtrack(r, t, "CR")
+            r = s + int(bCR[s, w])
+            stack += [(s, r, "IR"), (r, t, "CR")]
         elif state == "CL":
-            r = bCL[s, t]
-            backtrack(s, r, "CL")
-            backtrack(r, t, "IL")
-        elif state == "IR":
-            heads[t - 1] = s
-            r = bI[s, t]
-            backtrack(s, r, "CR")
-            backtrack(r + 1, t, "CL")
-        else:  # IL
-            heads[s - 1] = t
-            r = bI[s, t]
-            backtrack(s, r, "CR")
-            backtrack(r + 1, t, "CL")
-
-    backtrack(0, n - 1, "CR")
-    return heads, float(CR[0, n - 1])
+            r = s + int(bCL[s, w])
+            stack += [(s, r, "CL"), (r, t, "IL")]
+        else:
+            if state == "IR":
+                heads[t - 1] = s
+            else:
+                heads[s - 1] = t
+            r = s + int(bI[s, w])
+            stack += [(s, r, "CR"), (r + 1, t, "CL")]
+    return heads, float(LCR[0, n - 1])
 
 
 def cle_decode(scores: np.ndarray) -> tuple[list[int], float]:
@@ -441,11 +441,17 @@ def decode_single_root(scores: np.ndarray, projective: bool) -> tuple[list[int],
 
 @dataclass
 class CompiledDependency:
-    """A sentence reduced to COO-style per-group edge features."""
+    """A sentence reduced to COO-style per-group edge features.
+
+    `cells` holds ``u * (n+1) + v`` for every firing of `group_edges`, the
+    groups concatenated in order: the flat index of its edge in the
+    (n+1) x (n+1) score matrix.
+    """
 
     n: int  # token count, excluding root
     group_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (u, v, feat)
     gold: np.ndarray | None
+    cells: np.ndarray
 
 
 class DependencyTask:
@@ -492,17 +498,21 @@ class DependencyTask:
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(len(instance.tokens), group_edges, gold)
+        n = len(instance.tokens)
+        cells = np.concatenate([u * (n + 1) + v for u, v, _ in group_edges])
+        return CompiledDependency(n, group_edges, gold, cells)
 
     def edge_scores(
         self, weights: Sequence[np.ndarray], inst: CompiledDependency
     ) -> np.ndarray:
-        """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)."""
-        S = np.zeros((inst.n + 1, inst.n + 1))
-        for w, (u, v, f) in zip(weights, inst.group_edges, strict=True):
-            if f.size:
-                np.add.at(S, (u, v), w[f])
-        return S
+        """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused).
+
+        Each cell sums its firings' weights in group order, then firing order.
+        """
+        groups = zip(weights, inst.group_edges, strict=True)
+        firing = np.concatenate([w[f] for w, (_, _, f) in groups])
+        size = inst.n + 1
+        return np.bincount(inst.cells, weights=firing, minlength=size * size).reshape(size, size)
 
     def joint_feature_map(
         self, inst: CompiledDependency, heads: Sequence[int]

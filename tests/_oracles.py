@@ -2,16 +2,17 @@
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 face enumeration, dense grids, and dicts counted one firing at a time.
-Nothing imports the package's solvers; the edge-feature references loop
-over edges one at a time with the package's per-edge definition,
-`instantiate_edge`, the constraint-row reference only reuses the
+Nothing imports the package's solvers or decoders; the edge-feature
+references loop over edges one at a time with the package's per-edge
+definition, `instantiate_edge`, the edge-score reference adds one group
+at a time with `np.add.at`, the constraint-row reference only reuses the
 package's containers, and the barrier reference only the solver's
 stopping constants.  The tree-decoder references are the package's
-earlier decoders, kept as they were: a maximum arborescence contracted
-with dicts and Python loops, and a single-root search that runs a whole
-decoder once per root child.  They share the package's score masking,
-cycle walk and span DP (`eisner_decode`, itself checked against
-enumeration).
+earlier decoders, kept as they were: a span DP filled one cell at a time
+with a recursive backtrack, a maximum arborescence contracted with dicts
+and Python loops, and a single-root search that runs a whole decoder
+once per root child.  They share only the package's score masking and
+cycle walk.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from mklsp.corpus import find_cycle
-from mklsp.dependency import NEG, _masked, augment, eisner_decode, instantiate_edge
+from mklsp.dependency import NEG, _masked, augment, instantiate_edge
 from mklsp.solver import _BARRIER_GAP, _NEWTON_BUDGET, ConstraintRow
 from mklsp.sparse import GroupedSparseVector, SparseVector
 
@@ -291,6 +292,15 @@ def feature_counts(task, inst, output):
     return dicts
 
 
+def reference_edge_scores(weights, inst):
+    """Dense (n+1) x (n+1) edge scores, one `np.add.at` per template group."""
+    S = np.zeros((inst.n + 1, inst.n + 1))
+    for w, (u, v, f) in zip(weights, inst.group_edges, strict=True):
+        if f.size:
+            np.add.at(S, (u, v), w[f])
+    return S
+
+
 def reference_constraint_row(task, instances, outputs):
     """The averaged constraint row by dict accumulation: per group, decoded
     counts minus gold counts summed over sentences, divided by n."""
@@ -442,6 +452,71 @@ def reference_barrier_qcqp(
     return alpha, lambdas
 
 
+def reference_eisner_decode(scores: np.ndarray) -> tuple[list[int], float]:
+    """Highest-scoring projective tree by the complete/incomplete span DP.
+
+    `scores[u, v]` is the score of attaching modifier v (1..l) to head u
+    (0..l); column 0 and the diagonal are ignored.  Ties are resolved by the
+    fixed iteration order (first maximum wins), which is deterministic but
+    carries no lexicographic guarantee.
+    """
+    S = _masked(scores)
+    n = S.shape[0]
+    IL = np.full((n, n), NEG)
+    IR = np.full((n, n), NEG)
+    CL = np.full((n, n), NEG)
+    CR = np.full((n, n), NEG)
+    np.fill_diagonal(CL, 0.0)
+    np.fill_diagonal(CR, 0.0)
+    bI = np.zeros((n, n), dtype=np.int64)
+    bCL = np.zeros((n, n), dtype=np.int64)
+    bCR = np.zeros((n, n), dtype=np.int64)
+
+    for span in range(1, n):
+        for s in range(0, n - span):
+            t = s + span
+            vals = CR[s, s:t] + CL[s + 1 : t + 1, t]
+            r = int(np.argmax(vals))
+            bI[s, t] = s + r
+            IR[s, t] = vals[r] + S[s, t]
+            IL[s, t] = vals[r] + S[t, s]  # NEG when s == 0 via the mask
+            valsL = CL[s, s:t] + IL[s:t, t]
+            rL = int(np.argmax(valsL))
+            bCL[s, t] = s + rL
+            CL[s, t] = valsL[rL]
+            valsR = IR[s, s + 1 : t + 1] + CR[s + 1 : t + 1, t]
+            rR = int(np.argmax(valsR))
+            bCR[s, t] = s + 1 + rR
+            CR[s, t] = valsR[rR]
+
+    heads = [0] * (n - 1)
+
+    def backtrack(s: int, t: int, state: str) -> None:
+        if s == t:
+            return
+        if state == "CR":
+            r = bCR[s, t]
+            backtrack(s, r, "IR")
+            backtrack(r, t, "CR")
+        elif state == "CL":
+            r = bCL[s, t]
+            backtrack(s, r, "CL")
+            backtrack(r, t, "IL")
+        elif state == "IR":
+            heads[t - 1] = s
+            r = bI[s, t]
+            backtrack(s, r, "CR")
+            backtrack(r + 1, t, "CL")
+        else:  # IL
+            heads[s - 1] = t
+            r = bI[s, t]
+            backtrack(s, r, "CR")
+            backtrack(r + 1, t, "CL")
+
+    backtrack(0, n - 1, "CR")
+    return heads, float(CR[0, n - 1])
+
+
 def reference_cle_decode(scores):
     """Maximum spanning arborescence rooted at 0 (greedy + cycle contraction).
 
@@ -513,7 +588,7 @@ def reference_single_root(scores, projective):
     """Best tree with exactly one child of the root (re-run per candidate)."""
     S = np.asarray(scores, dtype=float)
     n = S.shape[0]
-    decode = eisner_decode if projective else reference_cle_decode
+    decode = reference_eisner_decode if projective else reference_cle_decode
     best = None
     for child in range(1, n):
         masked = S.copy()

@@ -1,6 +1,8 @@
 """Edge templates, tree decoders against exhaustive search, validators, and
 the parsing task protocol."""
 
+import inspect
+import sys
 from collections import Counter
 
 import numpy as np
@@ -25,6 +27,7 @@ from mklsp.dependency import (
     parent_loss,
     parse_edge_templates,
 )
+from mklsp.synthetic import dependency_text, load_dependency
 from mklsp.templates import TemplateError
 
 from _oracles import (
@@ -33,6 +36,8 @@ from _oracles import (
     edge_alphabets,
     feature_counts,
     reference_cle_decode,
+    reference_edge_scores,
+    reference_eisner_decode,
     reference_single_root,
     tree_best,
     tree_tables,
@@ -302,6 +307,28 @@ def test_cle_matches_reference(S):
     assert cle_decode(S) == reference_cle_decode(S)
 
 
+@given(st.one_of(score_tables(30, FLOAT_SCORES), score_tables(30, TIED_SCORES)))
+def test_eisner_matches_reference(S):
+    # same tree and bit-identical score, ties included
+    assert eisner_decode(S) == reference_eisner_decode(S)
+
+
+def test_eisner_long_chain_needs_no_recursion():
+    # in a right-branching chain each span nests the next, so a recursive
+    # backtrack needs one frame per token
+    l = 150
+    S = np.zeros((l + 1, l + 1))
+    S[np.arange(l), np.arange(1, l + 1)] = 1.0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        heads, score = eisner_decode(S)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert heads == list(range(l))
+    assert score == float(l)
+
+
 def check_single_root(S, projective):
     """decode_single_root's tree is valid with one root child and as good as
     the per-child reference; returns (its heads, the reference heads)."""
@@ -385,6 +412,25 @@ def test_edge_scores_are_linear_in_tree_features():
         ids = task.joint_feature_map(inst, heads)
         from_phi = sum(w[f].sum() for w, f in zip(weights, ids))
         assert from_phi == pytest.approx(float(from_edges), abs=1e-9)
+
+
+def test_edge_scores_match_reference():
+    corpus = load_dependency(dependency_text(8, seed=3))
+    specs = parse_edge_templates(default_edge_templates())
+    one_token = DependencyInstance([("n1", "n1", "N", "N")], None)
+    unseen = DependencyInstance([("martian", "martian", "Q", "QQ"), ("n2", "n2", "N", "N")], None)
+    rng = np.random.default_rng(27)
+    for decoder in ("projective", "nonprojective"):
+        task = DependencyTask.build(specs, corpus, decoder=decoder)
+        weights = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
+        for inst in [*corpus, one_token, unseen]:
+            compiled = task.compile(inst)
+            got = task.edge_scores(weights, compiled)
+            want = reference_edge_scores(weights, compiled)
+            assert got.shape == want.shape == (compiled.n + 1,) * 2
+            assert got.tobytes() == want.tobytes()
+        # the frozen alphabets know no "Q" tag, so some groups fire nothing
+        assert any(f.size == 0 for _, _, f in task.compile(unseen).group_edges)
 
 
 def test_feature_map_rejects_wrong_length():
