@@ -41,7 +41,7 @@ def run_sequence(args):
     compiled = [task.compile(i) for i in train_insts]
     result = train(task, compiled, SolverConfig(C=args.c, epsilon=args.epsilon), log=print)
 
-    predictions = [task.decode(result.weights, task.compile(i))[0] for i in test_insts]
+    predictions, _ = task.decode_corpus(result.weights, [task.compile(i) for i in test_insts])
     report = evaluate_sequence(test_insts, predictions, LabelCodec("raw", table))
     print(f"\nheld-out token accuracy: {report.token_accuracy:.4f}")
     print("group weights:")
@@ -57,7 +57,7 @@ def run_dependency(args):
     compiled = [task.compile(i) for i in train_insts]
     result = train(task, compiled, SolverConfig(C=args.c, epsilon=args.epsilon), log=print)
 
-    predictions = [task.decode(result.weights, task.compile(i))[0] for i in test_insts]
+    predictions, _ = task.decode_corpus(result.weights, [task.compile(i) for i in test_insts])
     report = evaluate_dependency(test_insts, predictions)
     print(f"\nheld-out head accuracy: {report.accuracy:.4f}  complete: {report.complete:.4f}")
     print("group weights:")

@@ -19,8 +19,8 @@ from mklsp.templates import parse_templates
 
 def accuracy(task, weights, compiled):
     correct = total = 0
-    for inst in compiled:
-        labels, _ = task.decode(weights, inst)
+    outputs, _ = task.decode_corpus(weights, compiled)
+    for inst, labels in zip(compiled, outputs):
         gold = task.gold_output(inst)
         correct += sum(a == b for a, b in zip(labels, gold))
         total += len(gold)

@@ -402,25 +402,35 @@ def _cle(S: np.ndarray) -> np.ndarray:
     them is contracted to node c over the outside nodes: a -> c scores a's
     best gain from taking over a cycle node's head, c -> a the best cycle
     edge into a.  The tree on that matrix breaks the cycle where it enters.
+    Contractions run in a loop and their expansions come off a stack, so
+    the nesting depth (up to one per token) is not bound by the recursion
+    limit.
     """
-    bh = S.argmax(axis=0)
-    cycle = find_cycle(bh[1:].tolist())
-    if cycle is None:
-        return bh
-    cyc = np.array(cycle)
-    out = np.flatnonzero(np.bincount(cyc, minlength=S.shape[0]) == 0)  # 0 stays first
-    c = out.size  # the contracted cycle's index
-    gains = S[out[:, None], cyc] - S[bh[cyc], cyc]
-    enter = gains.argmax(axis=1)  # where each outside node would enter the cycle
-    exits = cyc[S[cyc[:, None], out].argmax(axis=0)]  # the cycle node heading each
-    S2 = np.full((c + 1, c + 1), NEG)
-    S2[:c, :c] = S[out[:, None], out]
-    S2[:c, c] = gains.max(axis=1)
-    S2[c, :c] = S[exits, out]
-    sub = _cle(S2)
-    into = sub[1:c]  # cycle nodes keep their heads but the one entered
-    bh[out[1:]] = np.where(into == c, exits[1:], np.append(out, -1)[into])
-    bh[cyc[enter[sub[c]]]] = out[sub[c]]
+    stack = []
+    while True:
+        bh = S.argmax(axis=0)
+        cycle = find_cycle(bh[1:].tolist())
+        if cycle is None:
+            break
+        cyc = np.array(cycle)
+        out = np.flatnonzero(np.bincount(cyc, minlength=S.shape[0]) == 0)  # 0 stays first
+        c = out.size  # the contracted cycle's index
+        gains = S[out[:, None], cyc] - S[bh[cyc], cyc]
+        enter = gains.argmax(axis=1)  # where each outside node would enter the cycle
+        exits = cyc[S[cyc[:, None], out].argmax(axis=0)]  # the cycle node heading each
+        S2 = np.full((c + 1, c + 1), NEG)
+        S2[:c, :c] = S[out[:, None], out]
+        S2[:c, c] = gains.max(axis=1)
+        S2[c, :c] = S[exits, out]
+        stack.append((bh, cyc, out, enter, exits))
+        S = S2
+    while stack:
+        sub = bh  # heads on the contracted matrix
+        bh, cyc, out, enter, exits = stack.pop()
+        c = out.size
+        into = sub[1:c]  # cycle nodes keep their heads but the one entered
+        bh[out[1:]] = np.where(into == c, exits[1:], np.append(out, -1)[into])
+        bh[cyc[enter[sub[c]]]] = out[sub[c]]
     return bh
 
 
@@ -535,22 +545,47 @@ class DependencyTask:
             raise ValueError("instance has no gold heads")
         return [int(h) for h in inst.gold]
 
-    def loss(self, gold: Sequence[int], other: Sequence[int]) -> float:
-        return parent_loss(gold, other)
+    def decode_corpus(
+        self,
+        weights: Sequence[np.ndarray],
+        instances: Sequence[CompiledDependency],
+        augmented: bool = False,
+    ) -> tuple[list[list[int]], np.ndarray]:
+        """Best tree of every sentence and its score, one decode each.
 
-    def most_violated(
-        self, weights: Sequence[np.ndarray], inst: CompiledDependency
-    ) -> tuple[list[int], float]:
-        """Argmax of score(T) + parent_loss(gold, T), via +1 off-gold edges."""
-        gold = inst.gold
-        if gold is None:
-            raise ValueError("instance has no gold heads")
-        S = self.edge_scores(weights, inst)
-        S += 1.0
-        S[gold, np.arange(1, inst.n + 1)] -= 1.0
-        return self._run_decoder(S)
+        With `augmented`, the argmax of score(T) + parent_loss(gold, T),
+        decoded with +1 on every off-gold edge, and that augmented value.
+        """
+        outputs, scores = [], []
+        for inst in instances:
+            S = self.edge_scores(weights, inst)
+            if augmented:
+                if inst.gold is None:
+                    raise ValueError("instance has no gold heads")
+                S += 1.0
+                S[inst.gold, np.arange(1, inst.n + 1)] -= 1.0
+            heads, score = self._run_decoder(S)
+            outputs.append(heads)
+            scores.append(score)
+        return outputs, np.array(scores)
 
-    def decode(
-        self, weights: Sequence[np.ndarray], inst: CompiledDependency
-    ) -> tuple[list[int], float]:
-        return self._run_decoder(self.edge_scores(weights, inst))
+    def corpus_feature_ids(
+        self, instances: Sequence[CompiledDependency], outputs: Sequence[Sequence[int]]
+    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+        """Per group, the weight ids `outputs` fire over the corpus and those
+        the gold trees fire, and the summed parent loss, sentence by sentence."""
+        decoded: list[list[np.ndarray]] = [[] for _ in self.group_dims]
+        reference: list[list[np.ndarray]] = [[] for _ in self.group_dims]
+        loss = 0.0
+        for inst, out in zip(instances, outputs, strict=True):
+            gold = self.gold_output(inst)
+            loss += parent_loss(gold, out)
+            for acc, ids in zip(decoded, self.joint_feature_map(inst, out), strict=True):
+                acc.append(ids)
+            for acc, ids in zip(reference, self.joint_feature_map(inst, gold), strict=True):
+                acc.append(ids)
+        return (
+            [np.concatenate(ids) for ids in decoded],
+            [np.concatenate(ids) for ids in reference],
+            loss,
+        )

@@ -6,9 +6,15 @@ conjoined with label y is ``f * k + y``.  The optional transition group (one
 weight per label pair, no observation conjunction) uses ``prev * k + cur``
 and always sits last.
 
-Both decoders break score ties toward the lexicographically smallest label
-sequence: the DP runs backward to get exact suffix values, then the sequence
-is rebuilt front to back taking the first argmax at each position.
+A corpus is decoded and counted by length bucket: the sentences of one
+length are stacked into (B, l) feature-id arrays, their emissions gathered
+into one (B, l, k) array, and the DP takes one step per position on
+(B, k, k).  The per-sentence decoders are a bucket of one through the same
+DP.  Ties break toward the lexicographically smallest label sequence: the
+DP runs backward to get exact suffix values, then each sequence is rebuilt
+front to back taking the first argmax at each position.  Each sentence of
+a bucket sees the float operations it would see alone, so bucketing moves
+no label and no score.
 """
 
 from __future__ import annotations
@@ -54,51 +60,92 @@ def hamming_loss(gold: Sequence[int], other: Sequence[int]) -> float:
     return float(sum(a != b for a, b in zip(gold, other)))
 
 
-def _emissions(scorer: SequenceScorer, inst: CompiledSequence) -> np.ndarray:
-    l, k = inst.length, scorer.k
-    emit = np.zeros((l, k))
-    for feats, table in zip(inst.feats, scorer.emissions, strict=True):
-        firing = feats >= 0
-        if firing.any():
-            emit[firing] += table[feats[firing]]
+def _emissions(scorer: SequenceScorer, feats: Sequence[np.ndarray], shape) -> np.ndarray:
+    """Label scores of every position, (*shape, k), summed in group order."""
+    emit = np.zeros((*shape, scorer.k))
+    for f, table in zip(feats, scorer.emissions, strict=True):
+        firing = f >= 0
+        emit[firing] += table[f[firing]]
     return emit
 
 
-def _decode_from_emissions(
-    emit: np.ndarray, trans: np.ndarray | None
-) -> tuple[list[int], float]:
-    l, k = emit.shape
+def _viterbi(emit: np.ndarray, trans: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Best labels (B, l) and their scores (B,) of a (B, l, k) emission stack."""
+    b, l, k = emit.shape
     if trans is None:
         trans = np.zeros((k, k))
-    # exact suffix values: suf[t, y] = best score of positions t.. given y at t
-    suf = np.empty((l, k))
-    suf[l - 1] = emit[l - 1]
+    # exact suffix values: suf[:, t, y] = best score of positions t.. given y at t
+    suf = np.empty_like(emit)
+    suf[:, l - 1] = emit[:, l - 1]
     for t in range(l - 2, -1, -1):
-        suf[t] = emit[t] + (trans + suf[t + 1][None, :]).max(axis=1)
-    labels = [int(np.argmax(suf[0]))]
-    total = float(suf[0][labels[0]])
+        suf[:, t] = emit[:, t] + (trans + suf[:, t + 1, None, :]).max(axis=2)
+    labels = np.empty((b, l), dtype=np.int64)
+    labels[:, 0] = suf[:, 0].argmax(axis=1)
+    total = suf[np.arange(b), 0, labels[:, 0]]
     for t in range(1, l):
-        labels.append(int(np.argmax(trans[labels[-1]] + suf[t])))
+        labels[:, t] = (trans[labels[:, t - 1]] + suf[:, t]).argmax(axis=1)
     return labels, total
+
+
+def _buckets(instances: Sequence[CompiledSequence]):
+    """Per sentence length: the corpus positions of its B sentences, the
+    sentences, their per-group feature ids stacked (B, l), and (B, l)."""
+    by_length: dict[int, list[int]] = {}
+    for i, inst in enumerate(instances):
+        by_length.setdefault(inst.length, []).append(i)
+    for length, index in by_length.items():
+        members = [instances[i] for i in index]
+        stacked = np.array([inst.feats for inst in members], dtype=np.int64)
+        shape = (len(index), len(members[0].feats), length)
+        feats = list(stacked.reshape(shape).swapaxes(0, 1))
+        yield index, members, feats, (len(index), length)
+
+
+def _stacked_gold(members: Sequence[CompiledSequence]) -> np.ndarray:
+    if any(inst.gold is None for inst in members):
+        raise ValueError("instance has no gold labels")
+    return np.array([inst.gold for inst in members], dtype=np.int64)
+
+
+def decode_buckets(
+    scorer: SequenceScorer, instances: Sequence[CompiledSequence], augmented: bool = False
+) -> tuple[list[list[int]], np.ndarray]:
+    """The labeling of every sentence and its score, one DP per length.
+
+    Plain Viterbi, or with `augmented` the loss-augmented argmax against
+    each sentence's gold labels.  Every sentence gets the labels and the
+    bit-identical score it gets decoded alone.
+    """
+    outputs: list[list[int]] = [[] for _ in instances]
+    scores = np.zeros(len(instances))
+    for index, members, feats, shape in _buckets(instances):
+        gold = _stacked_gold(members) if augmented else None
+        if shape[1] == 0:
+            continue
+        emit = _emissions(scorer, feats, shape)
+        if augmented:
+            emit += 1.0
+            emit[np.arange(shape[0])[:, None], np.arange(shape[1]), gold] -= 1.0
+        labels, total = _viterbi(emit, scorer.transitions)
+        for i, y in zip(index, labels.tolist()):
+            outputs[i] = y
+        scores[index] = total
+    return outputs, scores
 
 
 def viterbi_decode(scorer: SequenceScorer, inst: CompiledSequence) -> tuple[list[int], float]:
     """Exact argmax labeling and its score."""
-    if inst.length == 0:
-        return [], 0.0
-    return _decode_from_emissions(_emissions(scorer, inst), scorer.transitions)
+    (labels,), scores = decode_buckets(scorer, [inst])
+    return labels, float(scores[0])
 
 
 def loss_augmented_decode(
     scorer: SequenceScorer, inst: CompiledSequence, gold: Sequence[int]
 ) -> tuple[list[int], float]:
     """Argmax of score(y) + Hamming(gold, y) and that augmented value."""
-    if inst.length == 0:
-        return [], 0.0
-    emit = _emissions(scorer, inst)
-    emit += 1.0
-    emit[np.arange(inst.length), np.asarray(gold, dtype=np.int64)] -= 1.0
-    return _decode_from_emissions(emit, scorer.transitions)
+    target = CompiledSequence(inst.length, inst.feats, np.asarray(gold, dtype=np.int64))
+    (labels,), scores = decode_buckets(scorer, [target], augmented=True)
+    return labels, float(scores[0])
 
 
 class SequenceTask:
@@ -175,13 +222,18 @@ class SequenceTask:
         y = np.asarray(labels, dtype=np.int64)
         if y.size != inst.length:
             raise ValueError("labeling length does not match the sentence")
+        return self._fired(inst.feats, y)
+
+    def _fired(self, feats: Sequence[np.ndarray], y: np.ndarray) -> list[np.ndarray]:
+        """Per group, the weight ids labels `y` fire over feature ids `feats`;
+        `y` and every array of `feats` share one shape, (l,) or (B, l)."""
         k = self.k
         ids = []
-        for feats in inst.feats:
-            on = feats >= 0
-            ids.append(feats[on] * k + y[on])
+        for f in feats:
+            on = f >= 0
+            ids.append(f[on] * k + y[on])
         if self.transition:
-            ids.append(y[:-1] * k + y[1:])
+            ids.append((y[..., :-1] * k + y[..., 1:]).ravel())
         return ids
 
     # --- solver-facing protocol ---
@@ -191,15 +243,36 @@ class SequenceTask:
             raise ValueError("instance has no gold labels")
         return [int(y) for y in inst.gold]
 
-    def loss(self, gold: Sequence[int], other: Sequence[int]) -> float:
-        return hamming_loss(gold, other)
+    def decode_corpus(
+        self,
+        weights: Sequence[np.ndarray],
+        instances: Sequence[CompiledSequence],
+        augmented: bool = False,
+    ) -> tuple[list[list[int]], np.ndarray]:
+        """Best (or with `augmented`, loss-augmented) labeling of every
+        sentence and its score, by length bucket."""
+        return decode_buckets(self.scorer(weights), instances, augmented)
 
-    def most_violated(
-        self, weights: Sequence[np.ndarray], inst: CompiledSequence
-    ) -> tuple[list[int], float]:
-        return loss_augmented_decode(self.scorer(weights), inst, self.gold_output(inst))
-
-    def decode(
-        self, weights: Sequence[np.ndarray], inst: CompiledSequence
-    ) -> tuple[list[int], float]:
-        return viterbi_decode(self.scorer(weights), inst)
+    def corpus_feature_ids(
+        self, instances: Sequence[CompiledSequence], outputs: Sequence[Sequence[int]]
+    ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+        """Per group, the weight ids `outputs` fire over the corpus and those
+        the gold labels fire, and the summed Hamming loss, by length bucket."""
+        decoded: list[list[np.ndarray]] = [[] for _ in self.group_dims]
+        reference: list[list[np.ndarray]] = [[] for _ in self.group_dims]
+        loss = 0
+        for index, members, feats, shape in _buckets(instances):
+            if any(len(outputs[i]) != shape[1] for i in index):
+                raise ValueError("labeling length does not match the sentence")
+            y = np.array([outputs[i] for i in index], dtype=np.int64)
+            gold = _stacked_gold(members)
+            loss += int((y != gold).sum())
+            for acc, ids in zip(decoded, self._fired(feats, y), strict=True):
+                acc.append(ids)
+            for acc, ids in zip(reference, self._fired(feats, gold), strict=True):
+                acc.append(ids)
+        return (
+            [np.concatenate(ids) for ids in decoded],
+            [np.concatenate(ids) for ids in reference],
+            loss,
+        )

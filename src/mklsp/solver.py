@@ -413,26 +413,19 @@ def build_constraint_row(task, instances: Sequence, outputs: Sequence) -> Constr
     """Average the feature gaps and losses of the decoded outputs into a row.
 
     Per group the feature part is (counts of the decoded ids - counts of the
-    gold ids) / n, over every sentence; the counts are exact integers.
+    gold ids) / n, over every sentence; the counts are exact integers, one
+    `bincount` per group and side over the task's corpus-level ids.
     """
     n = len(instances)
     if n == 0:
         raise ValueError("empty corpus")
-    dims = task.group_dims
-    decoded: list[list[np.ndarray]] = [[] for _ in dims]
-    reference: list[list[np.ndarray]] = [[] for _ in dims]
-    loss_total = 0.0
-    for inst, out in zip(instances, outputs, strict=True):
-        gold = task.gold_output(inst)
-        loss_total += task.loss(gold, out)
-        for acc, ids in zip(decoded, task.joint_feature_map(inst, out), strict=True):
-            acc.append(ids)
-        for acc, ids in zip(reference, task.joint_feature_map(inst, gold), strict=True):
-            acc.append(ids)
+    if len(outputs) != n:
+        raise ValueError("one output per instance required")
+    decoded, reference, loss_total = task.corpus_feature_ids(instances, outputs)
     groups = []
-    for d, dec, ref in zip(dims, decoded, reference, strict=True):
-        counts = np.bincount(np.concatenate(dec), minlength=d)
-        counts -= np.bincount(np.concatenate(ref), minlength=d)
+    for d, dec, ref in zip(task.group_dims, decoded, reference, strict=True):
+        counts = np.bincount(dec, minlength=d)
+        counts -= np.bincount(ref, minlength=d)
         nonzero = np.flatnonzero(counts)
         groups.append(SparseVector(nonzero, counts[nonzero] / n))
     q = loss_total / n
@@ -486,28 +479,34 @@ def rows_equal(a: ConstraintRow, b: ConstraintRow) -> bool:
 _POOL_STATE: tuple | None = None
 
 
-def _pool_decode(idx: int):
+def _pool_decode(bounds: tuple[int, int]) -> list:
     task, weights, instances, augmented = _POOL_STATE
-    fn = task.most_violated if augmented else task.decode
-    return fn(weights, instances[idx])[0]
+    lo, hi = bounds
+    return task.decode_corpus(weights, instances[lo:hi], augmented)[0]
 
 
 def parallel_decode(
     task, weights: Sequence[np.ndarray], instances: Sequence, jobs: int, augmented: bool
 ) -> list:
-    """Ordered decode of all instances, optionally across worker processes."""
-    if jobs <= 1 or len(instances) < 2:
-        fn = task.most_violated if augmented else task.decode
-        return [fn(weights, inst)[0] for inst in instances]
+    """Ordered decode of all instances, optionally across worker processes.
+
+    With `jobs` > 1 each worker decodes one contiguous range of the
+    instances through the same corpus-level decode as one job.
+    """
+    n = len(instances)
+    jobs = min(jobs, n)
+    if jobs <= 1:
+        return task.decode_corpus(weights, instances, augmented)[0]
     global _POOL_STATE
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(instances) // (jobs * 4))
+    bounds = [n * i // jobs for i in range(jobs + 1)]
     _POOL_STATE = (task, weights, instances, augmented)
     try:
         with ctx.Pool(processes=jobs) as pool:
-            return pool.map(_pool_decode, range(len(instances)), chunksize=chunk)
+            parts = pool.map(_pool_decode, zip(bounds[:-1], bounds[1:]), chunksize=1)
     finally:
         _POOL_STATE = None
+    return [out for part in parts for out in part]
 
 
 def _format_record(record: IterationRecord, group_ids: Sequence[str]) -> str:
@@ -527,15 +526,15 @@ def train(
 ) -> TrainResult:
     """Run the cutting-plane loop until the gap drops below epsilon.
 
-    `task` provides the structure-specific pieces:
+    `task` provides the structure-specific pieces, each over the whole corpus:
 
     - `group_dims`, `group_ids`: the weight-vector size and name per group;
-    - `gold_output(inst)`: the gold output of a compiled instance;
-    - `loss(gold, out)`: the task loss of `out`, >= 0;
-    - `joint_feature_map(inst, out)`: per group, an int64 array of the weight
-      ids `out` fires, one entry per firing, so repeats count;
-    - `most_violated(weights, inst)` and `decode(weights, inst)`: the
-      loss-augmented and the plain argmax, each as (output, score).
+    - `decode_corpus(weights, instances, augmented)`: the loss-augmented
+      (or plain) argmax of every instance, as (outputs, scores);
+    - `corpus_feature_ids(instances, outputs)`: per group, an int64 array of
+      the weight ids the outputs fire over the corpus, one entry per firing,
+      so repeats count; the same for the gold outputs; and the summed task
+      loss (>= 0) of the outputs.
     """
     n = len(instances)
     if n == 0:

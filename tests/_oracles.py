@@ -7,12 +7,12 @@ references loop over edges one at a time with the package's per-edge
 definition, `instantiate_edge`, the edge-score reference adds one group
 at a time with `np.add.at`, the constraint-row reference only reuses the
 package's containers, and the barrier reference only the solver's
-stopping constants.  The tree-decoder references are the package's
-earlier decoders, kept as they were: a span DP filled one cell at a time
-with a recursive backtrack, a maximum arborescence contracted with dicts
-and Python loops, and a single-root search that runs a whole decoder
-once per root child.  They share only the package's score masking and
-cycle walk.
+stopping constants.  The decoder references are the package's earlier
+decoders, kept as they were: a Viterbi DP over one sentence at a time, a
+span DP filled one cell at a time with a recursive backtrack, a maximum
+arborescence contracted with dicts and Python loops, and a single-root
+search that runs a whole decoder once per root child.  The tree
+references share only the package's score masking and cycle walk.
 """
 
 from __future__ import annotations
@@ -54,6 +54,29 @@ def sequence_best(emit, trans=None, augment_gold=None):
         scores += np.asarray(trans)[labs[:, :-1], labs[:, 1:]].sum(axis=1)
     i = int(np.argmax(scores))
     return labs[i].tolist(), float(scores[i])
+
+
+def reference_viterbi(emit, trans=None, augment_gold=None):
+    """Best labeling of one sentence and its score: the package's earlier
+    per-sentence DP, kept as it was.  Exact suffix values backward, then
+    the first argmax at each position front to back."""
+    emit = np.array(emit, dtype=float)
+    l, k = emit.shape
+    if augment_gold is not None:
+        emit += 1.0
+        emit[np.arange(l), np.asarray(augment_gold, dtype=np.int64)] -= 1.0
+    if trans is None:
+        trans = np.zeros((k, k))
+    # exact suffix values: suf[t, y] = best score of positions t.. given y at t
+    suf = np.empty((l, k))
+    suf[l - 1] = emit[l - 1]
+    for t in range(l - 2, -1, -1):
+        suf[t] = emit[t] + (trans + suf[t + 1][None, :]).max(axis=1)
+    labels = [int(np.argmax(suf[0]))]
+    total = float(suf[0][labels[0]])
+    for t in range(1, l):
+        labels.append(int(np.argmax(trans[labels[-1]] + suf[t])))
+    return labels, total
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +332,8 @@ def reference_constraint_row(task, instances, outputs):
     loss_total = 0.0
     for inst, out in zip(instances, outputs, strict=True):
         gold = task.gold_output(inst)
-        loss_total += task.loss(gold, out)
+        assert len(out) == len(gold)
+        loss_total += sum(a != b for a, b in zip(gold, out))
         decoded = feature_counts(task, inst, out)
         reference = feature_counts(task, inst, gold)
         for j in range(len(acc)):

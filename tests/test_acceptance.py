@@ -249,8 +249,8 @@ def test_acceptance_7_noise_group_suppression(capsys):
                     b = out.mu[task.group_ids.index("U01")]
                     assert a > b, f"seed {seed}: informative group not preferred"
                 correct = total = 0
-                for inst in held_out:
-                    labels, _ = task.decode(out.weights, inst)
+                outputs, _ = task.decode_corpus(out.weights, held_out)
+                for inst, labels in zip(held_out, outputs):
                     gold = task.gold_output(inst)
                     correct += sum(x == y for x, y in zip(labels, gold))
                     total += len(gold)

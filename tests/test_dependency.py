@@ -329,6 +329,25 @@ def test_eisner_long_chain_needs_no_recursion():
     assert score == float(l)
 
 
+def test_cle_long_chain_needs_no_recursion():
+    # every token's best heads are its two neighbours, so each contraction
+    # closes one 2-cycle and nests the next: one level per token
+    l = 150
+    S = np.full((l + 1, l + 1), -100.0)
+    k = np.arange(1, l)
+    S[k, k + 1] = S[k + 1, k] = 10.0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        heads, score = cle_decode(S)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert valid_arborescence(heads)
+    assert heads.count(0) == 1
+    assert all(abs(h - v) == 1 for v, h in enumerate(heads, start=1) if h)
+    assert score == -100.0 + 10.0 * (l - 1)
+
+
 def check_single_root(S, projective):
     """decode_single_root's tree is valid with one root child and as good as
     the per-child reference; returns (its heads, the reference heads)."""
@@ -445,12 +464,14 @@ def test_most_violated_matches_enumeration():
         task, corpus = toy_parse_task(decoder)
         rng = np.random.default_rng(26)
         weights = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
-        inst = task.compile(corpus[0])
-        heads, value = task.most_violated(weights, inst)
-        S = task.edge_scores(weights, inst)
-        _, want = tree_best(S, decoder == "projective", augment_gold=inst.gold.tolist())
-        assert value == pytest.approx(want, abs=1e-9)
-        assert valid_arborescence(heads)
+        compiled = [task.compile(inst) for inst in corpus]
+        outputs, values = task.decode_corpus(weights, compiled, augmented=True)
+        assert len(outputs) == len(values) == len(compiled)
+        for inst, heads, value in zip(compiled, outputs, values):
+            S = task.edge_scores(weights, inst)
+            _, want = tree_best(S, decoder == "projective", augment_gold=inst.gold.tolist())
+            assert value == pytest.approx(want, abs=1e-9)
+            assert valid_arborescence(heads)
 
 
 def test_most_violated_prefers_gold_under_large_margin():
@@ -463,7 +484,7 @@ def test_most_violated_prefers_gold_under_large_margin():
     for uu, vv, ff in zip(u, v, f):
         if gold[vv - 1] == uu:
             weights[1][ff] += 100.0
-    heads, _ = task.most_violated(weights, inst)
+    (heads,), _ = task.decode_corpus(weights, [inst], augmented=True)
     assert heads == gold
 
 
@@ -477,7 +498,7 @@ def test_gold_protocol_and_errors():
     with pytest.raises(ValueError, match="gold"):
         task.gold_output(bare)
     with pytest.raises(ValueError, match="gold"):
-        task.most_violated([np.zeros(d) for d in task.group_dims], bare)
+        task.decode_corpus([np.zeros(d) for d in task.group_dims], [inst, bare], augmented=True)
     with pytest.raises(ValueError, match="decoder"):
         DependencyTask(task.extractor, decoder="transition")
 

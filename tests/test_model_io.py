@@ -67,10 +67,9 @@ def test_sequence_round_trip(tmp_path):
     assert loaded.payload() == model.payload()
 
     rebuilt = loaded.build_task()
-    for inst in instances[:5]:
-        a, _ = task.decode(model.weights, task.compile(inst))
-        b, _ = rebuilt.decode(loaded.weights, rebuilt.compile(inst))
-        assert a == b
+    a, _ = task.decode_corpus(model.weights, [task.compile(i) for i in instances[:5]])
+    b, _ = rebuilt.decode_corpus(loaded.weights, [rebuilt.compile(i) for i in instances[:5]])
+    assert a == b
 
 
 def test_dependency_round_trip(tmp_path):
@@ -85,10 +84,9 @@ def test_dependency_round_trip(tmp_path):
     assert loaded.payload() == model.payload()
     rebuilt = loaded.build_task()
     assert rebuilt.decoder == "nonprojective"
-    for inst in instances[:5]:
-        a, _ = task.decode(model.weights, task.compile(inst))
-        b, _ = rebuilt.decode(loaded.weights, rebuilt.compile(inst))
-        assert a == b
+    a, _ = task.decode_corpus(model.weights, [task.compile(i) for i in instances[:5]])
+    b, _ = rebuilt.decode_corpus(loaded.weights, [rebuilt.compile(i) for i in instances[:5]])
+    assert a == b
 
 
 @pytest.mark.parametrize(

@@ -5,19 +5,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mklsp.corpus import LabelTable, SequenceInstance
 from mklsp.sequence import (
     CompiledSequence,
     SequenceScorer,
     SequenceTask,
+    decode_buckets,
     hamming_loss,
     loss_augmented_decode,
     viterbi_decode,
 )
 from mklsp.templates import parse_templates
 
-from _oracles import dense_emissions, feature_counts, sequence_best
+from _oracles import dense_emissions, feature_counts, reference_viterbi, sequence_best
 
 
 def random_case(rng, l, k, n_groups=2, transition=True, max_dim=5):
@@ -65,6 +68,52 @@ def test_loss_augmented_matches_enumeration():
         want_labels, want_score = sequence_best(emit, scorer.transitions, augment_gold=gold)
         assert labels == want_labels
         assert score == pytest.approx(want_score, abs=1e-9)
+
+
+@st.composite
+def tagged_batches(draw):
+    """A scorer and a batch of compiled sentences of mixed lengths (0..6):
+    float tables, or -2..2 integer tables whose optima tie often."""
+    k = draw(st.integers(1, 4))
+    values = draw(st.sampled_from([st.floats(-1e6, 1e6), st.integers(-2, 2).map(float)]))
+    dims = draw(st.lists(st.integers(1, 4), max_size=2))
+    tables = [draw(arrays(np.float64, (d, k), elements=values)) for d in dims]
+    trans = draw(st.none() | arrays(np.float64, (k, k), elements=values))
+    instances = []
+    for l in draw(st.lists(st.integers(0, 6), min_size=1, max_size=8)):
+        feats = [draw(arrays(np.int64, l, elements=st.integers(-1, d - 1))) for d in dims]
+        gold = draw(arrays(np.int64, l, elements=st.integers(0, k - 1)))
+        instances.append(CompiledSequence(l, feats, gold))
+    return SequenceScorer(tables, trans, k), instances
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(tagged_batches(), st.booleans())
+def test_bucketed_decode_matches_reference(case, augmented):
+    # same labels and bit-identical scores as the per-sentence DP, ties included
+    scorer, instances = case
+    outputs, scores = decode_buckets(scorer, instances, augmented)
+    assert len(outputs) == len(scores) == len(instances)
+    for inst, labels, score in zip(instances, outputs, scores):
+        gold = inst.gold.tolist() if augmented else None
+        if augmented:
+            alone = loss_augmented_decode(scorer, inst, gold)
+        else:
+            alone = viterbi_decode(scorer, inst)
+        if inst.length == 0:
+            want = ([], 0.0)
+        else:
+            emit = (
+                dense_emissions(inst.feats, scorer.emissions, scorer.k)
+                if inst.feats
+                else np.zeros((inst.length, scorer.k))
+            )
+            want = reference_viterbi(emit, scorer.transitions, augment_gold=gold)
+        assert labels == alone[0] == want[0]
+        assert bits(score) == bits(alone[1]) == bits(want[1])
 
 
 def test_all_zero_weights_tie_breaks_to_first_label():
@@ -225,11 +274,13 @@ def test_solver_protocol_round_trip():
     gold_ids = task.joint_feature_map(inst, task.gold_output(inst))
     assert [Counter(ids.tolist()) for ids in gold_ids] == feature_counts(task, inst, [0, 1, 1])
     weights = [np.zeros(d) for d in task.group_dims]
-    labels, value = task.most_violated(weights, inst)
+    (labels,), (value,) = task.decode_corpus(weights, [inst], augmented=True)
     assert value == pytest.approx(hamming_loss([0, 1, 1], labels))
     unlabeled = task.compile(SequenceInstance([("dogs", "N")]))
     with pytest.raises(ValueError, match="gold"):
         task.gold_output(unlabeled)
+    with pytest.raises(ValueError, match="gold"):
+        task.decode_corpus(weights, [inst, unlabeled], augmented=True)
 
 
 def test_decode_ignores_gold_column():
@@ -238,4 +289,7 @@ def test_decode_ignores_gold_column():
     weights = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
     labeled = task.compile(corpus[0])
     bare = task.compile(SequenceInstance(corpus[0].tokens))
-    assert task.decode(weights, labeled) == task.decode(weights, bare)
+    a_labels, a_scores = task.decode_corpus(weights, [labeled])
+    b_labels, b_scores = task.decode_corpus(weights, [bare])
+    assert a_labels == b_labels
+    assert a_scores.tobytes() == b_scores.tobytes()

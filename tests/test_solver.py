@@ -307,7 +307,8 @@ def test_constraint_row_feature_part_is_average_gap():
 
 
 def row_task(kind):
-    """A small compiled corpus: a tagger with or without transitions, or a parser."""
+    """A small compiled corpus: a tagger with or without transitions, a
+    tagger on sentences of 1 to 5 tokens, or a parser."""
     if kind == "dep":
         instances = load_dependency(dependency_text(5, seed=3))
         specs = parse_edge_templates(
@@ -315,13 +316,17 @@ def row_task(kind):
         )
         task = DependencyTask.build(specs, instances, decoder="nonprojective")
     else:
-        instances, table = load_sequence(sequence_text(6, seed=3))
-        text = SEQ_TEMPLATES if kind == "seq" else SEQ_TEMPLATES.replace("\nB\n", "\n")
+        if kind == "seq-mixed":
+            corpus = sequence_text(10, seed=4, min_len=1, max_len=5)
+        else:
+            corpus = sequence_text(6, seed=3)
+        instances, table = load_sequence(corpus)
+        text = SEQ_TEMPLATES.replace("\nB\n", "\n") if kind == "seq-no-B" else SEQ_TEMPLATES
         task = SequenceTask.build(parse_templates(text), instances, table)
     return task, [task.compile(i) for i in instances]
 
 
-ROW_TASKS = {kind: row_task(kind) for kind in ("seq", "seq-no-B", "dep")}
+ROW_TASKS = {kind: row_task(kind) for kind in ("seq", "seq-no-B", "seq-mixed", "dep")}
 
 
 @settings(max_examples=30, deadline=None)
@@ -333,7 +338,7 @@ ROW_TASKS = {kind: row_task(kind) for kind in ("seq", "seq-no-B", "dep")}
 )
 def test_constraint_row_matches_dict_reference(kind, seed, scale, augmented):
     task, insts = ROW_TASKS[kind]
-    assert ("B" in task.group_ids) == (kind == "seq")
+    assert ("B" in task.group_ids) == (kind in ("seq", "seq-mixed"))
     rng = np.random.default_rng(seed)
     w = [rng.uniform(-scale, scale, size=d) for d in task.group_dims]
     outputs = parallel_decode(task, w, insts, jobs=1, augmented=augmented)
@@ -346,6 +351,30 @@ def test_constraint_row_matches_dict_reference(kind, seed, scale, augmented):
         assert got.values.dtype == ref.values.dtype == np.float64
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.values, ref.values)
+
+
+def test_constraint_row_matches_reference_on_any_outputs():
+    # arbitrary outputs, not only decoded ones, on corpora of mixed lengths
+    _, mixed = ROW_TASKS["seq-mixed"]
+    assert min(inst.length for inst in mixed) == 1
+    assert len({inst.length for inst in mixed}) > 2
+    rng = np.random.default_rng(38)
+    for kind, (task, insts) in sorted(ROW_TASKS.items()):
+        for _ in range(5):
+            if kind == "dep":
+                outputs = [rng.integers(0, inst.n + 1, size=inst.n).tolist() for inst in insts]
+            else:
+                outputs = [rng.integers(0, task.k, size=inst.length).tolist() for inst in insts]
+            row = build_constraint_row(task, insts, outputs)
+            want = reference_constraint_row(task, insts, outputs)
+            assert row.q == want.q
+            for got, ref in zip(row.p.groups, want.p.groups, strict=True):
+                assert np.array_equal(got.indices, ref.indices)
+                assert np.array_equal(got.values, ref.values)
+        with pytest.raises(ValueError):
+            build_constraint_row(task, insts, outputs[:-1])
+        with pytest.raises(ValueError, match="length|size"):
+            build_constraint_row(task, insts, [out + [0] for out in outputs])
 
 
 def test_rows_equal_is_exact():
@@ -461,8 +490,8 @@ def test_train_fits_a_separable_corpus():
     out = train(task, compiled, SolverConfig(C=10.0, epsilon=0.05))
     assert out.halt_reason == "converged"
     correct = total = 0
-    for inst in compiled:
-        labels, _ = task.decode(out.weights, inst)
+    outputs, _ = task.decode_corpus(out.weights, compiled)
+    for inst, labels in zip(compiled, outputs):
         gold = task.gold_output(inst)
         correct += sum(a == b for a, b in zip(labels, gold))
         total += len(gold)
@@ -526,10 +555,9 @@ def test_train_group_order_permutation_is_cosmetic():
         jf, jr = fwd.group_ids.index(g), rev.group_ids.index(g)
         assert out_f.mu[jf] == pytest.approx(out_r.mu[jr], abs=1e-9)
         assert np.allclose(out_f.weights[jf], out_r.weights[jr], atol=1e-9)
-    for inst in instances[:4]:
-        a, _ = fwd.decode(out_f.weights, fwd.compile(inst))
-        b, _ = rev.decode(out_r.weights, rev.compile(inst))
-        assert a == b
+    a, _ = fwd.decode_corpus(out_f.weights, [fwd.compile(i) for i in instances[:4]])
+    b, _ = rev.decode_corpus(out_r.weights, [rev.compile(i) for i in instances[:4]])
+    assert a == b
 
 
 def test_train_with_reference_barrier_takes_the_same_path(monkeypatch):
@@ -576,13 +604,14 @@ def test_train_rejects_empty_corpus():
 
 
 def test_parallel_decode_matches_serial():
-    instances, table = load_sequence(sequence_text(9, seed=9))
-    specs = parse_templates(SEQ_TEMPLATES)
-    task = SequenceTask.build(specs, instances, table)
-    compiled = [task.compile(i) for i in instances]
     rng = np.random.default_rng(37)
-    w = [rng.uniform(-0.5, 0.5, size=d) for d in task.group_dims]
-    for augmented in (False, True):
-        serial = parallel_decode(task, w, compiled, jobs=1, augmented=augmented)
-        forked = parallel_decode(task, w, compiled, jobs=3, augmented=augmented)
-        assert serial == forked
+    for kind, (task, compiled) in sorted(ROW_TASKS.items()):
+        w = [rng.uniform(-0.5, 0.5, size=d) for d in task.group_dims]
+        for augmented in (False, True):
+            serial = parallel_decode(task, w, compiled, jobs=1, augmented=augmented)
+            assert serial == task.decode_corpus(w, compiled, augmented)[0]
+            forked = parallel_decode(task, w, compiled, jobs=3, augmented=augmented)
+            assert serial == forked
+            # more jobs than sentences
+            few = parallel_decode(task, w, compiled[:2], jobs=3, augmented=augmented)
+            assert few == serial[:2]
