@@ -451,17 +451,33 @@ def decode_single_root(scores: np.ndarray, projective: bool) -> tuple[list[int],
 
 @dataclass
 class CompiledDependency:
-    """A sentence reduced to COO-style per-group edge features.
+    """A sentence reduced to its edge-feature firings, each stored once.
 
-    `cells` holds ``u * (n+1) + v`` for every firing of `group_edges`, the
-    groups concatenated in order: the flat index of its edge in the
-    (n+1) x (n+1) score matrix.
+    Firing i is weight id `ids[i]` of the flat feature space (group j's ids
+    offset by the sizes of the groups before it) on the edge whose flat
+    index in the (n+1) x (n+1) score matrix is `cells[i]` = u * (n+1) + v.
+    Firings run group by group, in candidate-edge order within a group;
+    group j's are ``[bounds[j], bounds[j+1])``, and `offsets[j]` is its
+    first flat id.
     """
 
     n: int  # token count, excluding root
-    group_edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (u, v, feat)
-    gold: np.ndarray | None
     cells: np.ndarray
+    ids: np.ndarray
+    bounds: np.ndarray
+    offsets: np.ndarray
+    gold: np.ndarray | None
+
+    @property
+    def group_edges(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per group, the (u, v, group-local feature id) int64 arrays of its
+        firings, derived from `cells` and `ids`."""
+        size = self.n + 1
+        edges = []
+        for j, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
+            u, v = np.divmod(self.cells[lo:hi], size)
+            edges.append((u, v, self.ids[lo:hi] - self.offsets[j]))
+        return edges
 
 
 class DependencyTask:
@@ -478,6 +494,9 @@ class DependencyTask:
         self.extractor = extractor
         self.decoder = decoder
         self.single_root = single_root
+        offsets = np.cumsum([0, *self.group_dims], dtype=np.int64)[:-1]
+        offsets.flags.writeable = False
+        self._offsets = offsets  # shared by every compiled sentence
 
     @classmethod
     def build(
@@ -499,39 +518,47 @@ class DependencyTask:
 
     def compile(self, instance: DependencyInstance) -> CompiledDependency:
         toks = augment(instance.tokens)
-        group_edges = []
-        for spec, alphabet in zip(self.extractor.specs, self.extractor.alphabets, strict=True):
+        size = len(toks)
+        cells, ids = [], []
+        for spec, alphabet, offset in zip(
+            self.extractor.specs, self.extractor.alphabets, self._offsets.tolist(), strict=True
+        ):
             heads, mods, strings = instantiate_edges(spec, toks)
-            ids = alphabet.lookup_all(strings)
-            known = ids >= 0  # unknown strings fire nothing
-            group_edges.append((heads[known], mods[known], ids[known]))
+            found = alphabet.lookup_all(strings)
+            known = found >= 0  # unknown strings fire nothing
+            cells.append(heads[known] * size + mods[known])
+            ids.append(found[known] + offset)
+        bounds = np.cumsum([0, *map(len, ids)], dtype=np.int64)
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        n = len(instance.tokens)
-        cells = np.concatenate([u * (n + 1) + v for u, v, _ in group_edges])
-        return CompiledDependency(n, group_edges, gold, cells)
+        return CompiledDependency(
+            size - 1, np.concatenate(cells), np.concatenate(ids), bounds, self._offsets, gold
+        )
 
-    def edge_scores(
-        self, weights: Sequence[np.ndarray], inst: CompiledDependency
-    ) -> np.ndarray:
-        """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused).
+    def edge_scores(self, weights: np.ndarray, inst: CompiledDependency) -> np.ndarray:
+        """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)
+        under the concatenated weight vector `weights`.
 
         Each cell sums its firings' weights in group order, then firing order.
         """
-        groups = zip(weights, inst.group_edges, strict=True)
-        firing = np.concatenate([w[f] for w, (_, _, f) in groups])
         size = inst.n + 1
-        return np.bincount(inst.cells, weights=firing, minlength=size * size).reshape(size, size)
+        return np.bincount(
+            inst.cells, weights=weights[inst.ids], minlength=size * size
+        ).reshape(size, size)
 
-    def joint_feature_map(
-        self, inst: CompiledDependency, heads: Sequence[int]
-    ) -> list[np.ndarray]:
-        """Weight ids fired by the tree's edges, per group, one entry per firing."""
-        if len(heads) != inst.n:
-            raise ValueError("tree size does not match the sentence")
+    def tree_ids(self, inst: CompiledDependency, heads: Sequence[int]) -> np.ndarray:
+        """Flat weight ids fired by the tree's edges, one entry per firing:
+        the firings whose cell the tree marks."""
         harr = np.asarray(heads, dtype=np.int64)
-        return [f[harr[v - 1] == u] for u, v, f in inst.group_edges]
+        if harr.shape != (inst.n,):
+            raise ValueError("tree size does not match the sentence")
+        size = inst.n + 1
+        if inst.n and not 0 <= harr.min() <= harr.max() < size:
+            raise ValueError("head index out of range")
+        tree = np.zeros(size * size, dtype=bool)
+        tree[harr * size + np.arange(1, size)] = True
+        return inst.ids[tree[inst.cells]]
 
     def _run_decoder(self, S: np.ndarray) -> tuple[list[int], float]:
         if self.single_root:
@@ -556,9 +583,10 @@ class DependencyTask:
         With `augmented`, the argmax of score(T) + parent_loss(gold, T),
         decoded with +1 on every off-gold edge, and that augmented value.
         """
+        flat = np.concatenate(weights)
         outputs, scores = [], []
         for inst in instances:
-            S = self.edge_scores(weights, inst)
+            S = self.edge_scores(flat, inst)
             if augmented:
                 if inst.gold is None:
                     raise ValueError("instance has no gold heads")
@@ -571,21 +599,12 @@ class DependencyTask:
 
     def corpus_feature_ids(
         self, instances: Sequence[CompiledDependency], outputs: Sequence[Sequence[int]]
-    ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Per group, the weight ids `outputs` fire over the corpus and those
-        the gold trees fire, and the summed parent loss, sentence by sentence."""
-        decoded: list[list[np.ndarray]] = [[] for _ in self.group_dims]
-        reference: list[list[np.ndarray]] = [[] for _ in self.group_dims]
+    ) -> tuple[np.ndarray, float]:
+        """The flat weight ids `outputs` fire over the corpus, one entry per
+        firing, and their summed parent loss, sentence by sentence."""
+        ids = []
         loss = 0.0
         for inst, out in zip(instances, outputs, strict=True):
-            gold = self.gold_output(inst)
-            loss += parent_loss(gold, out)
-            for acc, ids in zip(decoded, self.joint_feature_map(inst, out), strict=True):
-                acc.append(ids)
-            for acc, ids in zip(reference, self.joint_feature_map(inst, gold), strict=True):
-                acc.append(ids)
-        return (
-            [np.concatenate(ids) for ids in decoded],
-            [np.concatenate(ids) for ids in reference],
-            loss,
-        )
+            loss += parent_loss(self.gold_output(inst), out)
+            ids.append(self.tree_ids(inst, out))
+        return np.concatenate(ids), loss

@@ -255,24 +255,17 @@ class SequenceTask:
 
     def corpus_feature_ids(
         self, instances: Sequence[CompiledSequence], outputs: Sequence[Sequence[int]]
-    ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-        """Per group, the weight ids `outputs` fire over the corpus and those
-        the gold labels fire, and the summed Hamming loss, by length bucket."""
-        decoded: list[list[np.ndarray]] = [[] for _ in self.group_dims]
-        reference: list[list[np.ndarray]] = [[] for _ in self.group_dims]
+    ) -> tuple[np.ndarray, int]:
+        """The flat weight ids `outputs` fire over the corpus (group j's ids
+        offset by the sizes of the groups before it), one entry per firing,
+        and their summed Hamming loss, by length bucket."""
+        offsets = np.cumsum([0, *self.group_dims])[:-1].tolist()
+        ids = []
         loss = 0
         for index, members, feats, shape in _buckets(instances):
             if any(len(outputs[i]) != shape[1] for i in index):
                 raise ValueError("labeling length does not match the sentence")
             y = np.array([outputs[i] for i in index], dtype=np.int64)
-            gold = _stacked_gold(members)
-            loss += int((y != gold).sum())
-            for acc, ids in zip(decoded, self._fired(feats, y), strict=True):
-                acc.append(ids)
-            for acc, ids in zip(reference, self._fired(feats, gold), strict=True):
-                acc.append(ids)
-        return (
-            [np.concatenate(ids) for ids in decoded],
-            [np.concatenate(ids) for ids in reference],
-            loss,
-        )
+            loss += int((y != _stacked_gold(members)).sum())
+            ids += [f + off for f, off in zip(self._fired(feats, y), offsets, strict=True)]
+        return np.concatenate(ids), loss

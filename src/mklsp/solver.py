@@ -30,18 +30,30 @@ barrier's alpha when it gives the higher dual value; with no free group
 that QP is the whole solve.  Group weights recover as
 w_j = -mu_j * sum_r alpha_r p_j^r.  Training stops when the decoded
 violation R_emp exceeds the working-set value R_s by less than epsilon.
+
+A row p^r is kept as exact integer counts over one flat feature space
+(group j's ids offset by the sizes of the groups before it): decoded minus
+gold counts, the gold ones taken once per training run; the row stands for
+counts / n.  All rows share one store, so a new Gram row, the primal
+recovery and every row's value are each a gather and a `bincount` over
+the stored entries.  Gram entries are integer dots divided by n^2 once,
+exact whatever the summation order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .sparse import GroupedSparseVector, SparseVector, sparse_dot
+# sparse_dot is unused here but stays importable as `solver.sparse_dot`,
+# the name perfbench/tracing.py wraps
+from .sparse import GroupedSparseVector, SparseVector, sparse_dot  # noqa: F401
 
 _QP_MAX_ITER = 50_000
 _BARRIER_GAP = 1e-8  # duality gap bound n_con / tbar at which the barrier stops
@@ -72,10 +84,97 @@ class SolverConfig:
 
 @dataclass
 class ConstraintRow:
-    """Averaged margin constraint: slack >= q + sum_j <w_j, p_j>."""
+    """Averaged margin constraint: slack >= q + <w, counts> / n.
 
-    p: GroupedSparseVector
+    The feature part lives in the flat feature space, where group j's ids
+    are offset by `offsets[j]` (the sizes of the groups before it; the last
+    entry is the total): `indices` are the sorted ids whose count is not
+    zero and `counts` those exact int64 counts, decoded minus gold.
+    """
+
+    indices: np.ndarray
+    counts: np.ndarray
+    n: int
     q: float
+    offsets: np.ndarray
+
+    @property
+    def p(self) -> GroupedSparseVector:
+        """The feature part per group, counts / n at group-local indices."""
+        cuts = np.searchsorted(self.indices, self.offsets).tolist()
+        return GroupedSparseVector(
+            [
+                SparseVector(self.indices[lo:hi] - off, self.counts[lo:hi] / self.n)
+                for lo, hi, off in zip(cuts[:-1], cuts[1:], self.offsets.tolist())
+            ]
+        )
+
+
+class RowStore:
+    """The rows of one training run as one CSR-like store over the flat
+    feature space, with their per-group Gram tensor.
+
+    Every stored entry has its flat feature id, exact integer count, row
+    and group.  A Gram entry G[j, r, t] = <p_j^r, p_j^t> is an integer dot
+    of counts divided by n^2 once: while the products and their sums stay
+    below 2**53 it is exact in any summation order, so a new row's dots
+    with every stored row come from one gather and one `bincount`.  The
+    Gram buffer doubles when full instead of growing by a copy per row.
+    """
+
+    def __init__(self, dims: Sequence[int], n: int):
+        self.offsets = np.cumsum([0, *dims], dtype=np.int64)
+        self.dim = int(self.offsets[-1])
+        self.n = n
+        self.rows: list[ConstraintRow] = []
+        self.q = np.zeros(0)
+        self.index = np.zeros(0, dtype=np.int64)  # flat feature id per entry
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.row = np.zeros(0, dtype=np.int64)
+        self._cell = np.zeros(0, dtype=np.int64)  # row * m + group per entry
+        self._gram = np.zeros((len(dims), 8, 8))
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The (groups, rows, rows) Gram tensor, a view of the buffer."""
+        s = len(self.rows)
+        return self._gram[:, :s, :s]
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-group views of a vector over the flat feature space."""
+        return np.split(flat, self.offsets[1:-1])
+
+    def add(self, row: ConstraintRow) -> None:
+        """Append a row and its Gram row and column."""
+        m = self._gram.shape[0]
+        s = len(self.rows)
+        group = np.searchsorted(self.offsets, row.indices, side="right") - 1
+        self.rows.append(row)
+        self.q = np.append(self.q, row.q)
+        self.index = np.concatenate([self.index, row.indices])
+        self.counts = np.concatenate([self.counts, row.counts])
+        self.row = np.concatenate([self.row, np.full(row.indices.size, s)])
+        self._cell = np.concatenate([self._cell, s * m + group])
+
+        dense = np.zeros(self.dim, dtype=np.int64)
+        dense[row.indices] = row.counts
+        dots = np.bincount(
+            self._cell, weights=dense[self.index] * self.counts, minlength=(s + 1) * m
+        )
+        if s + 1 > self._gram.shape[1]:
+            grown = np.zeros((m, 2 * s, 2 * s))
+            grown[:, :s, :s] = self.gram
+            self._gram = grown
+        self._gram[:, s, : s + 1] = self._gram[:, : s + 1, s] = (
+            dots.reshape(s + 1, m).T / (self.n * self.n)
+        )
+
+    def values(self, weights: np.ndarray) -> np.ndarray:
+        """Every row's value q^r + <w, p^r> under the concatenated weights."""
+        dots = np.bincount(
+            self.row, weights=weights[self.index] * self.counts, minlength=len(self.rows)
+        )
+        return self.q + dots / self.n
 
 
 @dataclass
@@ -95,6 +194,15 @@ class IterationRecord:
     primal_objective: float
     working_set_size: int
     mu: np.ndarray
+    # wall times in seconds, from time.perf_counter inside `train`: the whole
+    # iteration and its phases (gram, subproblem and recovery are 0 on the
+    # last iteration, which adds no row)
+    wall_s: float
+    decode_s: float
+    row_s: float
+    gram_s: float
+    subproblem_s: float
+    recover_s: float
 
 
 @dataclass
@@ -409,103 +517,141 @@ def solve_subproblem(
     return SubproblemSolution(alpha, mu, dual)
 
 
-def build_constraint_row(task, instances: Sequence, outputs: Sequence) -> ConstraintRow:
+def gold_counts(task, instances: Sequence) -> np.ndarray:
+    """Exact int64 counts of the flat weight ids the gold outputs fire over
+    the corpus; `train` takes them once and every row subtracts them."""
+    golds = [task.gold_output(inst) for inst in instances]
+    ids, _ = task.corpus_feature_ids(instances, golds)
+    return np.bincount(ids, minlength=sum(task.group_dims))
+
+
+def build_constraint_row(
+    task, instances: Sequence, outputs: Sequence, gold: np.ndarray
+) -> ConstraintRow:
     """Average the feature gaps and losses of the decoded outputs into a row.
 
-    Per group the feature part is (counts of the decoded ids - counts of the
-    gold ids) / n, over every sentence; the counts are exact integers, one
-    `bincount` per group and side over the task's corpus-level ids.
+    The feature part is the count of every flat weight id the decoded
+    outputs fire over the corpus minus its `gold` count (see `gold_counts`),
+    kept as exact integers; the row stands for those counts / n.
     """
     n = len(instances)
     if n == 0:
         raise ValueError("empty corpus")
     if len(outputs) != n:
         raise ValueError("one output per instance required")
-    decoded, reference, loss_total = task.corpus_feature_ids(instances, outputs)
-    groups = []
-    for d, dec, ref in zip(task.group_dims, decoded, reference, strict=True):
-        counts = np.bincount(dec, minlength=d)
-        counts -= np.bincount(ref, minlength=d)
-        nonzero = np.flatnonzero(counts)
-        groups.append(SparseVector(nonzero, counts[nonzero] / n))
+    ids, loss_total = task.corpus_feature_ids(instances, outputs)
+    counts = np.bincount(ids, minlength=gold.size) - gold
+    indices = np.flatnonzero(counts)
     q = loss_total / n
     if q < 0:
         raise AssertionError("negative averaged loss")
-    return ConstraintRow(GroupedSparseVector(groups), q)
+    offsets = np.cumsum([0, *task.group_dims], dtype=np.int64)
+    return ConstraintRow(indices, counts[indices], n, q, offsets)
 
 
-def row_value(row: ConstraintRow, weights: Sequence[np.ndarray]) -> float:
-    """q^r + sum_j <w_j, p_j^r>."""
-    return row.q + row.p.dot_dense(list(weights))
+def row_value(row: ConstraintRow, weights: np.ndarray) -> float:
+    """q^r + <w, p^r> under the concatenated weight vector `weights`."""
+    return row.q + float(weights[row.indices] @ row.counts) / row.n
 
 
-def working_set_value(rows: Sequence[ConstraintRow], weights: Sequence[np.ndarray]) -> float:
+def working_set_value(store: RowStore, weights: np.ndarray) -> float:
     """Largest row value, or 0 for an empty set (the slack lower bound)."""
-    if not rows:
+    if not store.rows:
         return 0.0
-    return max(row_value(row, weights) for row in rows)
+    return float(store.values(weights).max())
 
 
-def recover_primal(
-    rows: Sequence[ConstraintRow], alpha: np.ndarray, mu: np.ndarray, dims: Sequence[int]
-) -> list[np.ndarray]:
-    """w_j = -mu_j * sum_r alpha_r p_j^r, densely."""
-    weights = [np.zeros(d) for d in dims]
-    for a_r, row in zip(alpha, rows, strict=True):
-        if a_r == 0.0:
-            continue
-        for j, sv in enumerate(row.p.groups):
-            if sv.nnz:
-                weights[j][sv.indices] -= a_r * sv.values
-    for j, mu_j in enumerate(mu):
-        weights[j] *= mu_j
-    return weights
+def recover_primal(store: RowStore, alpha: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """w_j = -mu_j * sum_r alpha_r p_j^r, as one concatenated weight vector.
+
+    One weighted `bincount` over the stored entries, in row order, so each
+    weight gets the terms a row-by-row loop would subtract, in its order.
+    """
+    terms = alpha[store.row] * (store.counts / store.n)
+    # astype: with no stored entry `bincount` returns int64 zeros
+    flat = np.bincount(store.index, weights=-terms, minlength=store.dim).astype(np.float64)
+    for w, mu_j in zip(store.split(flat), mu, strict=True):
+        w *= mu_j
+    return flat
 
 
-def primal_objective(
-    weights: Sequence[np.ndarray], rows: Sequence[ConstraintRow], C: float
-) -> float:
+def primal_objective(weights: np.ndarray, store: RowStore, C: float) -> float:
     """1/2 (sum_j ||w_j||)^2 + C * max(0, max_r row_value)."""
-    reg = sum(float(np.linalg.norm(w)) for w in weights)
-    xi = max(0.0, working_set_value(rows, weights)) if rows else 0.0
-    return 0.5 * reg * reg + C * xi
+    reg = sum(float(np.linalg.norm(w)) for w in store.split(weights))
+    return 0.5 * reg * reg + C * max(0.0, working_set_value(store, weights))
 
 
 def rows_equal(a: ConstraintRow, b: ConstraintRow) -> bool:
-    return a.q == b.q and a.p == b.p
+    return (
+        a.q == b.q
+        and a.n == b.n
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.counts, b.counts)
+    )
 
 
-# workers inherit this via fork, so nothing heavyweight crosses a pipe
+# set in each worker by `_pool_init`; fork hands the task and instances over
+# without pickling them
 _POOL_STATE: tuple | None = None
 
 
-def _pool_decode(bounds: tuple[int, int]) -> list:
-    task, weights, instances, augmented = _POOL_STATE
-    lo, hi = bounds
+def _pool_init(task, instances: Sequence) -> None:
+    global _POOL_STATE
+    _POOL_STATE = (task, instances)
+
+
+def _pool_decode(job: tuple) -> list:
+    lo, hi, weights, augmented = job
+    task, instances = _POOL_STATE
     return task.decode_corpus(weights, instances[lo:hi], augmented)[0]
 
 
+class DecodePool:
+    """`jobs` fork workers that hold one task and corpus for repeated
+    decode passes; use it with `with` and pass it to `parallel_decode`
+    together with that same `instances` object."""
+
+    def __init__(self, task, instances: Sequence, jobs: int):
+        self.instances = instances
+        ctx = multiprocessing.get_context("fork")
+        self.pool = ctx.Pool(processes=jobs, initializer=_pool_init, initargs=(task, instances))
+
+    def __enter__(self) -> "DecodePool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.pool.terminate()
+
+
 def parallel_decode(
-    task, weights: Sequence[np.ndarray], instances: Sequence, jobs: int, augmented: bool
+    task,
+    weights: Sequence[np.ndarray],
+    instances: Sequence,
+    jobs: int,
+    augmented: bool,
+    pool=None,
 ) -> list:
     """Ordered decode of all instances, optionally across worker processes.
 
     With `jobs` > 1 each worker decodes one contiguous range of the
-    instances through the same corpus-level decode as one job.
+    instances through the same corpus-level decode as one job; only the
+    range, the weights and `augmented` cross the pipe.  `pool`, a
+    `DecodePool` over these same instances, is used when given; otherwise
+    one is started for this call.
     """
     n = len(instances)
     jobs = min(jobs, n)
     if jobs <= 1:
         return task.decode_corpus(weights, instances, augmented)[0]
-    global _POOL_STATE
-    ctx = multiprocessing.get_context("fork")
     bounds = [n * i // jobs for i in range(jobs + 1)]
-    _POOL_STATE = (task, weights, instances, augmented)
-    try:
-        with ctx.Pool(processes=jobs) as pool:
-            parts = pool.map(_pool_decode, zip(bounds[:-1], bounds[1:]), chunksize=1)
-    finally:
-        _POOL_STATE = None
+    work = [(lo, hi, weights, augmented) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if pool is None:
+        with DecodePool(task, instances, jobs) as own:
+            parts = own.pool.map(_pool_decode, work, chunksize=1)
+    elif pool.instances is not instances:
+        raise ValueError("the decode pool holds another corpus")
+    else:
+        parts = pool.pool.map(_pool_decode, work, chunksize=1)
     return [out for part in parts for out in part]
 
 
@@ -531,10 +677,19 @@ def train(
     - `group_dims`, `group_ids`: the weight-vector size and name per group;
     - `decode_corpus(weights, instances, augmented)`: the loss-augmented
       (or plain) argmax of every instance, as (outputs, scores);
-    - `corpus_feature_ids(instances, outputs)`: per group, an int64 array of
-      the weight ids the outputs fire over the corpus, one entry per firing,
-      so repeats count; the same for the gold outputs; and the summed task
-      loss (>= 0) of the outputs.
+    - `gold_output(instance)`: the gold output of one instance;
+    - `corpus_feature_ids(instances, outputs)`: one int64 array of the flat
+      weight ids the outputs fire over the corpus (group j's ids offset by
+      the sizes of the groups before it), one entry per firing, so repeats
+      count; and the summed task loss (>= 0) of the outputs against gold.
+
+    The gold outputs' ids are counted once per call; each iteration's row
+    is the exact integer count of the decoded ids minus those gold counts,
+    kept with every earlier row in one `RowStore`.  With `jobs` > 1 one fork
+    pool (`DecodePool`), started before the first iteration, decodes every
+    oracle pass.
+    Each `IterationRecord` carries the iteration's wall time and the time of
+    its decode, row, Gram, subproblem and recovery phases.
     """
     n = len(instances)
     if n == 0:
@@ -555,57 +710,61 @@ def train(
         for g in config.fixed_groups:
             pinned[ids.index(g)] = 1.0 / m
 
-    weights = [np.zeros(d) for d in dims]
-    rows: list[ConstraintRow] = []
-    grams = np.zeros((m, 0, 0))
-    qvec = np.zeros(0)
+    store = RowStore(dims, n)
+    gold = gold_counts(task, instances)
+    flat = np.zeros(store.dim)
+    weights = store.split(flat)
     mu = np.full(m, 1.0 / m)
     alpha = np.zeros(0)
     dual = 0.0
     trace: list[IterationRecord] = []
     halt = None
+    jobs = min(config.jobs, n)
+    clock = time.perf_counter
 
-    for iteration in range(1, config.max_iterations + 1):
-        outputs = parallel_decode(task, weights, instances, config.jobs, augmented=True)
-        row = build_constraint_row(task, instances, outputs)
-        r_emp = row_value(row, weights)
-        r_s = working_set_value(rows, weights)
-        gap = r_emp - r_s
+    with DecodePool(task, instances, jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        for iteration in range(1, config.max_iterations + 1):
+            start = clock()
+            outputs = parallel_decode(task, weights, instances, jobs, augmented=True, pool=pool)
+            decoded = clock()
+            row = build_constraint_row(task, instances, outputs, gold)
+            built = clock()
+            r_emp = row_value(row, flat)
+            r_s = working_set_value(store, flat)
+            gap = r_emp - r_s
+            gram_s = subproblem_s = recover_s = 0.0
 
-        if gap < config.epsilon:
-            halt = "converged"
-        elif any(rows_equal(row, seen) for seen in rows):
-            # exact duplicates imply gap <= 0, so this is a float-edge guard
-            halt = "stalled"
-        else:
-            rows.append(row)
-            size = len(rows)
-            grown = np.zeros((m, size, size))
-            grown[:, :-1, :-1] = grams
-            for j in range(m):
-                for r, other in enumerate(rows):
-                    dot = sparse_dot(row.p.groups[j], other.p.groups[j])
-                    grown[j, -1, r] = grown[j, r, -1] = dot
-            grams = grown
-            qvec = np.append(qvec, row.q)
-
-            solution = solve_subproblem(
-                grams, qvec, config.C, pinned=pinned, alpha0=np.append(alpha, 0.0)
-            )
-            alpha, mu, dual = solution.alpha, solution.mu, solution.dual_objective
-            weights = recover_primal(rows, alpha, mu, dims)
-            for w in weights:
-                if not np.all(np.isfinite(w)):
+            if gap < config.epsilon:
+                halt = "converged"
+            elif any(rows_equal(row, seen) for seen in store.rows):
+                # exact duplicates imply gap <= 0, so this is a float-edge guard
+                halt = "stalled"
+            else:
+                t0 = clock()
+                store.add(row)
+                t1 = clock()
+                solution = solve_subproblem(
+                    store.gram, store.q, config.C, pinned=pinned, alpha0=np.append(alpha, 0.0)
+                )
+                t2 = clock()
+                alpha, mu, dual = solution.alpha, solution.mu, solution.dual_objective
+                flat = recover_primal(store, alpha, mu)
+                t3 = clock()
+                gram_s, subproblem_s, recover_s = t1 - t0, t2 - t1, t3 - t2
+                if not np.all(np.isfinite(flat)):
                     raise RuntimeError("non-finite weights from primal recovery")
+                weights = store.split(flat)
 
-        record = IterationRecord(
-            iteration, r_emp, r_s, gap, dual,
-            primal_objective(weights, rows, config.C), len(rows), mu.copy(),
-        )
-        trace.append(record)
-        if log:
-            log(_format_record(record, ids))
-        if halt:
-            break
+            primal = primal_objective(flat, store, config.C)
+            record = IterationRecord(
+                iteration, r_emp, r_s, gap, dual, primal, len(store.rows), mu.copy(),
+                wall_s=clock() - start, decode_s=decoded - start, row_s=built - decoded,
+                gram_s=gram_s, subproblem_s=subproblem_s, recover_s=recover_s,
+            )
+            trace.append(record)
+            if log:
+                log(_format_record(record, ids))
+            if halt:
+                break
 
-    return TrainResult(weights, mu, alpha, rows, trace, halt or "max-iterations")
+    return TrainResult(weights, mu, alpha, store.rows, trace, halt or "max-iterations")

@@ -7,7 +7,10 @@ references loop over edges one at a time with the package's per-edge
 definition, `instantiate_edge`, the edge-score reference adds one group
 at a time with `np.add.at`, the constraint-row reference only reuses the
 package's containers, and the barrier reference only the solver's
-stopping constants.  The decoder references are the package's earlier
+stopping constants.  The row-store references are the trainer's earlier
+per-group loops over float rows, kept as they were: a tree's ids picked
+group by group with an edge mask, the Gram row by `sparse_dot`, and the
+primal recovery row by row.  The decoder references are the package's earlier
 decoders, kept as they were: a Viterbi DP over one sentence at a time, a
 span DP filled one cell at a time with a recursive backtrack, a maximum
 arborescence contracted with dicts and Python loops, and a single-root
@@ -19,14 +22,15 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from types import SimpleNamespace
 from functools import lru_cache
 
 import numpy as np
 
 from mklsp.corpus import find_cycle
 from mklsp.dependency import NEG, _masked, augment, instantiate_edge
-from mklsp.solver import _BARRIER_GAP, _NEWTON_BUDGET, ConstraintRow
-from mklsp.sparse import GroupedSparseVector, SparseVector
+from mklsp.solver import _BARRIER_GAP, _NEWTON_BUDGET
+from mklsp.sparse import GroupedSparseVector, SparseVector, sparse_dot
 
 
 def dense_emissions(feats, tables, k):
@@ -324,9 +328,43 @@ def reference_edge_scores(weights, inst):
     return S
 
 
+def reference_joint_feature_map(inst, heads):
+    """Group-local weight ids fired by a tree's edges, per group, one entry
+    per firing: the parser's earlier per-group edge mask."""
+    harr = np.asarray(heads, dtype=np.int64)
+    return [f[harr[v - 1] == u] for u, v, f in inst.group_edges]
+
+
+def reference_gram(rows):
+    """The (groups, rows, rows) Gram tensor of the rows' per-group float
+    parts, one `sparse_dot` per entry."""
+    m = len(rows[0].p.groups)
+    grams = np.zeros((m, len(rows), len(rows)))
+    for j in range(m):
+        for r, a in enumerate(rows):
+            for t, b in enumerate(rows):
+                grams[j, r, t] = sparse_dot(a.p.groups[j], b.p.groups[j])
+    return grams
+
+
+def reference_recover_primal(rows, alpha, mu, dims):
+    """w_j = -mu_j * sum_r alpha_r p_j^r, densely, row by row."""
+    weights = [np.zeros(d) for d in dims]
+    for a_r, row in zip(alpha, rows, strict=True):
+        if a_r == 0.0:
+            continue
+        for j, sv in enumerate(row.p.groups):
+            if sv.nnz:
+                weights[j][sv.indices] -= a_r * sv.values
+    for j, mu_j in enumerate(mu):
+        weights[j] *= mu_j
+    return weights
+
+
 def reference_constraint_row(task, instances, outputs):
     """The averaged constraint row by dict accumulation: per group, decoded
-    counts minus gold counts summed over sentences, divided by n."""
+    counts minus gold counts summed over sentences, divided by n, as `p`
+    (group-local sparse vectors) and the averaged loss `q`."""
     n = len(instances)
     acc = [defaultdict(float) for _ in task.group_dims]
     loss_total = 0.0
@@ -342,7 +380,7 @@ def reference_constraint_row(task, instances, outputs):
             for i, v in reference[j].items():
                 acc[j][i] -= v
     groups = [{i: v / n for i, v in d.items() if v != 0.0} for d in acc]
-    return ConstraintRow(grouped_vector(groups), loss_total / n)
+    return SimpleNamespace(p=grouped_vector(groups), q=loss_total / n)
 
 
 def reference_barrier_qcqp(

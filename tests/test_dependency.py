@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mklsp.corpus import DependencyInstance
@@ -38,6 +38,7 @@ from _oracles import (
     reference_cle_decode,
     reference_edge_scores,
     reference_eisner_decode,
+    reference_joint_feature_map,
     reference_single_root,
     tree_best,
     tree_tables,
@@ -422,14 +423,14 @@ def test_edge_scores_are_linear_in_tree_features():
     task, corpus = toy_parse_task()
     rng = np.random.default_rng(25)
     weights = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
+    flat = np.concatenate(weights)
     inst = task.compile(corpus[0])
-    S = task.edge_scores(weights, inst)
+    S = task.edge_scores(flat, inst)
     trees, _ = tree_tables(inst.n)
     for heads in trees[:12]:
         heads = heads.tolist()
         from_edges = S[heads, np.arange(1, inst.n + 1)].sum()
-        ids = task.joint_feature_map(inst, heads)
-        from_phi = sum(w[f].sum() for w, f in zip(weights, ids))
+        from_phi = flat[task.tree_ids(inst, heads)].sum()
         assert from_phi == pytest.approx(float(from_edges), abs=1e-9)
 
 
@@ -444,7 +445,7 @@ def test_edge_scores_match_reference():
         weights = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
         for inst in [*corpus, one_token, unseen]:
             compiled = task.compile(inst)
-            got = task.edge_scores(weights, compiled)
+            got = task.edge_scores(np.concatenate(weights), compiled)
             want = reference_edge_scores(weights, compiled)
             assert got.shape == want.shape == (compiled.n + 1,) * 2
             assert got.tobytes() == want.tobytes()
@@ -452,11 +453,69 @@ def test_edge_scores_match_reference():
         assert any(f.size == 0 for _, _, f in task.compile(unseen).group_edges)
 
 
+def tree_corpus():
+    """Per decoder, a frozen task and its compiled sentences, each with its
+    raw instance and the per-group (u, v, id) reference layout: a corpus
+    with gold trees, then a one-token sentence and one with a tag the
+    alphabets never saw (both without gold)."""
+    corpus = load_dependency(dependency_text(6, seed=9))
+    specs = parse_edge_templates(default_edge_templates())
+    extra = [
+        DependencyInstance([("n1", "n1", "N", "N")], None),
+        DependencyInstance([("martian", "martian", "Q", "QQ"), ("n2", "n2", "N", "N")], None),
+    ]
+    out = {}
+    for decoder in ("projective", "nonprojective"):
+        task = DependencyTask.build(specs, corpus, decoder=decoder)
+        alphabets = [a.strings() for a in task.extractor.alphabets]
+        out[decoder] = task, [
+            (inst, task.compile(inst), compile_edges(specs, alphabets, inst.tokens))
+            for inst in [*corpus, *extra]
+        ]
+    return out
+
+
+TREE_CORPUS = tree_corpus()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(TREE_CORPUS)), st.data())
+def test_tree_ids_match_per_group_mask(decoder, data):
+    task, compiled = TREE_CORPUS[decoder]
+    offsets = np.cumsum([0, *task.group_dims])
+    for raw, inst, layout in compiled:
+        # one copy per firing; the per-group view derived from it is the
+        # (u, v, id) triples of every candidate edge in order
+        assert inst.cells.shape == inst.ids.shape == (inst.bounds[-1],)
+        for got, want in zip(inst.group_edges, layout, strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+
+        # any head vector in range, trees or not: the mask reads cells
+        heads = data.draw(st.lists(st.integers(0, inst.n), min_size=inst.n, max_size=inst.n))
+        ids = task.tree_ids(inst, heads)
+        want = np.concatenate(
+            [f + off for f, off in zip(reference_joint_feature_map(inst, heads), offsets)]
+        )
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, want)  # the same firings in the same order
+        if raw.heads is not None:
+            got, loss = task.corpus_feature_ids([inst], [heads])
+            assert np.array_equal(got, ids)
+            assert loss == parent_loss(raw.heads, heads)
+    assert compiled[-2][1].n == 1
+    assert any(f.size == 0 for _, _, f in compiled[-1][1].group_edges)  # unseen tag
+
+
 def test_feature_map_rejects_wrong_length():
     task, corpus = toy_parse_task()
     inst = task.compile(corpus[0])
     with pytest.raises(ValueError, match="size"):
-        task.joint_feature_map(inst, [0])
+        task.tree_ids(inst, [0])
+    for heads in ([0, 1, 4], [0, -1, 1]):
+        with pytest.raises(ValueError, match="range"):
+            task.tree_ids(inst, heads)
 
 
 def test_most_violated_matches_enumeration():
@@ -468,7 +527,7 @@ def test_most_violated_matches_enumeration():
         outputs, values = task.decode_corpus(weights, compiled, augmented=True)
         assert len(outputs) == len(values) == len(compiled)
         for inst, heads, value in zip(compiled, outputs, values):
-            S = task.edge_scores(weights, inst)
+            S = task.edge_scores(np.concatenate(weights), inst)
             _, want = tree_best(S, decoder == "projective", augment_gold=inst.gold.tolist())
             assert value == pytest.approx(want, abs=1e-9)
             assert valid_arborescence(heads)
@@ -492,8 +551,12 @@ def test_gold_protocol_and_errors():
     task, corpus = toy_parse_task()
     inst = task.compile(corpus[0])
     assert task.gold_output(inst) == [2, 3, 0]
-    gold_ids = task.joint_feature_map(inst, task.gold_output(inst))
-    assert [Counter(ids.tolist()) for ids in gold_ids] == feature_counts(task, inst, [2, 3, 0])
+    gold_ids = task.tree_ids(inst, task.gold_output(inst))
+    offsets = np.cumsum([0, *task.group_dims])
+    want = feature_counts(task, inst, [2, 3, 0])
+    assert Counter(gold_ids.tolist()) == {
+        int(off) + f: c for off, counts in zip(offsets, want) for f, c in counts.items()
+    }
     bare = task.compile(DependencyInstance(corpus[0].tokens, None))
     with pytest.raises(ValueError, match="gold"):
         task.gold_output(bare)

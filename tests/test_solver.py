@@ -8,11 +8,15 @@ from hypothesis import given, settings, strategies as st
 from mklsp import solver
 from mklsp.corpus import LabelTable, SequenceInstance
 from mklsp.dependency import DependencyTask, default_edge_templates, parse_edge_templates
+from mklsp.model import Model
 from mklsp.sequence import SequenceTask
 from mklsp.solver import (
     ConstraintRow,
+    RowStore,
     SolverConfig,
+    DecodePool,
     build_constraint_row,
+    gold_counts,
     parallel_decode,
     primal_objective,
     project_capped_simplex,
@@ -35,10 +39,11 @@ from mklsp.templates import parse_templates
 
 from _oracles import (
     active_set_qp,
-    grouped_vector,
     qcqp_oracle,
     reference_barrier_qcqp,
     reference_constraint_row,
+    reference_gram,
+    reference_recover_primal,
 )
 
 
@@ -273,28 +278,40 @@ def toy_task():
     return task, [task.compile(inst) for inst in corpus]
 
 
+def row_of(task, insts, outputs):
+    return build_constraint_row(task, insts, outputs, gold_counts(task, insts))
+
+
+def store_of(task, rows):
+    store = RowStore(task.group_dims, rows[0].n if rows else 1)
+    for row in rows:
+        store.add(row)
+    return store
+
+
 def test_constraint_row_of_gold_outputs_is_zero():
     task, insts = toy_task()
-    row = build_constraint_row(task, insts, [[0, 1], [1, 0]])
+    row = row_of(task, insts, [[0, 1], [1, 0]])
     assert row.q == 0.0
     assert all(g.nnz == 0 for g in row.p.groups)
-    assert row_value(row, [np.zeros(d) for d in task.group_dims]) == 0.0
+    assert row_value(row, np.zeros(sum(task.group_dims))) == 0.0
 
 
 def test_constraint_row_averages_losses():
     task, insts = toy_task()
-    row = build_constraint_row(task, insts[:1], [[1, 1]])
+    row = row_of(task, insts[:1], [[1, 1]])
     assert row.q == 1.0  # one flipped position in one sentence
-    row = build_constraint_row(task, insts, [[1, 0], [0, 1]])
+    row = row_of(task, insts, [[1, 0], [0, 1]])
     assert row.q == 2.0  # both sentences fully wrong: (2 + 2) / 2
-    row = build_constraint_row(task, insts, [[0, 1], [0, 0]])
+    row = row_of(task, insts, [[0, 1], [0, 0]])
     assert row.q == 0.5  # losses 0 and 1 averaged
 
 
 def test_constraint_row_feature_part_is_average_gap():
     task, insts = toy_task()
     out = [[1, 1], [1, 0]]
-    row = build_constraint_row(task, insts, out)
+    row = row_of(task, insts, out)
+    assert row.counts.dtype == np.int64
     rng = np.random.default_rng(36)
     w = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
     manual = 0.0
@@ -304,6 +321,7 @@ def test_constraint_row_feature_part_is_average_gap():
         gold = sum(wj[ids].sum() for wj, ids in zip(w, gold_ids))
         manual += (decoded - gold) / len(insts)
     assert row.p.dot_dense(w) == pytest.approx(manual, abs=1e-12)
+    assert row_value(row, np.concatenate(w)) - row.q == pytest.approx(manual, abs=1e-12)
 
 
 def row_task(kind):
@@ -342,7 +360,7 @@ def test_constraint_row_matches_dict_reference(kind, seed, scale, augmented):
     rng = np.random.default_rng(seed)
     w = [rng.uniform(-scale, scale, size=d) for d in task.group_dims]
     outputs = parallel_decode(task, w, insts, jobs=1, augmented=augmented)
-    row = build_constraint_row(task, insts, outputs)
+    row = row_of(task, insts, outputs)
     want = reference_constraint_row(task, insts, outputs)
     assert row.q == want.q
     assert len(row.p.groups) == len(want.p.groups) == len(task.group_ids)
@@ -365,50 +383,56 @@ def test_constraint_row_matches_reference_on_any_outputs():
                 outputs = [rng.integers(0, inst.n + 1, size=inst.n).tolist() for inst in insts]
             else:
                 outputs = [rng.integers(0, task.k, size=inst.length).tolist() for inst in insts]
-            row = build_constraint_row(task, insts, outputs)
+            row = row_of(task, insts, outputs)
             want = reference_constraint_row(task, insts, outputs)
             assert row.q == want.q
             for got, ref in zip(row.p.groups, want.p.groups, strict=True):
                 assert np.array_equal(got.indices, ref.indices)
                 assert np.array_equal(got.values, ref.values)
+        gold = gold_counts(task, insts)
         with pytest.raises(ValueError):
-            build_constraint_row(task, insts, outputs[:-1])
+            build_constraint_row(task, insts, outputs[:-1], gold)
         with pytest.raises(ValueError, match="length|size"):
-            build_constraint_row(task, insts, [out + [0] for out in outputs])
+            build_constraint_row(task, insts, [out + [0] for out in outputs], gold)
 
 
 def test_rows_equal_is_exact():
     task, insts = toy_task()
-    a = build_constraint_row(task, insts, [[1, 1], [1, 0]])
-    b = build_constraint_row(task, insts, [[1, 1], [1, 0]])
-    c = build_constraint_row(task, insts, [[1, 1], [0, 0]])
+    a = row_of(task, insts, [[1, 1], [1, 0]])
+    b = row_of(task, insts, [[1, 1], [1, 0]])
+    c = row_of(task, insts, [[1, 1], [0, 0]])
     assert rows_equal(a, b)
     assert not rows_equal(a, c)
 
 
 def test_working_set_value_empty_is_zero():
-    assert working_set_value([], [np.zeros(3)]) == 0.0
+    assert working_set_value(RowStore([3], 1), np.zeros(3)) == 0.0
 
 
 # ---------------------------------------------------------------- primal
 
 
 def test_recover_primal_shapes_and_scaling():
-    p1 = grouped_vector([{0: 1.0, 2: -2.0}, {1: 3.0}])
-    p2 = grouped_vector([{0: -1.0}, {}])
-    rows = [ConstraintRow(p1, 1.0), ConstraintRow(p2, 0.5)]
-    dims = [3, 2]
+    # p1 = ({0: 1, 2: -2}, {1: 3}), p2 = ({0: -1}, {}) over dims (3, 2), n = 1
+    offsets = np.array([0, 3, 5])
+    rows = [
+        ConstraintRow(np.array([0, 2, 4]), np.array([1, -2, 3]), 1, 1.0, offsets),
+        ConstraintRow(np.array([0]), np.array([-1]), 1, 0.5, offsets),
+    ]
+    store = RowStore([3, 2], 1)
+    for row in rows:
+        store.add(row)
 
-    w = recover_primal(rows, np.zeros(2), np.array([0.5, 0.5]), dims)
+    w = store.split(recover_primal(store, np.zeros(2), np.array([0.5, 0.5])))
     assert all(np.all(wj == 0) for wj in w)
 
     alpha = np.array([2.0, 1.0])
-    w = recover_primal(rows, alpha, np.array([0.0, 1.0]), dims)
+    w = store.split(recover_primal(store, alpha, np.array([0.0, 1.0])))
     assert np.all(w[0] == 0)  # mu zero silences the group
     assert np.allclose(w[1], [0.0, -6.0])
 
     mu = np.array([0.25, 0.75])
-    w = recover_primal(rows, alpha, mu, dims)
+    w = store.split(recover_primal(store, alpha, mu))
     # ||w_j|| = mu_j * ||sum_r alpha_r p_j^r||
     stack = np.array([2.0 * 1.0 + 1.0 * -1.0, 0.0, 2.0 * -2.0])
     assert np.allclose(w[0], -0.25 * stack)
@@ -416,11 +440,63 @@ def test_recover_primal_shapes_and_scaling():
 
 def test_primal_objective_formula():
     task, insts = toy_task()
-    rows = [build_constraint_row(task, insts, [[1, 1], [1, 0]])]
-    w = [np.full(d, 0.1) for d in task.group_dims]
-    reg = sum(np.linalg.norm(wj) for wj in w)
-    want = 0.5 * reg**2 + 2.0 * max(0.0, row_value(rows[0], w))
-    assert primal_objective(w, rows, 2.0) == pytest.approx(want, abs=1e-12)
+    store = store_of(task, [row_of(task, insts, [[1, 1], [1, 0]])])
+    w = np.full(sum(task.group_dims), 0.1)
+    reg = sum(np.linalg.norm(wj) for wj in store.split(w))
+    want = 0.5 * reg**2 + 2.0 * max(0.0, row_value(store.rows[0], w))
+    assert primal_objective(w, store, 2.0) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=19),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_row_store_matches_per_group_references(dims, n, s, seed):
+    # 19 rows outgrow the Gram buffer twice; density 0 and a silenced group
+    # give empty rows and empty groups, scale 10**6 products near 10**12
+    rng = np.random.default_rng(seed)
+    m, dim = len(dims), sum(dims)
+    offsets = np.cumsum([0, *dims])
+    store = RowStore(dims, n)
+    dense = np.zeros((s, dim), dtype=np.int64)
+    for r in range(s):
+        scale = int(rng.choice([3, 10**6]))
+        dense[r] = rng.integers(-scale, scale + 1, size=dim) * (rng.random(dim) < rng.choice([0.0, 0.3, 1.0]))
+        if rng.random() < 0.5:
+            j = int(rng.integers(m))
+            dense[r, offsets[j] : offsets[j + 1]] = 0
+        idx = np.flatnonzero(dense[r])
+        store.add(ConstraintRow(idx, dense[r, idx], n, float(rng.uniform(0.0, 2.0)), offsets))
+    rows = store.rows
+
+    def gram(x):
+        return np.stack([x[:, lo:hi] @ x[:, lo:hi].T for lo, hi in zip(offsets[:-1], offsets[1:])])
+
+    exact = gram(dense)
+    assert store.gram.shape == (m, s, s)
+    assert np.array_equal(store.gram, exact / (n * n))  # the integer dot, divided once
+    assert np.array_equal(np.rint(store.gram * (n * n)).astype(np.int64), exact)
+    # the float dots of counts / n round each product and partial sum
+    bound = 1e-12 * gram(np.abs(dense)) / (n * n)
+    assert np.all(np.abs(store.gram - reference_gram(rows)) <= bound)
+
+    alpha = rng.uniform(0.0, 1.0, size=s) * (rng.random(s) < 0.7)
+    mu = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.8)
+    got = store.split(recover_primal(store, alpha, mu))
+    for g, w in zip(got, reference_recover_primal(rows, alpha, mu, dims), strict=True):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    w = rng.normal(size=dim)
+    values = store.values(w)
+    for r, row in enumerate(rows):
+        want = row.q + row.p.dot_dense(store.split(w))
+        bound = 1e-12 * (abs(row.q) + float(np.abs(w) @ np.abs(dense[r])) / n)
+        assert abs(values[r] - want) <= bound
+        assert abs(row_value(row, w) - want) <= bound
+    assert working_set_value(store, w) == values.max()
 
 
 # ---------------------------------------------------------------- gap
@@ -429,8 +505,9 @@ def test_primal_objective_formula():
 def empirical_and_working_set_risk(task, weights, instances, rows):
     """(R_emp, R_s) at `weights`: one oracle pass + the working-set max."""
     outputs = parallel_decode(task, weights, instances, jobs=1, augmented=True)
-    row = build_constraint_row(task, instances, outputs)
-    return row_value(row, weights), working_set_value(rows, weights)
+    row = row_of(task, instances, outputs)
+    flat = np.concatenate(weights)
+    return row_value(row, flat), working_set_value(store_of(task, rows), flat)
 
 
 def test_compute_gap_at_zero_weights_is_average_max_loss():
@@ -445,7 +522,7 @@ def test_compute_gap_closes_after_adding_the_row():
     task, insts = toy_task()
     w = [np.zeros(d) for d in task.group_dims]
     outputs = parallel_decode(task, w, insts, jobs=1, augmented=True)
-    row = build_constraint_row(task, insts, outputs)
+    row = row_of(task, insts, outputs)
     r_emp, r_s = empirical_and_working_set_risk(task, w, insts, [row])
     assert r_emp == pytest.approx(r_s)
 
@@ -597,6 +674,35 @@ def test_barrier_ends_on_the_central_path(monkeypatch):
     assert max(offsets) <= 1e-5
 
 
+def test_train_records_phase_times_outside_the_model(tmp_path):
+    instances = load_dependency(dependency_text(10, seed=23))
+    text = default_edge_templates()
+    task = DependencyTask.build(parse_edge_templates(text), instances, decoder="nonprojective")
+    compiled = [task.compile(i) for i in instances]
+    cfg = SolverConfig(C=1.0, epsilon=1e-2)
+    phases = ("decode_s", "row_s", "gram_s", "subproblem_s", "recover_s")
+    payloads, logs = [], []
+    for read_times in (True, False):
+        lines = []
+        out = train(task, compiled, cfg, log=lines.append)
+        assert out.halt_reason == "converged" and out.n_iterations > 2
+        if read_times:
+            for rec in out.trace:
+                times = [getattr(rec, name) for name in phases]
+                assert min(times) >= 0.0
+                assert sum(times) <= rec.wall_s
+            assert all(rec.subproblem_s > 0.0 for rec in out.trace[:-1])
+            last = out.trace[-1]  # converged: no row added, nothing solved
+            assert last.gram_s == last.subproblem_s == last.recover_s == 0.0
+        path = tmp_path / f"{read_times}.mkl"
+        checksum = Model.from_dependency(task, text, out.mu, out.weights).save(str(path))
+        # the header before the blank line carries the creation time
+        payloads.append((checksum, path.read_bytes().split(b"\n\n", 1)[1]))
+        logs.append(lines)
+    assert payloads[0] == payloads[1]
+    assert logs[0] == logs[1]  # the formatted lines carry no time
+
+
 def test_train_rejects_empty_corpus():
     task, _ = toy_task()
     with pytest.raises(ValueError, match="empty"):
@@ -615,3 +721,12 @@ def test_parallel_decode_matches_serial():
             # more jobs than sentences
             few = parallel_decode(task, w, compiled[:2], jobs=3, augmented=augmented)
             assert few == serial[:2]
+        # one pool for several passes, as `train` uses it; only the weights change
+        with DecodePool(task, compiled, 3) as pool:
+            for scale in (0.5, 2.0):
+                v = [scale * wj for wj in w]
+                for augmented in (True, False):
+                    pooled = parallel_decode(task, v, compiled, 3, augmented, pool=pool)
+                    assert pooled == task.decode_corpus(v, compiled, augmented)[0]
+            with pytest.raises(ValueError, match="another corpus"):
+                parallel_decode(task, w, list(compiled), 3, True, pool=pool)
