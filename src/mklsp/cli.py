@@ -77,10 +77,6 @@ def _open_text(path: str) -> str:
         return fh.read()
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_common_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--task", choices=("seq", "dep"), default=_env("task", str, None))
     sub.add_argument("--templates", default=_env("templates", str, None))
@@ -91,7 +87,7 @@ def _add_common_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iter", type=int, default=_env("max-iter", int, 500))
     sub.add_argument("--uniform", action="store_true", default=_env_flag("uniform"))
     sub.add_argument("--c-times-n", action="store_true", default=_env_flag("c-times-n"))
-    sub.add_argument("--jobs", type=int, default=_env("jobs", int, _default_jobs()))
+    sub.add_argument("--jobs", type=int, default=_env("jobs", int, 1))
     sub.add_argument(
         "--decoder",
         choices=("projective", "nonprojective"),
@@ -116,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--model", "-m", required=True)
     p_pred.add_argument("--data", required=True)
     p_pred.add_argument("-o", "--output", default=None)
-    p_pred.add_argument("--jobs", type=int, default=_env("jobs", int, _default_jobs()))
+    p_pred.add_argument("--jobs", type=int, default=_env("jobs", int, 1))
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = subs.add_parser("eval", help="score predictions against gold annotation")

@@ -16,20 +16,24 @@ mass M.  The subproblem is solved in its epigraph form
     min  -q.alpha + 1/2 alpha' Qpin alpha + (M/2) t
     s.t. alpha' Q^j alpha <= t  for every free group j,  alpha in A,
 
-by log-barrier path following: centering by damped Newton steps, barrier
-weight raised tenfold per stage.  The objective is a convex quadratic and
-the barrier terms are -log of linear and of concave quadratic slacks, so
-the barrier is self-concordant; the damped step 1/(1 + lambda), lambda
-the Newton decrement, then stays inside the domain and needs no line
-search.  The Gram matrices are one (groups, rows, rows) tensor, and each
-Newton system is assembled from its product with alpha rather than group
-by group.  Free mu_j are twice the multipliers of the group constraints,
-rescaled to sum to M.  An exact QP in alpha at that mu
-(projected gradient, then an exact solve on the active face) replaces the
-barrier's alpha when it gives the higher dual value; with no free group
-that QP is the whole solve.  Group weights recover as
+by one infeasible-start primal-dual interior-point solve (Mehrotra's
+predictor-corrector; see `_primal_dual`): every inequality has an explicit
+slack and a multiplier, so a call starts at the previous solution's scale,
+and it stops on relative residuals and the relative surrogate gap, about
+ten Newton systems later.  The Gram matrices are one (groups, rows, rows)
+tensor, and each Newton system is assembled from its product with alpha
+rather than group by group.  Free mu_j are twice the multipliers of the
+group constraints, rescaled to sum to M; with no free group the same
+solve is the QP in alpha.  Group weights recover as
 w_j = -mu_j * sum_r alpha_r p_j^r.  Training stops when the decoded
 violation R_emp exceeds the working-set value R_s by less than epsilon.
+
+Every iteration's record is certified: its relative primal-dual gap
+|primal - dual| / max(1, |primal|) must be at most 1e-6, or `train` raises
+RuntimeError.  The last bits of alpha and mu depend on the solver's
+arithmetic, and where groups tie exactly (identical Gram blocks) they can
+flip a tied decode, so another solver may take another path to an equally
+good model.
 
 A row p^r is kept as exact integer counts over one flat feature space
 (group j's ids offset by the sizes of the groups before it): decoded minus
@@ -55,9 +59,14 @@ import numpy as np
 # the name perfbench/tracing.py wraps
 from .sparse import GroupedSparseVector, SparseVector, sparse_dot  # noqa: F401
 
-_QP_MAX_ITER = 50_000
-_BARRIER_GAP = 1e-8  # duality gap bound n_con / tbar at which the barrier stops
-_NEWTON_BUDGET = 12_000  # Newton steps over all barrier stages
+_TOL = 1e-12  # relative residuals and surrogate gap at which a subproblem solve stops
+_MAX_NEWTON = 50  # Newton systems per solve before it gives up
+_TO_BOUNDARY = 0.995  # share of the step to the nearest bound that a step takes
+_WARM_SHIFT = 0.1  # a warm start adds this share of the mean alpha to every row;
+# every start keeps the sum row's slack at least this share of C
+_MU_FLOOR = 0.1  # lowest centring target, as a share of the stopping gap
+_STALLS = 3  # steps without a better point that end a solve on its rounding floor
+_CERTIFIED_GAP = 1e-6  # largest relative primal-dual gap `train` accepts on a record
 
 
 @dataclass
@@ -178,10 +187,34 @@ class RowStore:
 
 
 @dataclass
+class SolveDiagnostics:
+    """What one primal-dual subproblem solve did.
+
+    `newton_systems` counts the Newton systems assembled (each is solved
+    twice, for the predictor and the corrector); `surrogate_gap`,
+    `primal_residual` and `dual_residual` are the relative measures of the
+    point returned; `min_step` is the shortest step taken; `fallbacks`
+    names, in order, the branches taken when the solve could not go on
+    normally: "lstsq" (a singular system solved by least squares), "floor"
+    (with the gap at tolerance, three steps found no better point: the
+    residuals' rounding floor), "max-newton" (the Newton budget ran out)
+    and "non-finite" (a system or step that is not finite ended the solve).
+    """
+
+    newton_systems: int = 0
+    surrogate_gap: float = math.inf
+    primal_residual: float = math.inf
+    dual_residual: float = math.inf
+    min_step: float = 1.0
+    fallbacks: list[str] = field(default_factory=list)
+
+
+@dataclass
 class SubproblemSolution:
     alpha: np.ndarray
     mu: np.ndarray
     dual_objective: float
+    diagnostics: SolveDiagnostics
 
 
 @dataclass
@@ -203,6 +236,11 @@ class IterationRecord:
     gram_s: float
     subproblem_s: float
     recover_s: float
+    # |primal - dual| / max(1, |primal|), at most _CERTIFIED_GAP on every
+    # record `train` returns, and the diagnostics of the iteration's
+    # subproblem solve (None on the last iteration, which solves none)
+    relative_gap: float
+    subproblem: SolveDiagnostics | None
 
 
 @dataclass
@@ -223,110 +261,6 @@ class TrainResult:
         return self.trace[-1].gap if self.trace else float("nan")
 
 
-def project_capped_simplex(x: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {a >= 0, sum(a) <= cap}."""
-    clipped = np.maximum(x, 0.0)
-    if clipped.sum() <= cap:
-        return clipped
-    # project onto the face {a >= 0, sum(a) = cap}
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - cap
-    rho = np.nonzero(u * np.arange(1, x.size + 1) > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(x - tau, 0.0)
-
-
-def solve_qp(
-    q: np.ndarray, H: np.ndarray, cap: float, tol: float = 1e-8, x0: np.ndarray | None = None
-) -> np.ndarray:
-    """Maximize q.a - 1/2 a'Ha over {a >= 0, sum(a) <= cap}.
-
-    Accelerated projected gradient with adaptive restart, then an exact
-    refinement on the identified active face.
-    """
-    s = q.size
-    if s == 0:
-        return np.zeros(0)
-    lipschitz = float(np.linalg.eigvalsh(H).max()) if s > 1 else float(max(H[0, 0], 0.0))
-    if lipschitz <= 1e-300:
-        alpha = np.zeros(s)
-        j = int(np.argmax(q))
-        if q[j] > 0:
-            alpha[j] = cap
-        return alpha
-
-    x = project_capped_simplex(x0.copy() if x0 is not None else np.zeros(s), cap)
-    y = x.copy()
-    t = 1.0
-    for _ in range(_QP_MAX_ITER):
-        x_new = project_capped_simplex(y + (q - H @ y) / lipschitz, cap)
-        if float((y - x_new) @ (x_new - x)) > 0.0:
-            y = x_new.copy()  # momentum restart
-            t = 1.0
-        else:
-            t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-            t = t_new
-        moved = float(np.linalg.norm(x_new - x))
-        x = x_new
-        residual = x - project_capped_simplex(x + (q - H @ x) / lipschitz, cap)
-        if float(np.linalg.norm(residual)) <= tol and moved <= tol:
-            break
-    return _polish_qp(q, H, cap, x)
-
-
-def _qp_value(q: np.ndarray, H: np.ndarray, a: np.ndarray) -> float:
-    return float(q @ a - 0.5 * a @ H @ a)
-
-
-def _polish_qp(q: np.ndarray, H: np.ndarray, cap: float, x: np.ndarray) -> np.ndarray:
-    """Re-solve exactly on the active face found by the iterative method."""
-    best = np.maximum(x, 0.0)
-    if best.sum() > cap:
-        best *= cap / best.sum()
-    free = np.nonzero(best > 1e-10 * max(1.0, cap))[0]
-    if free.size == 0:
-        return best
-    Hff = H[np.ix_(free, free)]
-    qf = q[free]
-    candidates = []
-    try:
-        sol = np.linalg.lstsq(Hff, qf, rcond=None)[0]
-        candidates.append((sol, False))
-    except np.linalg.LinAlgError:
-        pass
-    k = free.size
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = Hff
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([qf, [cap]])
-    try:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        candidates.append((sol, True))
-    except np.linalg.LinAlgError:
-        pass
-    value = _qp_value(q, H, best)
-    for sol, binding in candidates:
-        if not np.all(np.isfinite(sol)) or sol.min() < -1e-9:
-            continue
-        total = sol.sum()
-        if binding:
-            if total <= 0:
-                continue
-            sol = sol * (cap / total) if total > cap else sol
-        elif total > cap * (1 + 1e-9):
-            continue
-        cand = np.zeros_like(x)
-        cand[free] = np.maximum(sol, 0.0)
-        if cand.sum() > cap:
-            cand *= cap / cand.sum()
-        cand_value = _qp_value(q, H, cand)
-        if cand_value > value:
-            best, value = cand, cand_value
-    return best
-
-
 def _dual_value(
     grams: np.ndarray,
     q: np.ndarray,
@@ -343,105 +277,203 @@ def _dual_value(
     return float(q @ alpha) - 0.5 * quad
 
 
-def _barrier_qcqp(
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest a with v + a dv >= 0 (inf when no entry of dv is negative)."""
+    neg = dv < 0
+    return float((v[neg] / -dv[neg]).min()) if neg.any() else math.inf
+
+
+def _primal_dual(
     G: np.ndarray,
     Qpin: np.ndarray,
     q: np.ndarray,
     C: float,
     free_mass: float,
     alpha0: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log-barrier path following for the epigraph form of the subproblem.
+    tol: float = _TOL,
+) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
+    """Primal-dual interior-point solve of the epigraph form of the subproblem.
 
-    Minimizes -q.a + 1/2 a'Qpin a + (free_mass/2) t subject to
-    a'Q_j a <= t (one constraint per free group), a >= 0, sum(a) <= C.
-    Returns the final alpha and the free-group multiplier estimates.
-    G holds the free Gram matrices as one (mf, s, s) tensor, so each Newton
-    system comes from the single product G @ alpha and every group's
-    quadratic form from (G @ a) @ a.
+    Minimizes -q.a + 1/2 a'Qpin a + (free_mass/2) t subject to a >= 0,
+    sum(a) <= C and t - a'Q_j a >= 0 for every free group j, the Q_j stacked
+    in the (mf, s, s) tensor G.  With mf = 0 there is no t: it is the QP
+    max q.a - 1/2 a'Qpin a over {a >= 0, sum(a) <= C}.  Returns alpha, the
+    multipliers of the group rows and the diagnostics.
 
-    Each centering step has length 1/(1 + lambda), lambda = sqrt(grad'K^-1
-    grad) the Newton decrement.  For a self-concordant barrier (this one
-    is: a convex quadratic plus -log of linear and concave quadratic
-    slacks) that damped step stays in the Dikin ellipsoid, so inside the
-    domain, and lowers the barrier by at least lambda - log(1 + lambda);
-    near the center it tends to the full step and converges quadratically
-    (Nesterov & Nemirovski 1994; Boyd & Vandenberghe 2004, 9.6).  No line
-    search is needed.  Halving remains only as a strict-feasibility
-    safeguard against rounding and against the gradient step taken when
-    the system is singular; when 80 halvings fail, the stage ends.
+    The positive variables x = (a, w_s, w_g) are alpha and explicit slacks
+    of the sum and group rows, whose primal residuals are
+    r_s = C - sum(a) - w_s and r_g = t - a'Q_j a - w_g; z = (z_a, z_s, z_g)
+    are their multipliers.  A start needs only x > 0 and z > 0, so it takes
+    the scale of the warm start `alpha0` whatever C is.  With w, z_a and z_s
+    eliminated, each step solves one symmetric system in (da, dt, dz_g):
+
+        [ H + diag(z_a/a) + (z_s/w_s) 11'    0    2 Qa'           ]
+        [ 0                                  0   -1'              ]
+        [ 2 Qa                              -1   -diag(w_g / z_g) ]
+
+    with H = Qpin + 2 sum_j z_j Q_j and Qa = G @ a.  The group multipliers
+    stay in the system: eliminating them too would add
+    4 Qa' diag(z_g/w_g) Qa, whose huge entries on tied groups cancel against
+    the t border and leave a dual residual of 1e-9 to 1e-8.  The system is
+    solved once for Mehrotra's predictor (the affine direction) and once for
+    the corrector, centred at sigma mu with sigma = (mu_aff / mu)^3 and
+    carrying the predictor's second-order term (Mehrotra 1992; Boyd &
+    Vandenberghe 2004, 11.7); the centring target never drops below a tenth
+    of the stopping gap, so complementarity does not collapse ahead of the
+    residuals.  One step length, 0.995 of the way to the nearest bound of x
+    or z, moves every variable.
+
+    The solve stops when the surrogate gap x.z and the dual residual, in
+    units of max(1, |objective|), and every primal row relative to the size
+    of its own terms are at most `tol`.  The dual residual counts
+    C * max|r_a|: the most it can move the objective over
+    {a >= 0, sum(a) <= C}, and what the trainer's primal value sees.  Once
+    the gap is there, three steps without a better point end the solve on
+    the rounding floor ("floor"); the best point seen is returned.  A
+    singular system is solved by least squares; a non-finite one ends the
+    solve.
+    """
+    s, mf = q.size, len(G)
+    n = s + 1 + mf  # complementarity pairs
+    half_mass = free_mass / 2.0
+    info = SolveDiagnostics()
+
+    if alpha0 is not None and alpha0.size == s and alpha0.sum() > 0:
+        alpha = np.maximum(alpha0, 0.0)
+        alpha += _WARM_SHIFT * alpha.sum() / s
+    else:
+        alpha = np.full(s, C / (2.0 * s))
+    gam = (G @ alpha) @ alpha
+    t = float(gam.max()) if mf else 0.0
+    # every pair starts at one complementarity product mu0, the size of the
+    # objective's terms per pair; the group multipliers split M/2 evenly
+    mu0 = (abs(float(q @ alpha)) + float(alpha @ Qpin @ alpha) + free_mass * t) / n or 1.0
+    z_g = np.full(mf, half_mass / max(mf, 1))
+    x = np.concatenate(
+        [alpha, [max(C - alpha.sum(), _WARM_SHIFT * C)], np.maximum(t - gam, mu0 / z_g)]
+    )
+    z = mu0 / x
+    z[s + 1 :] = z_g
+
+    best = None  # (score, x, z, measures) of the best point seen
+    stalls = 0
+    while True:
+        alpha, z_a, z_s, z_g = x[:s], z[:s], z[s], z[s + 1 :]
+        Qa = G @ alpha
+        gam = Qa @ alpha
+        Pa = Qpin @ alpha
+        r_a = Pa - q - z_a + z_s + 2.0 * (z_g @ Qa)  # stationarity in alpha
+        r_t = half_mass - z_g.sum()  # stationarity in t
+        r_p = np.append(C - alpha.sum(), t - gam) - x[s:]  # (r_s, r_g)
+        comp = float(x @ z)
+
+        scale = max(1.0, abs(-float(q @ alpha) + 0.5 * float(alpha @ Pa) + half_mass * t))
+        # each primal row against the largest of its own terms
+        terms = np.maximum.reduce(
+            [np.append(C, np.full(mf, abs(t))), np.append(alpha.sum(), gam), x[s:]]
+        )
+        measures = (
+            comp / scale,
+            float((np.abs(r_p) / terms).max()),
+            max(C * float(np.abs(r_a).max()) / scale, abs(r_t) / half_mass if mf else 0.0),
+        )
+        info.surrogate_gap, info.primal_residual, info.dual_residual = measures
+        score = max(measures)
+        if score <= tol:
+            break
+        if best is None or score < best[0]:
+            best = (score, x, z, measures)
+            stalls = 0
+        elif info.surrogate_gap <= tol:
+            stalls += 1
+            if stalls == _STALLS:
+                info.fallbacks.append("floor")
+                break
+        if info.newton_systems == _MAX_NEWTON:
+            info.fallbacks.append("max-newton")
+            break
+
+        info.newton_systems += 1
+        d = z / x
+        K = np.zeros((s + 1 + mf, s + 1 + mf)) if mf else np.empty((s, s))
+        # the scalar broadcast adds the rank-one (z_s/w_s) 11' sum-row block
+        K[:s, :s] = Qpin + np.diag(d[:s]) + d[s]
+        if mf:
+            K[:s, :s] += 2.0 * np.tensordot(z_g, G, 1)
+            K[:s, s + 1 :] = 2.0 * Qa.T
+            K[s + 1 :, :s] = 2.0 * Qa
+            K[s, s + 1 :] = K[s + 1 :, s] = -1.0
+            K[s + 1 :, s + 1 :] = -np.diag(1.0 / d[s + 1 :])
+
+        def direction(rc):
+            """(dx, dz, dt) of the Newton system whose linearised
+            complementarity z * dx + x * dz is rc; None if it has none."""
+            e = rc / x
+            rhs = e[:s] - r_a - (e[s] - d[s] * r_p[0])
+            if mf:
+                rhs = np.concatenate([rhs, [-r_t], r_p[1:] - rc[s + 1 :] / z_g])
+            step = _solve_newton(K, rhs, info)
+            if step is None:
+                return None
+            da = step[:s]
+            dt = float(step[s]) if mf else 0.0
+            dx = np.concatenate([da, [r_p[0] - da.sum()], r_p[1:] + dt - 2.0 * (Qa @ da)])
+            dz = e - d * dx
+            dz[s + 1 :] = step[s + 1 :]
+            return dx, dz, dt
+
+        predictor = direction(-x * z)
+        if predictor is None:
+            break
+        dx, dz, _ = predictor
+        step = min(1.0, _max_step(np.append(x, z), np.append(dx, dz)))
+        sigma = (float((x + step * dx) @ (z + step * dz)) / comp) ** 3
+        target = max(sigma * comp, _MU_FLOOR * tol * scale) / n
+        corrector = direction(target - x * z - dx * dz)
+        if corrector is None:
+            break
+        dx, dz, dt = corrector
+        step = min(1.0, _TO_BOUNDARY * _max_step(np.append(x, z), np.append(dx, dz)))
+        info.min_step = min(info.min_step, step)
+        x = x + step * dx
+        z = z + step * dz
+        t += step * dt
+
+    if best is not None and best[0] < score:
+        _, x, z, measures = best
+        info.surrogate_gap, info.primal_residual, info.dual_residual = measures
+    return x[:s].copy(), z[s + 1 :], info
+
+
+def _solve_newton(K: np.ndarray, rhs: np.ndarray, info: SolveDiagnostics) -> np.ndarray | None:
+    """K^-1 rhs, by least squares when K is singular; None, recorded as the
+    "non-finite" fallback, when the system or its solution is not finite."""
+    step = None
+    if np.isfinite(K).all() and np.isfinite(rhs).all():
+        try:
+            step = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            info.fallbacks.append("lstsq")
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    if step is None or not np.isfinite(step).all():
+        info.fallbacks.append("non-finite")
+        return None
+    return step
+
+
+def solve_qp(
+    q: np.ndarray, H: np.ndarray, cap: float, tol: float = _TOL, x0: np.ndarray | None = None
+) -> np.ndarray:
+    """Maximize q.a - 1/2 a'Ha over {a >= 0, sum(a) <= cap}.
+
+    The primal-dual solve with no group row, stopped at relative tolerance
+    `tol`, warm-started at the scale of `x0` when given.
     """
     s = q.size
-    mf = len(G)
-    assert mf >= 1, "the barrier needs a free group"
-    n_con = s + 1 + mf
-    ridge = 1e-12 * np.eye(s + 1)
-
-    alpha = np.full(s, C / (2.0 * s))
-    if alpha0 is not None and alpha0.size == s:
-        lo = C * 1e-8 / s
-        warm = np.maximum(alpha0, lo)
-        total = warm.sum()
-        if total >= C * (1.0 - 1e-3):
-            warm *= C * (1.0 - 1e-3) / total
-        alpha = 0.9 * warm + 0.1 * alpha
-    t = 2.0 * float(((G @ alpha) @ alpha).max()) + 1.0
-
-    tbar = 1.0
-    spent = 0
-    while True:
-        # center at the current barrier weight
-        for _ in range(60):
-            spent += 1
-            Qa = G @ alpha
-            c_grp = t - Qa @ alpha
-            c_sum = C - float(alpha.sum())
-            inv = 1.0 / c_grp
-            inv2 = inv * inv
-
-            # group j's constraint c_j = t - a'Q_j a has gradient (-2 Q_j a, 1)
-            g_a = tbar * (Qpin @ alpha - q) - 1.0 / alpha + (1.0 / c_sum) + 2.0 * (inv @ Qa)
-            g_t = tbar * free_mass / 2.0 - float(inv.sum())
-            # the scalar broadcast adds the rank-one (1/c^2) 11' sum-constraint block
-            H_a = tbar * Qpin + np.diag(1.0 / alpha**2) + (1.0 / c_sum**2)
-            H_a += 4.0 * ((Qa.T * inv2) @ Qa) + 2.0 * np.tensordot(inv, G, 1)
-            K = np.empty((s + 1, s + 1))
-            K[:s, :s] = H_a
-            K[:s, s] = K[s, :s] = -2.0 * (inv2 @ Qa)
-            K[s, s] = inv2.sum()
-            grad = np.append(g_a, g_t)
-            try:
-                step = -np.linalg.solve(K + ridge, grad)
-            except np.linalg.LinAlgError:
-                step = -grad / max(float(np.abs(np.diag(K)).max()), 1.0)
-            decrement = -float(grad @ step)
-            if decrement <= 2e-12:
-                break
-
-            da, dt = step[:s], float(step[s])
-            # damped Newton step; halving only guards strict feasibility
-            scale = 1.0 / (1.0 + math.sqrt(decrement))
-            for _ in range(80):
-                a_new = alpha + scale * da
-                t_new = t + scale * dt
-                if (
-                    a_new.min() > 0
-                    and a_new.sum() < C
-                    and (t_new - (G @ a_new) @ a_new).min() > 0
-                ):
-                    break
-                scale *= 0.5
-            else:
-                break
-            alpha, t = a_new, t_new
-            if decrement <= 1e-10:
-                break
-        if n_con / tbar <= _BARRIER_GAP or tbar >= 1e14 or spent >= _NEWTON_BUDGET:
-            break
-        tbar *= 10.0
-
-    lambdas = 1.0 / (tbar * (t - (G @ alpha) @ alpha))
-    return alpha, lambdas
+    if s == 0:
+        return np.zeros(0)
+    return _primal_dual(np.zeros((0, s, s)), H, q, cap, 0.0, x0, tol)[0]
 
 
 def solve_subproblem(
@@ -455,11 +487,12 @@ def solve_subproblem(
     """Solve the restricted saddle problem over the collected rows.
 
     `pinned` holds fixed mu entries (NaN where the group weight is free).
-    Free groups are handled through the epigraph QCQP (one quadratic
-    constraint per group) by an interior-point pass whose multipliers give
-    mu; a fixed-mu exact QP polish then keeps whichever alpha scores the
-    better dual value.  Returned alpha and mu are exactly feasible; a
-    non-finite alpha or mu raises RuntimeError.
+    One primal-dual interior-point solve (`_primal_dual`) of the epigraph
+    form gives alpha and, as twice the multipliers of the group rows
+    rescaled to the free mass, the free mu; with no free group (or no free
+    mass) it is the same solve of the QP in alpha.  Returned alpha and mu
+    are exactly feasible; a non-finite alpha, mu or Newton system raises
+    RuntimeError.
     """
     G = np.asarray(grams)
     m = len(G)
@@ -482,39 +515,24 @@ def solve_subproblem(
     Qpin = 0.5 * (Qpin + Qpin.T)
 
     mu = pinned_part.copy()
-    if not free.any() or free_mass == 0.0:
-        alpha = solve_qp(q, Qpin, C, x0=alpha0)
-    else:
-        G_free = G[free]
-        alpha, lambdas = _barrier_qcqp(G_free, Qpin, q, C, free_mass, alpha0)
-        if not (np.isfinite(alpha).all() and np.isfinite(lambdas).all()):
-            raise RuntimeError("non-finite alpha or multipliers from the barrier")
-        mu_free = 2.0 * lambdas
-        total = mu_free.sum()
-        if total > 0:
-            mu_free *= free_mass / total
-        else:
-            mu_free = np.full(len(G_free), free_mass / len(G_free))
+    G_free = G[free] if free_mass > 0.0 else G[:0]
+    alpha, z_groups, info = _primal_dual(G_free, Qpin, q, C, free_mass, alpha0)
+    if "non-finite" in info.fallbacks:
+        raise RuntimeError("non-finite Newton system in the subproblem")
+    if not (np.isfinite(alpha).all() and np.isfinite(z_groups).all()):
+        raise RuntimeError("non-finite alpha or multipliers from the subproblem")
+    if len(G_free):
+        mu_free = 2.0 * z_groups
+        mu_free *= free_mass / mu_free.sum()
         mu[free] = mu_free
-        # exact QP polish at the recovered mu; keep the better dual value
-        H = Qpin + (mu_free[:, None, None] * G_free).sum(axis=0)
-        H = 0.5 * (H + H.T)
-        polished = solve_qp(q, H, C, x0=alpha)
-        d_raw = _dual_value(G, q, alpha, pinned_part, free, free_mass)
-        d_pol = _dual_value(G, q, polished, pinned_part, free, free_mass)
-        if d_pol > d_raw:
-            alpha = polished
 
     # exact feasibility cleanup
-    alpha = np.maximum(alpha, 0.0)
     if alpha.sum() > C:
         alpha *= C / alpha.sum()
     mu = np.maximum(mu, 0.0)
-    if not (np.isfinite(alpha).all() and np.isfinite(mu).all()):
-        raise RuntimeError("non-finite alpha or mu from the subproblem")
 
     dual = _dual_value(G, q, alpha, pinned_part, free, free_mass)
-    return SubproblemSolution(alpha, mu, dual)
+    return SubproblemSolution(alpha, mu, dual, info)
 
 
 def gold_counts(task, instances: Sequence) -> np.ndarray:
@@ -575,10 +593,23 @@ def recover_primal(store: RowStore, alpha: np.ndarray, mu: np.ndarray) -> np.nda
     return flat
 
 
-def primal_objective(weights: np.ndarray, store: RowStore, C: float) -> float:
-    """1/2 (sum_j ||w_j||)^2 + C * max(0, max_r row_value)."""
-    reg = sum(float(np.linalg.norm(w)) for w in store.split(weights))
-    return 0.5 * reg * reg + C * max(0.0, working_set_value(store, weights))
+def primal_objective(
+    weights: np.ndarray, store: RowStore, C: float, pinned: np.ndarray | None = None
+) -> float:
+    """1/2 (sum_j ||w_j||)^2 + C * max(0, max_r row_value) when every group
+    is free.  With `pinned` (positive mu per pinned group, NaN where free),
+    the primal whose dual `solve_subproblem` maximizes: a pinned group
+    costs ||w_j||^2 / (2 mu_j) and the free ones (sum ||w_j||)^2 / (2 M),
+    M the free mass."""
+    norms = [float(np.linalg.norm(w)) for w in store.split(weights)]
+    fixed = np.zeros(len(norms), bool) if pinned is None else ~np.isnan(pinned)
+    reg = sum(norm for norm, f in zip(norms, fixed) if not f)
+    reg = 0.5 * reg * reg
+    if fixed.any():
+        free_mass = 1.0 - float(pinned[fixed].sum())
+        reg = reg / free_mass if free_mass > 0.0 else 0.0
+        reg += sum(0.5 * norms[j] ** 2 / pinned[j] for j in np.flatnonzero(fixed))
+    return reg + C * max(0.0, working_set_value(store, weights))
 
 
 def rows_equal(a: ConstraintRow, b: ConstraintRow) -> bool:
@@ -689,7 +720,10 @@ def train(
     pool (`DecodePool`), started before the first iteration, decodes every
     oracle pass.
     Each `IterationRecord` carries the iteration's wall time and the time of
-    its decode, row, Gram, subproblem and recovery phases.
+    its decode, row, Gram, subproblem and recovery phases, the diagnostics
+    of its subproblem solve and its relative primal-dual gap; a gap above
+    1e-6 raises RuntimeError, so no run whose arithmetic lost precision (a
+    huge C, say) is reported as converged.
     """
     n = len(instances)
     if n == 0:
@@ -733,6 +767,7 @@ def train(
             r_s = working_set_value(store, flat)
             gap = r_emp - r_s
             gram_s = subproblem_s = recover_s = 0.0
+            diagnostics = None
 
             if gap < config.epsilon:
                 halt = "converged"
@@ -748,6 +783,7 @@ def train(
                 )
                 t2 = clock()
                 alpha, mu, dual = solution.alpha, solution.mu, solution.dual_objective
+                diagnostics = solution.diagnostics
                 flat = recover_primal(store, alpha, mu)
                 t3 = clock()
                 gram_s, subproblem_s, recover_s = t1 - t0, t2 - t1, t3 - t2
@@ -755,15 +791,22 @@ def train(
                     raise RuntimeError("non-finite weights from primal recovery")
                 weights = store.split(flat)
 
-            primal = primal_objective(flat, store, config.C)
+            primal = primal_objective(flat, store, config.C, pinned)
+            relative_gap = abs(primal - dual) / max(1.0, abs(primal))
             record = IterationRecord(
                 iteration, r_emp, r_s, gap, dual, primal, len(store.rows), mu.copy(),
                 wall_s=clock() - start, decode_s=decoded - start, row_s=built - decoded,
                 gram_s=gram_s, subproblem_s=subproblem_s, recover_s=recover_s,
+                relative_gap=relative_gap, subproblem=diagnostics,
             )
             trace.append(record)
             if log:
                 log(_format_record(record, ids))
+            if not relative_gap <= _CERTIFIED_GAP:
+                raise RuntimeError(
+                    f"iteration {iteration}: relative primal-dual gap {relative_gap:.3e} "
+                    f"exceeds {_CERTIFIED_GAP:g} at C={config.C:g}"
+                )
             if halt:
                 break
 

@@ -6,8 +6,8 @@ Nothing imports the package's solvers or decoders; the edge-feature
 references loop over edges one at a time with the package's per-edge
 definition, `instantiate_edge`, the edge-score reference adds one group
 at a time with `np.add.at`, the constraint-row reference only reuses the
-package's containers, and the barrier reference only the solver's
-stopping constants.  The row-store references are the trainer's earlier
+package's containers, and the barrier reference shares nothing with the
+package's primal-dual solver, not even its constants.  The row-store references are the trainer's earlier
 per-group loops over float rows, kept as they were: a tree's ids picked
 group by group with an edge mask, the Gram row by `sparse_dot`, and the
 primal recovery row by row.  The decoder references are the package's earlier
@@ -29,7 +29,6 @@ import numpy as np
 
 from mklsp.corpus import find_cycle
 from mklsp.dependency import NEG, _masked, augment, instantiate_edge
-from mklsp.solver import _BARRIER_GAP, _NEWTON_BUDGET
 from mklsp.sparse import GroupedSparseVector, SparseVector, sparse_dot
 
 
@@ -383,6 +382,10 @@ def reference_constraint_row(task, instances, outputs):
     return SimpleNamespace(p=grouped_vector(groups), q=loss_total / n)
 
 
+BARRIER_GAP = 1e-10  # duality gap bound n_con / tbar at which the barrier stops
+NEWTON_BUDGET = 12_000  # Newton steps over all barrier stages
+
+
 def reference_barrier_qcqp(
     grams_free: list[np.ndarray],
     Qpin: np.ndarray,
@@ -397,13 +400,13 @@ def reference_barrier_qcqp(
     a'Q_j a <= t (one constraint per free group), a >= 0, sum(a) <= C.
     Returns the final alpha and the free-group multiplier estimates.
 
-    The stages, Newton system, stopping rules and budget of
-    `mklsp.solver._barrier_qcqp`, implemented independently: the system is
-    assembled one group at a time, every quadratic form is computed on its
-    own, and the step length comes from a 0.99 fraction-to-boundary cap and
-    Armijo backtracking on the barrier value instead of the damped Newton
-    step.  Both follow the same central path to the same point, but late in
-    a stage this Armijo search can stall (see the tests).
+    The package's earlier log-barrier path following, kept as an
+    independent reference for its primal-dual solver: barrier weight 1,
+    raised tenfold per stage until n_con / tbar <= BARRIER_GAP, each stage
+    centred by Newton steps whose system is assembled one group at a time,
+    every quadratic form computed on its own, and a step length from a 0.99
+    fraction-to-boundary cap and Armijo backtracking on the barrier value.
+    Late in a stage this Armijo search can stall (see the tests).
     """
     s = q.size
     mf = len(grams_free)
@@ -502,7 +505,7 @@ def reference_barrier_qcqp(
             t = t + scale * dt
             if decrement <= 1e-10:
                 break
-        if n_con / tbar <= _BARRIER_GAP or tbar >= 1e14 or spent >= _NEWTON_BUDGET:
+        if n_con / tbar <= BARRIER_GAP or tbar >= 1e14 or spent >= NEWTON_BUDGET:
             break
         tbar *= 10.0
 

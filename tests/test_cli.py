@@ -321,11 +321,22 @@ def test_huge_c_exits_1_without_traceback(seq_setup):
     assert not (d / "model.mkl").exists()
 
 
+def test_c_too_large_to_certify_exits_1(seq_setup, capsys):
+    # at C = 1e150 no subproblem solve reaches a relative primal-dual gap of
+    # 1e-6, so `train` raises instead of reporting a converged model
+    d = seq_setup
+    assert cli.main(train_args(d, **{"-c": "1e150"})) == 1
+    err = capsys.readouterr().err
+    assert "error: numerical failure" in err and "primal-dual gap" in err
+    assert "Traceback" not in err
+    assert not (d / "model.mkl").exists()
+
+
 def test_non_finite_barrier_output_exits_1(seq_setup, capsys, monkeypatch):
     def broken(G, Qpin, q, C, free_mass, alpha0):
-        return np.full(q.size, np.nan), np.full(len(G), np.nan)
+        return np.full(q.size, np.nan), np.full(len(G), np.nan), solver.SolveDiagnostics()
 
-    monkeypatch.setattr(solver, "_barrier_qcqp", broken)
+    monkeypatch.setattr(solver, "_primal_dual", broken)
     d = seq_setup
     assert cli.main(train_args(d)) == 1
     err = capsys.readouterr().err
@@ -366,6 +377,17 @@ def test_predict_empty_input_is_fine(seq_setup, capsys):
 
 
 # ---------------------------------------------------------------- env vars
+
+
+def test_jobs_default_to_one(monkeypatch):
+    monkeypatch.delenv("MTL_JOBS", raising=False)
+    train = ["train", "--task", "seq", "--data", "x", "-o", "m"]
+    predict = ["predict", "-m", "m", "--data", "x"]
+    assert cli.build_parser().parse_args(train).jobs == 1
+    assert cli.build_parser().parse_args(predict).jobs == 1
+    monkeypatch.setenv("MTL_JOBS", "3")
+    assert cli.build_parser().parse_args(train).jobs == 3
+    assert cli.build_parser().parse_args(predict + ["--jobs", "2"]).jobs == 2
 
 
 def test_env_var_sets_default(seq_setup, capsys, monkeypatch):
