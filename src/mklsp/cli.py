@@ -72,6 +72,11 @@ def _env_flag(flag: str) -> bool:
     raise UsageError(f"bad boolean for {_env_name(flag)}: {raw!r}")
 
 
+def _cannot_open(exc: OSError) -> str:
+    reason = exc.strerror or str(exc)
+    return reason if exc.filename is None else f"cannot open {exc.filename}: {reason}"
+
+
 def _open_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -144,8 +149,15 @@ def _require(args, *names: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
+def _require_jobs(args) -> None:
+    """--jobs (or MTL_JOBS) must name at least one worker."""
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def cmd_train(args) -> int:
     _require(args, "task", "data", "model")
+    _require_jobs(args)
     if args.task == "seq" and not args.templates:
         raise UsageError("--templates is required for sequence training")
 
@@ -202,7 +214,10 @@ def cmd_train(args) -> int:
         )
     else:
         model = Model.from_dependency(task, template_text, result.mu, result.weights, diagnostics)
-    checksum = model.save(args.model)
+    try:
+        checksum = model.save(args.model)
+    except OSError as exc:  # an output path, so never a missing input
+        raise UsageError(_cannot_open(exc)) from exc
     _log(
         f"halt={result.halt_reason} iterations={result.n_iterations} "
         f"gap={result.final_gap:.6e} checksum={checksum} model={args.model}"
@@ -211,6 +226,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _require_jobs(args)
     model = Model.load(args.model)
     task = model.build_task()
     seq = isinstance(task, SequenceTask)
@@ -223,7 +239,10 @@ def cmd_predict(args) -> int:
     compiled = [task.compile(inst) for inst in instances]
     outputs = parallel_decode(task, model.weights, compiled, args.jobs, augmented=False)
     # the output opens only now, so a failed run leaves an existing file as it was
-    sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    try:
+        sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:  # an output path, so never a missing input
+        raise UsageError(_cannot_open(exc)) from exc
     with sink as out:
         if seq:
             write_sequence_corpus(instances, out, task.labels, labels_override=outputs)
@@ -269,9 +288,7 @@ def cmd_eval(args) -> int:
         vocabulary = build_segmentation_vocabulary(
             vocab_corpus, LabelCodec("bie", vocab_table)
         )
-    report = evaluate_sequence(
-        gold, pred_ids, codec, vocabulary, include_riv=vocabulary is not None
-    )
+    report = evaluate_sequence(gold, pred_ids, codec, vocabulary)
 
     kv: list[tuple[str, object]] = []
     if args.scheme == "raw":
@@ -358,6 +375,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         path = exc.filename or str(exc)
         print(f"error: missing input file: {path}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory, no permission, ...
+        print(f"error: {_cannot_open(exc)}", file=sys.stderr)
         return 2
     except (TemplateError, CorpusFormatError, ModelFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

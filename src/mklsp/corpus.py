@@ -13,7 +13,7 @@ Two on-disk formats are supported:
 
 from __future__ import annotations
 
-import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -41,13 +41,6 @@ class LabelTable:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._ids
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def freeze(self) -> None:
         self._frozen = True
 
@@ -60,9 +53,6 @@ class LabelTable:
             self._ids[label] = idx
             self._labels.append(label)
         return idx
-
-    def id_of(self, label: str) -> int:
-        return self._ids[label]
 
     def label_of(self, idx: int) -> str:
         return self._labels[idx]
@@ -107,19 +97,15 @@ class DependencyInstance:
         return len(self.tokens)
 
 
-def _line_iterator(source) -> tuple[Iterator[str], bool]:
-    """Accept a path or an open text/byte stream; return (line iter, owns)."""
+@contextmanager
+def _lines(source: str | Path | IO[str]) -> Iterator[IO[str]]:
+    """The lines of a path, opened as UTF-8 and closed on exit, or of an
+    open text stream, left open."""
     if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8")
-        return iter(handle), True
-    if isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-
-        def _decode(lines):
-            for line in lines:
-                yield line.decode("utf-8") if isinstance(line, bytes) else line
-
-        return _decode(source), False
-    raise TypeError(f"unsupported corpus source: {type(source)!r}")
+        with open(source, "r", encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield source
 
 
 def read_sequence_corpus(
@@ -138,7 +124,6 @@ def read_sequence_corpus(
     """
     if labeled and label_table is None:
         raise ValueError("label_table is required for labeled corpora")
-    lines, owns = _line_iterator(source)
     instances: list[SequenceInstance] = []
     tokens: list[Token] = []
     labels: list[int] = []
@@ -150,7 +135,7 @@ def read_sequence_corpus(
             instances.append(SequenceInstance(tokens, labels if labeled else None))
             tokens, labels = [], []
 
-    try:
+    with _lines(source) as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip():
@@ -172,10 +157,7 @@ def read_sequence_corpus(
                 labels.append(label_table.intern(cols[-1]))
             else:
                 tokens.append(tuple(cols))
-        flush()
-    finally:
-        if owns and hasattr(lines, "close"):
-            lines.close()
+    flush()
     return instances
 
 
@@ -239,7 +221,6 @@ def read_dependency_corpus(source) -> list[DependencyInstance]:
     HEAD must be all-annotated or all ``_`` within a sentence (the latter for
     prediction input).  Annotated heads must encode a tree rooted at 0.
     """
-    lines, owns = _line_iterator(source)
     instances: list[DependencyInstance] = []
     rows: list[tuple[int, list[str]]] = []
 
@@ -284,7 +265,7 @@ def read_dependency_corpus(source) -> list[DependencyInstance]:
         instances.append(DependencyInstance(tokens, heads, fields))
         rows = []
 
-    try:
+    with _lines(source) as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip():
@@ -297,10 +278,7 @@ def read_dependency_corpus(source) -> list[DependencyInstance]:
                     f"got {len(cols)}"
                 )
             rows.append((lineno, cols))
-        flush()
-    finally:
-        if owns and hasattr(lines, "close"):
-            lines.close()
+    flush()
     return instances
 
 

@@ -14,8 +14,7 @@ Model checksums rest on one invariant: each template's alphabet lists its
 strings in first-seen order over (sentence, head, modifier, between
 position), heads outer and modifiers inner.  `EdgeFeatureExtractor.build`
 and `DependencyTask.compile` both get their strings from `instantiate_edges`,
-which yields them in exactly that order; `instantiate_edge` is the per-edge
-definition it must agree with.
+which yields them in exactly that order for a whole sentence at once.
 """
 
 from __future__ import annotations
@@ -115,42 +114,6 @@ def augment(tokens: Sequence[tuple[str, ...]]) -> list[tuple[str, ...]]:
     return [ROOT_TOKEN, *tokens]
 
 
-def instantiate_edge(
-    spec: EdgeTemplateSpec, aug_tokens: Sequence[tuple[str, ...]], u: int, v: int
-) -> list[str]:
-    """Feature strings for edge head u -> modifier v over augmented tokens.
-
-    Without a ``between`` selector the result is a singleton; with one it has
-    one entry per distinct between-field value (left-to-right first seen),
-    and none at all for adjacent pairs.
-    """
-    n = len(aug_tokens)
-    direction = "R" if u < v else "L"
-    dist = distance_bucket(abs(u - v))
-    parts: list[str | None] = []
-    for sel in spec.selectors:
-        if sel.anchor == "between":
-            parts.append(None)
-            continue
-        pos = (u if sel.anchor == "head" else v) + sel.offset
-        sym = boundary_symbol(pos, n)
-        parts.append(aug_tokens[pos][sel.column] if sym is None else sym)
-    prefix = f"{spec.index}:{direction}:{dist}:"
-    between_col = spec.between_column
-    if between_col is None:
-        return [prefix + "/".join(parts)]
-    lo, hi = (u, v) if u < v else (v, u)
-    out: list[str] = []
-    seen: set[str] = set()
-    for pos in range(lo + 1, hi):
-        value = aug_tokens[pos][between_col]
-        if value in seen:
-            continue
-        seen.add(value)
-        out.append(prefix + "/".join(value if p is None else p for p in parts))
-    return out
-
-
 class _EdgeFrame(NamedTuple):
     """The candidate edges of a sentence with n positions (root included)."""
 
@@ -205,10 +168,15 @@ def instantiate_edges(
     """Feature strings of `spec` over every candidate edge of one sentence.
 
     Returns ``(heads, mods, strings)``: entry i is a string of edge
-    ``heads[i] -> mods[i]``.  The strings are ``instantiate_edge`` over the
-    edges u = 0..n-1 (outer), v = 1..n-1 (inner), u != v, concatenated; the
-    int64 arrays may be read-only.  Each selector's column of values is read
-    once per sentence, and the strings are joined edge-parallel.
+    ``heads[i] -> mods[i]``, over the edges u = 0..n-1 (outer), v = 1..n-1
+    (inner), u != v, of the augmented tokens; the int64 arrays may be
+    read-only.  A string is ``index:direction:distance:`` and the selectors'
+    values joined by ``/``, a position outside the sentence reading its
+    boundary sentinel.  Without a ``between`` selector each edge has one
+    string; with one, an edge has a string per distinct value strictly
+    between head and modifier (first seen first), so adjacent pairs have
+    none.  Each selector's column of values is read once per sentence, and
+    the strings are joined edge-parallel.
     """
     n = len(aug_tokens)
     frame = _edge_frame(n)

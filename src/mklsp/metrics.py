@@ -54,23 +54,6 @@ def bie_segments(tags: Sequence[str]) -> list[tuple[int, int]]:
     return spans
 
 
-def bie_encode(spans: Sequence[tuple[int, int]], length: int) -> list[str]:
-    """Tags for a segmentation; spans must partition [0, length)."""
-    tags: list[str] = []
-    expect = 0
-    for s, e in spans:
-        if s != expect or e < s:
-            raise ValueError(f"spans do not partition the sentence at {s}..{e}")
-        if e == s:
-            tags.append("B")
-        else:
-            tags.extend(["B"] + ["I"] * (e - s - 1) + ["E"])
-        expect = e + 1
-    if expect != length:
-        raise ValueError(f"spans cover {expect} of {length} positions")
-    return tags
-
-
 def bio_entities(tags: Sequence[str]) -> list[tuple[str, int, int]]:
     """(type, start, end) phrases from BIO tags.
 
@@ -183,7 +166,6 @@ def evaluate_sequence(
     pred: Sequence[Sequence[int]],
     codec: LabelCodec,
     vocabulary: set[str] | None = None,
-    include_riv: bool | None = None,
 ):
     """Score predictions against gold labels.
 
@@ -198,10 +180,6 @@ def evaluate_sequence(
         return AccuracyReport(acc, n_tok, n_ok)
 
     if codec.scheme == "bie":
-        if include_riv is None:
-            include_riv = vocabulary is not None
-        if include_riv and vocabulary is None:
-            raise ValueError("R_iv requested but no vocabulary supplied")
         n_gold = n_pred = n_correct = 0
         n_iv = n_iv_ok = 0
         for inst, ids in zip(gold, pred, strict=True):
@@ -211,7 +189,7 @@ def evaluate_sequence(
             n_gold += len(gold_spans)
             n_pred += len(pred_spans)
             n_correct += len(matched)
-            if include_riv:
+            if vocabulary is not None:
                 for span in gold_spans:
                     s, e = span
                     word = "".join(tok[0] for tok in inst.tokens[s : e + 1])
@@ -219,7 +197,7 @@ def evaluate_sequence(
                         n_iv += 1
                         if span in matched:
                             n_iv_ok += 1
-        riv = (n_iv_ok / n_iv if n_iv else 0.0) if include_riv else None
+        riv = (n_iv_ok / n_iv if n_iv else 0.0) if vocabulary is not None else None
         return SegmentationReport(acc, prf(n_gold, n_pred, n_correct), riv, n_iv, n_iv_ok)
 
     # bio

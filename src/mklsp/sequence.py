@@ -1,5 +1,5 @@
-"""Linear-chain sequence labeling: joint feature map, Hamming loss, exact
-Viterbi and loss-augmented Viterbi decoders.
+"""Linear-chain sequence labeling: the fired weight ids and Hamming loss
+of a corpus, exact Viterbi and loss-augmented Viterbi decoders.
 
 Feature layout per observation group j: the flat weight index of feature f
 conjoined with label y is ``f * k + y``.  The optional transition group (one
@@ -51,13 +51,6 @@ class CompiledSequence:
     length: int  # token count
     feats: list[np.ndarray]  # per observation group, int64 array of length l
     gold: np.ndarray | None
-
-
-def hamming_loss(gold: Sequence[int], other: Sequence[int]) -> float:
-    """Number of positions labeled differently."""
-    if len(gold) != len(other):
-        raise ValueError("sequences differ in length")
-    return float(sum(a != b for a, b in zip(gold, other)))
 
 
 def _emissions(scorer: SequenceScorer, feats: Sequence[np.ndarray], shape) -> np.ndarray:
@@ -215,27 +208,6 @@ class SequenceTask:
         trans = weights[-1].reshape(k, k) if self.transition else None
         return SequenceScorer(emissions, trans, k)
 
-    def joint_feature_map(
-        self, inst: CompiledSequence, labels: Sequence[int]
-    ) -> list[np.ndarray]:
-        """Weight ids fired along `labels`, per group, one entry per firing."""
-        y = np.asarray(labels, dtype=np.int64)
-        if y.size != inst.length:
-            raise ValueError("labeling length does not match the sentence")
-        return self._fired(inst.feats, y)
-
-    def _fired(self, feats: Sequence[np.ndarray], y: np.ndarray) -> list[np.ndarray]:
-        """Per group, the weight ids labels `y` fire over feature ids `feats`;
-        `y` and every array of `feats` share one shape, (l,) or (B, l)."""
-        k = self.k
-        ids = []
-        for f in feats:
-            on = f >= 0
-            ids.append(f[on] * k + y[on])
-        if self.transition:
-            ids.append((y[..., :-1] * k + y[..., 1:]).ravel())
-        return ids
-
     # --- solver-facing protocol ---
 
     def gold_output(self, inst: CompiledSequence) -> list[int]:
@@ -259,6 +231,7 @@ class SequenceTask:
         """The flat weight ids `outputs` fire over the corpus (group j's ids
         offset by the sizes of the groups before it), one entry per firing,
         and their summed Hamming loss, by length bucket."""
+        k = self.k
         offsets = np.cumsum([0, *self.group_dims])[:-1].tolist()
         ids = []
         loss = 0
@@ -267,5 +240,9 @@ class SequenceTask:
                 raise ValueError("labeling length does not match the sentence")
             y = np.array([outputs[i] for i in index], dtype=np.int64)
             loss += int((y != _stacked_gold(members)).sum())
-            ids += [f + off for f, off in zip(self._fired(feats, y), offsets, strict=True)]
+            for f, off in zip(feats, offsets):
+                on = f >= 0
+                ids.append(f[on] * k + y[on] + off)
+            if self.transition:
+                ids.append((y[:, :-1] * k + y[:, 1:]).ravel() + offsets[-1])
         return np.concatenate(ids), loss

@@ -89,6 +89,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.mode not in ("mkl", "uniform"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
 
 
 @dataclass

@@ -79,27 +79,15 @@ def boundary_symbol(position: int, length: int) -> str | None:
     return None
 
 
-def instantiate(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]], t: int) -> str:
-    """Feature string for observation template `spec` anchored at position `t`.
-
-    Out-of-range macro positions read the distance-stamped boundary sentinel
-    instead of a token column.  Columns must be valid for the corpus (checked
-    once by `validate_columns`, not here).
-    """
-    parts = []
-    for row, col in spec.macros:
-        pos = t + row
-        sym = boundary_symbol(pos, len(tokens))
-        parts.append(tokens[pos][col] if sym is None else sym)
-    return spec.index + ":" + "/".join(parts)
-
-
 def instantiate_all(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]]) -> list[str]:
     """Feature strings of `spec` at every position of one sentence.
 
-    Entry t equals ``instantiate(spec, tokens, t)``: each macro's column of
-    values (boundary sentinels included) is read once, then the columns are
-    joined position by position.
+    Entry t is ``spec.index + ":"`` followed by the macros' values read
+    ``row`` positions from t and joined by ``/``.  An out-of-range position
+    reads the distance-stamped boundary sentinel instead of a token column;
+    columns must be valid for the corpus (checked once by `validate_columns`,
+    not here).  Each macro's column of values is read once per sentence,
+    then the columns are joined position by position.
     """
     l = len(tokens)
     columns = [
@@ -136,24 +124,12 @@ class FeatureAlphabet:
     def __len__(self) -> int:
         return len(self._ids)
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def freeze(self) -> None:
         self._frozen = True
 
-    def intern(self, s: str) -> int:
-        idx = self._ids.get(s)
-        if idx is None:
-            if self._frozen:
-                raise ValueError(f"alphabet {self.group_id} is frozen; cannot add {s!r}")
-            idx = len(self._ids)
-            self._ids[s] = idx
-        return idx
-
     def intern_all(self, strings: Iterable[str]) -> None:
-        """Intern every string in order; the same ids as `intern` one by one."""
+        """Intern every string in order: new strings get the next ids, first
+        seen first.  A frozen alphabet raises ValueError on a new string."""
         new = filterfalse(self._ids.__contains__, dict.fromkeys(strings))
         if self._frozen:
             first = next(new, None)
@@ -162,9 +138,6 @@ class FeatureAlphabet:
             return
         # `new` holds each string once, so ids are handed out in first-seen order
         self._ids.update(zip(new, count(len(self._ids))))
-
-    def lookup(self, s: str) -> int | None:
-        return self._ids.get(s)
 
     def lookup_all(self, strings: Sequence[str]) -> np.ndarray:
         """Ids of `strings` as an int64 array, -1 where a string is unknown."""

@@ -2,12 +2,18 @@
 
 Everything here favors obviousness over speed: exhaustive enumeration,
 face enumeration, dense grids, and dicts counted one firing at a time.
-Nothing imports the package's solvers or decoders; the edge-feature
-references loop over edges one at a time with the package's per-edge
-definition, `instantiate_edge`, the edge-score reference adds one group
-at a time with `np.add.at`, the constraint-row reference only reuses the
-package's containers, and the barrier reference shares nothing with the
-package's primal-dual solver, not even its constants.  The row-store references are the trainer's earlier
+Nothing imports the package's solvers or decoders.
+
+The feature-string references are the package's earlier per-item
+definitions, kept as they were: `reference_instantiate` builds one tagger
+feature at one position and `reference_instantiate_edge` the strings of
+one edge.  The package's whole-sentence `instantiate_all` and
+`instantiate_edges` are tested against them, and the edge-feature
+references loop over edges one at a time with the latter.  The edge-score
+reference adds one group at a time with `np.add.at`, the constraint-row
+reference only reuses the package's containers, and the barrier
+reference shares nothing with the package's primal-dual solver, not even
+its constants.  The row-store references are the trainer's earlier
 per-group loops over float rows, kept as they were: a tree's ids picked
 group by group with an edge mask, the Gram row by `sparse_dot`, and the
 primal recovery row by row.  The decoder references are the package's earlier
@@ -24,12 +30,29 @@ import itertools
 from collections import defaultdict
 from types import SimpleNamespace
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from mklsp.corpus import find_cycle
-from mklsp.dependency import NEG, _masked, augment, instantiate_edge
+from mklsp.dependency import NEG, EdgeTemplateSpec, _masked, augment, distance_bucket
 from mklsp.sparse import GroupedSparseVector, SparseVector, sparse_dot
+from mklsp.templates import TemplateSpec, boundary_symbol
+
+
+def reference_instantiate(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]], t: int) -> str:
+    """Feature string for observation template `spec` anchored at position `t`.
+
+    Out-of-range macro positions read the distance-stamped boundary sentinel
+    instead of a token column.  Columns must be valid for the corpus (checked
+    once by `validate_columns`, not here).
+    """
+    parts = []
+    for row, col in spec.macros:
+        pos = t + row
+        sym = boundary_symbol(pos, len(tokens))
+        parts.append(tokens[pos][col] if sym is None else sym)
+    return spec.index + ":" + "/".join(parts)
 
 
 def dense_emissions(feats, tables, k):
@@ -238,6 +261,42 @@ def qcqp_oracle(grams, q, C, rounds=4, steps=24):
     return best_v
 
 
+def reference_instantiate_edge(
+    spec: EdgeTemplateSpec, aug_tokens: Sequence[tuple[str, ...]], u: int, v: int
+) -> list[str]:
+    """Feature strings for edge head u -> modifier v over augmented tokens.
+
+    Without a ``between`` selector the result is a singleton; with one it has
+    one entry per distinct between-field value (left-to-right first seen),
+    and none at all for adjacent pairs.
+    """
+    n = len(aug_tokens)
+    direction = "R" if u < v else "L"
+    dist = distance_bucket(abs(u - v))
+    parts: list[str | None] = []
+    for sel in spec.selectors:
+        if sel.anchor == "between":
+            parts.append(None)
+            continue
+        pos = (u if sel.anchor == "head" else v) + sel.offset
+        sym = boundary_symbol(pos, n)
+        parts.append(aug_tokens[pos][sel.column] if sym is None else sym)
+    prefix = f"{spec.index}:{direction}:{dist}:"
+    between_col = spec.between_column
+    if between_col is None:
+        return [prefix + "/".join(parts)]
+    lo, hi = (u, v) if u < v else (v, u)
+    out: list[str] = []
+    seen: set[str] = set()
+    for pos in range(lo + 1, hi):
+        value = aug_tokens[pos][between_col]
+        if value in seen:
+            continue
+        seen.add(value)
+        out.append(prefix + "/".join(value if p is None else p for p in parts))
+    return out
+
+
 def candidate_edges(n):
     """Edges head u -> modifier v over positions 0..n-1, u outer, v inner."""
     return [(u, v) for u in range(n) for v in range(1, n) if u != v]
@@ -251,7 +310,7 @@ def edge_alphabets(specs, corpus):
         toks = augment(inst.tokens)
         for u, v in candidate_edges(len(toks)):
             for spec, ids in zip(specs, alphabets):
-                for s in instantiate_edge(spec, toks, u, v):
+                for s in reference_instantiate_edge(spec, toks, u, v):
                     ids.setdefault(s, len(ids))
     return [list(ids) for ids in alphabets]
 
@@ -265,7 +324,7 @@ def compile_edges(specs, alphabets, tokens):
     for spec, ids in zip(specs, lookups):
         us, vs, fs = [], [], []
         for u, v in candidate_edges(len(toks)):
-            for s in instantiate_edge(spec, toks, u, v):
+            for s in reference_instantiate_edge(spec, toks, u, v):
                 if s in ids:
                     us.append(u)
                     vs.append(v)

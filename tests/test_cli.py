@@ -226,6 +226,67 @@ def test_missing_input_file_exits_2(seq_setup, capsys):
     assert "absent.txt" in capsys.readouterr().err
 
 
+def trained_predict_args(d, **extra):
+    """`predict` of the freshly trained seq model on the bare test corpus."""
+    assert cli.main(train_args(d)) == 0
+    args = ["predict", "-m", str(d / "model.mkl"), "--data", str(d / "test_bare.txt")]
+    for k, v in extra.items():
+        args += [k, v]
+    return args
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["train --data", "train --templates", "predict --data", "predict -o", "weights -m"],
+)
+def test_directory_for_a_file_exits_2(seq_setup, capsys, command):
+    d = seq_setup
+    name, flag = command.split()
+    if name == "train":
+        args = train_args(d, **{flag: str(d)})
+    elif name == "predict":
+        args = trained_predict_args(d, **{flag: str(d)})
+    else:
+        args = ["weights", flag, str(d)]
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot open {d}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_missing_output_directory_is_no_missing_input(seq_setup, capsys, command):
+    d = seq_setup
+    out = str(d / "no" / "such" / "dir" / "out")
+    if command == "train":
+        args = train_args(d, **{"-o": out})
+    else:
+        args = trained_predict_args(d, **{"-o": out})
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot open {out}: " in err
+    assert "missing input" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("how", ["flag-0", "flag--3", "env--2"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_jobs_below_one_is_a_usage_error(seq_setup, capsys, monkeypatch, command, how):
+    d = seq_setup
+    source, value = how.split("-", 1)
+    args = train_args(d) if command == "train" else trained_predict_args(d)
+    capsys.readouterr()
+    if source == "flag":
+        args += ["--jobs", value]
+    else:
+        if "--jobs" in args:  # an explicit flag would win over the variable
+            del args[args.index("--jobs") : args.index("--jobs") + 2]
+        monkeypatch.setenv("MTL_JOBS", value)
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_template_error_exits_1(seq_setup, capsys):
     d = seq_setup
     (d / "templates.txt").write_text("U00:%x[0,0]\nU00:%x[1,0]\n")

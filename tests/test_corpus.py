@@ -178,7 +178,7 @@ def test_label_table_first_seen_and_freeze():
     with pytest.raises(ValueError):
         t.intern("c")
     assert t.label_of(1) == "a"
-    assert t.id_of("a") == 1
+    assert t.intern("a") == 1  # a frozen table still maps the labels it has
     assert t.labels() == ["b", "a"]
 
 
@@ -199,3 +199,60 @@ def test_sequence_write_read_round_trip(sentences):
     out = io.StringIO()
     write_sequence_corpus(insts, out, table)
     assert out.getvalue() == text
+
+
+# no tab, newline or carriage return, so every value stays one field
+field_values = st.text(alphabet="abcXY_-=|. ", min_size=1, max_size=4)
+
+
+@st.composite
+def conll_sentences(draw):
+    """Rows of one CoNLL-X sentence: a tree over random heads, or every HEAD
+    "_", and arbitrary values in the other fields."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for j, token in enumerate(order):  # each token hangs off the root or an earlier one
+        heads[token - 1] = draw(st.sampled_from([0, *order[:j]]))
+    annotated = draw(st.booleans())
+    rows = []
+    for i in range(1, n + 1):
+        values = draw(st.lists(field_values, min_size=9, max_size=9))
+        values[5] = str(heads[i - 1]) if annotated else "_"
+        rows.append([str(i), *values])
+    return rows
+
+
+@given(st.lists(conll_sentences(), min_size=1, max_size=4))
+def test_dependency_write_read_round_trip(sentences):
+    text = "".join("".join("\t".join(row) + "\n" for row in rows) + "\n" for rows in sentences)
+    insts = read_dependency_corpus(io.StringIO(text))
+    assert [inst.fields for inst in insts] == sentences
+    out = io.StringIO()
+    write_dependency_corpus(insts, out)
+    assert out.getvalue() == text
+    assert read_dependency_corpus(io.StringIO(out.getvalue())) == insts
+
+
+SEQ_TEXT = "naïve JJ B\ncafé NN E\n\nx NN B\n\n"
+CONLL_TEXT = "\n".join([conll_line(1, 2, form="naïve"), conll_line(2, 0), "", conll_line(1, 0)])
+
+
+@pytest.mark.parametrize("as_path", [str, lambda p: p], ids=["str", "Path"])
+def test_path_and_stream_read_alike(tmp_path, as_path):
+    seq_file, conll_file = tmp_path / "train.txt", tmp_path / "train.conll"
+    seq_file.write_text(SEQ_TEXT, encoding="utf-8")
+    conll_file.write_text(CONLL_TEXT, encoding="utf-8")
+
+    path_table, stream_table = LabelTable(), LabelTable()
+    from_path = read_sequence_corpus(as_path(seq_file), label_table=path_table)
+    from_stream = read_sequence_corpus(io.StringIO(SEQ_TEXT), label_table=stream_table)
+    assert from_path == from_stream and len(from_path) == 2
+    assert path_table.labels() == stream_table.labels() == ["B", "E"]
+    bare = read_sequence_corpus(as_path(seq_file), labeled=False)
+    assert bare == read_sequence_corpus(io.StringIO(SEQ_TEXT), labeled=False)
+
+    from_path = read_dependency_corpus(as_path(conll_file))
+    assert from_path == read_dependency_corpus(io.StringIO(CONLL_TEXT))
+    assert [inst.heads for inst in from_path] == [[2, 0], [0]]
+    assert from_path[0].tokens[0][0] == "naïve"

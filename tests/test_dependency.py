@@ -20,7 +20,6 @@ from mklsp.dependency import (
     default_edge_templates,
     distance_bucket,
     eisner_decode,
-    instantiate_edge,
     instantiate_edges,
     is_arborescence,
     is_projective,
@@ -38,6 +37,7 @@ from _oracles import (
     reference_cle_decode,
     reference_edge_scores,
     reference_eisner_decode,
+    reference_instantiate_edge,
     reference_joint_feature_map,
     reference_single_root,
     tree_best,
@@ -94,17 +94,25 @@ def test_distance_buckets():
     assert distance_bucket(10) == 10 and distance_bucket(12) == 10 and distance_bucket(40) == 10
 
 
+def edge_strings(spec, toks, u, v):
+    """The strings `instantiate_edges` gives edge u -> v."""
+    heads, mods, strings = instantiate_edges(spec, toks)
+    return [s for h, m, s in zip(heads.tolist(), mods.tolist(), strings) if (h, m) == (u, v)]
+
+
 def test_instantiate_edge_embeds_direction_and_distance():
     toks = augment(toy_sentence().tokens)
     (spec,) = parse_edge_templates("P00:head.CPOSTAG/mod.CPOSTAG")
-    assert instantiate_edge(spec, toks, 3, 2) == ["P00:L:1:V/N"]
-    assert instantiate_edge(spec, toks, 0, 3) == ["P00:R:3:<root>/V"]
+    for (u, v), want in [((3, 2), ["P00:L:1:V/N"]), ((0, 3), ["P00:R:3:<root>/V"])]:
+        assert reference_instantiate_edge(spec, toks, u, v) == edge_strings(spec, toks, u, v)
+        assert edge_strings(spec, toks, u, v) == want
 
 
 def test_instantiate_edge_boundary_symbols():
     toks = augment(toy_sentence().tokens)
     (spec,) = parse_edge_templates("P00:mod+1.FORM")
-    assert instantiate_edge(spec, toks, 0, 3) == ["P00:R:3:_B+1"]
+    assert reference_instantiate_edge(spec, toks, 0, 3) == ["P00:R:3:_B+1"]
+    assert edge_strings(spec, toks, 0, 3) == ["P00:R:3:_B+1"]
 
 
 def test_between_features_one_per_distinct_value():
@@ -113,12 +121,10 @@ def test_between_features_one_per_distinct_value():
     )
     (spec,) = parse_edge_templates("P20:head.CPOSTAG/between.CPOSTAG/mod.CPOSTAG")
     # between 1 and 4 sit X, Y; X repeats but appears once, first-seen order
-    assert instantiate_edge(spec, toks, 1, 4) == [
-        "P20:R:3:X/Y/Z",
-        "P20:R:3:X/X/Z",
-    ]
+    want = ["P20:R:3:X/Y/Z", "P20:R:3:X/X/Z"]
+    assert reference_instantiate_edge(spec, toks, 1, 4) == edge_strings(spec, toks, 1, 4) == want
     # adjacent pair: nothing between, no features at all
-    assert instantiate_edge(spec, toks, 1, 2) == []
+    assert reference_instantiate_edge(spec, toks, 1, 2) == edge_strings(spec, toks, 1, 2) == []
 
 
 # small vocabularies, so that between values repeat within a span
@@ -156,7 +162,7 @@ def test_instantiate_edges_matches_per_edge_definition(sentence, specs):
         want = [
             (u, v, s)
             for u, v in candidate_edges(len(toks))
-            for s in instantiate_edge(spec, toks, u, v)
+            for s in reference_instantiate_edge(spec, toks, u, v)
         ]
         assert list(zip(heads.tolist(), mods.tolist(), strings)) == want
         assert heads.dtype == mods.dtype == np.int64

@@ -14,7 +14,6 @@ from mklsp.sequence import (
     SequenceScorer,
     SequenceTask,
     decode_buckets,
-    hamming_loss,
     loss_augmented_decode,
     viterbi_decode,
 )
@@ -180,11 +179,12 @@ def test_viterbi_dominates_any_labeling():
 
 
 def test_hamming_loss_values():
-    assert hamming_loss([0, 1, 2], [0, 1, 2]) == 0.0
-    assert hamming_loss([0, 0], [1, 1]) == 2.0
-    assert hamming_loss([0, 1], [0, 2]) == 1.0
-    with pytest.raises(ValueError, match="length"):
-        hamming_loss([0], [0, 1])
+    # the loss `corpus_feature_ids` returns: positions labeled unlike gold
+    task, corpus = toy_task()
+    long, short = (task.compile(inst) for inst in corpus)  # gold [0, 1, 1] and [0]
+    for labels, loss in [([0, 1, 1], 0), ([1, 0, 0], 3), ([0, 1, 0], 1)]:
+        assert task.corpus_feature_ids([long], [labels])[1] == loss
+    assert task.corpus_feature_ids([long, short], [[0, 1, 0], [1]])[1] == 2
 
 
 # ---------------------------------------------------------------- task
@@ -205,6 +205,14 @@ def toy_task(transition=True):
     return SequenceTask.build(specs, corpus, table), corpus
 
 
+def fired(task, inst, labels):
+    """Per group, the group-local weight ids `labels` fire over one sentence,
+    one entry per firing, cut from the flat ids of `corpus_feature_ids`."""
+    ids, _ = task.corpus_feature_ids([inst], [labels])
+    offsets = np.cumsum([0, *task.group_dims])
+    return [ids[(lo <= ids) & (ids < hi)] - lo for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
 def test_task_shapes_and_ids():
     task, _ = toy_task()
     assert task.k == 2
@@ -217,13 +225,12 @@ def test_task_shapes_and_ids():
 def test_feature_map_counts_frequencies():
     task, corpus = toy_task()
     inst = task.compile(corpus[0])
-    phi = task.joint_feature_map(inst, [0, 1, 1])
+    phi = fired(task, inst, [0, 1, 1])
     assert len(phi) == 3 and all(ids.dtype == np.int64 for ids in phi)
     k = task.k
     # U00: dogs@S once, bark@P twice
     u00 = Counter(phi[0].tolist())
-    d_dogs = task.alphabets[0].lookup("U00:dogs")
-    d_bark = task.alphabets[0].lookup("U00:bark")
+    d_dogs, d_bark = task.alphabets[0].lookup_all(["U00:dogs", "U00:bark"]).tolist()
     assert u00 == {d_dogs * k + 0: 1.0, d_bark * k + 1: 2.0}
     # transitions: S->P once, P->P once
     b = Counter(phi[2].tolist())
@@ -233,7 +240,7 @@ def test_feature_map_counts_frequencies():
 def test_feature_map_singleton_sentence_has_no_transitions():
     task, corpus = toy_task()
     inst = task.compile(corpus[1])
-    phi = task.joint_feature_map(inst, [0])
+    phi = fired(task, inst, [0])
     assert phi[2].size == 0
     assert phi[0].size == 1 and phi[1].size == 1
 
@@ -242,7 +249,7 @@ def test_feature_map_rejects_wrong_length():
     task, corpus = toy_task()
     inst = task.compile(corpus[0])
     with pytest.raises(ValueError, match="length"):
-        task.joint_feature_map(inst, [0])
+        task.corpus_feature_ids([inst], [[0]])
 
 
 def test_score_equals_weight_dot_feature_map():
@@ -256,7 +263,7 @@ def test_score_equals_weight_dot_feature_map():
         y = [int(v) for v in rng.integers(0, task.k, size=inst.length)]
         path = emit[np.arange(inst.length), y].sum()
         path += scorer.transitions[np.array(y[:-1]), np.array(y[1:])].sum()
-        ids = task.joint_feature_map(inst, y)
+        ids = fired(task, inst, y)
         assert sum(w[f].sum() for w, f in zip(weights, ids)) == pytest.approx(path, abs=1e-9)
 
 
@@ -271,11 +278,11 @@ def test_solver_protocol_round_trip():
     task, corpus = toy_task()
     inst = task.compile(corpus[0])
     assert task.gold_output(inst) == [0, 1, 1]
-    gold_ids = task.joint_feature_map(inst, task.gold_output(inst))
+    gold_ids = fired(task, inst, task.gold_output(inst))
     assert [Counter(ids.tolist()) for ids in gold_ids] == feature_counts(task, inst, [0, 1, 1])
     weights = [np.zeros(d) for d in task.group_dims]
     (labels,), (value,) = task.decode_corpus(weights, [inst], augmented=True)
-    assert value == pytest.approx(hamming_loss([0, 1, 1], labels))
+    assert value == pytest.approx(sum(a != b for a, b in zip([0, 1, 1], labels)))
     unlabeled = task.compile(SequenceInstance([("dogs", "N")]))
     with pytest.raises(ValueError, match="gold"):
         task.gold_output(unlabeled)

@@ -39,6 +39,7 @@ from mklsp.templates import parse_templates
 
 from _oracles import (
     active_set_qp,
+    feature_counts,
     qcqp_oracle,
     reference_barrier_qcqp,
     reference_constraint_row,
@@ -301,12 +302,14 @@ def test_constraint_row_feature_part_is_average_gap():
     assert row.counts.dtype == np.int64
     rng = np.random.default_rng(36)
     w = [rng.uniform(-1, 1, size=d) for d in task.group_dims]
+
+    def score(inst, y):
+        counts = feature_counts(task, inst, y)
+        return sum(wj[f] * c for wj, d in zip(w, counts, strict=True) for f, c in d.items())
+
     manual = 0.0
     for inst, y in zip(insts, out):
-        decoded = sum(wj[ids].sum() for wj, ids in zip(w, task.joint_feature_map(inst, y)))
-        gold_ids = task.joint_feature_map(inst, task.gold_output(inst))
-        gold = sum(wj[ids].sum() for wj, ids in zip(w, gold_ids))
-        manual += (decoded - gold) / len(insts)
+        manual += (score(inst, y) - score(inst, task.gold_output(inst))) / len(insts)
     assert row.p.dot_dense(w) == pytest.approx(manual, abs=1e-12)
     assert row_value(row, np.concatenate(w)) - row.q == pytest.approx(manual, abs=1e-12)
 
@@ -531,6 +534,9 @@ def test_config_validation():
         SolverConfig(C=1.0, max_iterations=0)
     with pytest.raises(ValueError, match="mode"):
         SolverConfig(C=1.0, mode="ridge")
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            SolverConfig(C=1.0, jobs=bad)
 
 
 def test_train_single_label_converges_immediately():

@@ -10,11 +10,12 @@ from mklsp.templates import (
     TemplateError,
     boundary_symbol,
     index_corpus,
-    instantiate,
     instantiate_all,
     parse_templates,
     validate_columns,
 )
+
+from _oracles import reference_instantiate
 
 TOKENS = [("John",), ("hit",), ("ball",)]
 
@@ -89,23 +90,26 @@ def test_boundary_symbols():
 
 def test_instantiate_inside():
     (spec,) = parse_templates("U01:%x[-1,0]")
-    assert instantiate(spec, TOKENS, 1) == "U01:John"
+    assert reference_instantiate(spec, TOKENS, 1) == "U01:John"
+    assert instantiate_all(spec, TOKENS)[1] == "U01:John"
 
 
 def test_instantiate_left_boundary():
     (spec,) = parse_templates("U01:%x[-1,0]")
-    assert instantiate(spec, TOKENS, 0) == "U01:_B-1"
+    assert reference_instantiate(spec, TOKENS, 0) == "U01:_B-1"
+    assert instantiate_all(spec, TOKENS)[0] == "U01:_B-1"
 
 
 def test_instantiate_right_boundary():
     (spec,) = parse_templates("U06:%x[0,0]/%x[1,0]")
-    assert instantiate(spec, TOKENS, 2) == "U06:ball/_B+1"
+    assert reference_instantiate(spec, TOKENS, 2) == "U06:ball/_B+1"
+    assert instantiate_all(spec, TOKENS)[2] == "U06:ball/_B+1"
 
 
 def test_instantiate_total_over_positions():
     specs = parse_templates("U07:%x[-2,0]/%x[2,0]")
     for t in range(3):
-        s = instantiate(specs[0], TOKENS, t)
+        s = reference_instantiate(specs[0], TOKENS, t)
         assert s.startswith("U07:")
 
 
@@ -117,7 +121,7 @@ def test_instantiate_all_matches_per_position(tokens, macros):
     body = "/".join(f"%x[{row},{col}]" for row, col in macros)
     (spec,) = parse_templates(f"U09:{body}")
     assert instantiate_all(spec, tokens) == [
-        instantiate(spec, tokens, t) for t in range(len(tokens))
+        reference_instantiate(spec, tokens, t) for t in range(len(tokens))
     ]
 
 
@@ -125,12 +129,14 @@ def test_instantiate_all_matches_per_position(tokens, macros):
 def test_batch_intern_and_lookup_match_one_at_a_time(first, second):
     one, batch = FeatureAlphabet("U00"), FeatureAlphabet("U00")
     for s in first:
-        one.intern(s)
+        one.intern_all([s])
     batch.intern_all(first)
-    assert batch.strings() == one.strings()
+    assert batch.strings() == one.strings() == list(dict.fromkeys(first))
     ids = batch.lookup_all(second)
     assert ids.dtype == np.int64
-    assert ids.tolist() == [-1 if one.lookup(s) is None else one.lookup(s) for s in second]
+    assert ids.tolist() == [int(one.lookup_all([s])[0]) for s in second]
+    seen = one.strings()
+    assert ids.tolist() == [seen.index(s) if s in seen else -1 for s in second]
 
 
 def test_validate_columns():
@@ -144,7 +150,8 @@ def test_index_corpus_single_instantiation():
     specs = parse_templates("U02:%x[0,0]")
     (alphabet,) = index_corpus(specs, make_corpus([["a"]]))
     assert len(alphabet) == 1
-    assert alphabet.frozen
+    with pytest.raises(ValueError, match="frozen"):
+        alphabet.intern_all(["U02:b"])
 
 
 def test_index_corpus_set_semantics():
@@ -169,10 +176,9 @@ def test_index_corpus_first_seen_order():
 
 def test_frozen_alphabet_rejects_new():
     a = FeatureAlphabet("U00", ["U00:x"], frozen=True)
-    assert a.lookup("U00:x") == 0
-    assert a.lookup("U00:y") is None
+    assert a.lookup_all(["U00:x", "U00:y"]).tolist() == [0, -1]
     with pytest.raises(ValueError, match="frozen"):
-        a.intern("U00:y")
+        a.intern_all(["U00:y"])
     a.intern_all(["U00:x"])
     with pytest.raises(ValueError, match="frozen"):
         a.intern_all(["U00:x", "U00:y"])
