@@ -1,7 +1,9 @@
 """Edge templates, tree decoders against exhaustive search, validators, and
 the parsing task protocol."""
 
+import hashlib
 import inspect
+import io
 import sys
 from collections import Counter
 
@@ -26,6 +28,7 @@ from mklsp.dependency import (
     parent_loss,
     parse_edge_templates,
 )
+from mklsp.model import MAGIC, Model
 from mklsp.synthetic import dependency_text, load_dependency
 from mklsp.templates import TemplateError
 
@@ -127,10 +130,18 @@ def test_between_features_one_per_distinct_value():
     assert reference_instantiate_edge(spec, toks, 1, 2) == edge_strings(spec, toks, 1, 2) == []
 
 
+# values that a feature string cannot tell apart from its own syntax: the
+# "/" that joins selector values, the ":" after the prefix, and look-alikes
+# of the boundary sentinels and the root token
+TRICKY = st.sampled_from(["a/b", "b/c", "/", ":", "x:y", "_B-1", "_B+1", "<root>", ""])
+
+
+def column(plain):
+    return st.sampled_from(plain) | TRICKY
+
+
 # small vocabularies, so that between values repeat within a span
-TOKEN = st.tuples(
-    st.sampled_from("abc"), st.sampled_from("ab"), st.sampled_from("XY"), st.sampled_from("XYZ")
-)
+TOKEN = st.tuples(column("abc"), column("ab"), column("XY"), column("XYZ"))
 SENTENCE = st.lists(TOKEN, min_size=1, max_size=8)
 FIELD = st.sampled_from(sorted(FIELDS))
 
@@ -149,9 +160,13 @@ def edge_template(draw, index):
 
 
 @st.composite
-def edge_template_specs(draw):
+def edge_template_text(draw):
     lines = [draw(edge_template(f"P{j}")) for j in range(draw(st.integers(1, 3)))]
-    return parse_edge_templates("\n".join([*lines, "PB:between.CPOSTAG"]))
+    return "\n".join([*lines, "PB:between.CPOSTAG"])
+
+
+def edge_template_specs():
+    return edge_template_text().map(parse_edge_templates)
 
 
 @given(SENTENCE, edge_template_specs())
@@ -180,6 +195,44 @@ def test_build_and_compile_match_per_edge_reference(corpus, unseen, specs):
             for a, b in zip(group, ref, strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.array_equal(a, b)
+
+
+def test_values_holding_a_slash_match_by_string():
+    # a feature is its string, so FORMs (a/b, c) and (a, b/c) fire the same
+    # head/modifier feature "P00:R:1:a/b/c"
+    (spec,) = parse_edge_templates("P00:head.FORM/mod.FORM")
+    trained = DependencyInstance([("a/b", "_", "X", "X"), ("c", "_", "X", "X")], None)
+    task = DependencyTask.build([spec], [trained])
+    strings = task.extractor.alphabets[0].strings()
+    assert "P00:R:1:a/b/c" in strings
+    inst = task.compile(DependencyInstance([("a", "_", "X", "X"), ("b/c", "_", "X", "X")], None))
+    u, v, f = inst.group_edges[0]
+    fired = {(a, b): strings[c] for a, b, c in zip(u.tolist(), v.tolist(), f.tolist())}
+    assert fired == {(1, 2): "P00:R:1:a/b/c"}
+
+
+def read_back(task, template_text):
+    """The task of `task`'s model as `Model.read` rebuilds it from the saved bytes."""
+    m = len(task.group_ids)
+    model = Model.from_dependency(
+        task, template_text, np.full(m, 1.0 / m), [np.zeros(d) for d in task.group_dims]
+    )
+    payload = model.payload()
+    header = f"{MAGIC}\nchecksum={hashlib.sha256(payload).hexdigest()}\n\n".encode("ascii")
+    return Model.read(io.BytesIO(header + payload)).task
+
+
+@given(st.lists(SENTENCE, min_size=1, max_size=3), SENTENCE, edge_template_text())
+def test_read_task_compiles_like_the_built_task(corpus, unseen, template_text):
+    specs = parse_edge_templates(template_text)
+    task = DependencyTask.build(specs, [DependencyInstance(s, None) for s in corpus])
+    loaded = read_back(task, template_text)
+    for tokens in [*corpus, unseen]:
+        inst = DependencyInstance(tokens, None)
+        a, b = task.compile(inst), loaded.compile(inst)
+        for name in ("cells", "ids", "bounds"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------- decoders
