@@ -3,7 +3,8 @@
 Diagnostics go to stderr, data to stdout.  Every flag default can be
 overridden by an environment variable with the MTL_ prefix (flag name
 uppercased, dashes to underscores, e.g. MTL_MAX_ITER=50); an explicit flag
-still wins.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+still wins, and a command reads only the variables of its own flags.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,26 +52,49 @@ def _env_name(flag: str) -> str:
     return ENV_PREFIX + flag.strip("-").upper().replace("-", "_")
 
 
-def _env(flag: str, cast, fallback):
-    raw = os.environ.get(_env_name(flag))
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {_env_name(flag)}: {raw!r}") from exc
-
-
-def _env_flag(flag: str) -> bool:
-    raw = os.environ.get(_env_name(flag))
-    if raw is None:
-        return False
+def _boolean(raw: str) -> bool:
     low = raw.strip().lower()
-    if low in _TRUE_WORDS:
-        return True
-    if low in _FALSE_WORDS:
-        return False
-    raise UsageError(f"bad boolean for {_env_name(flag)}: {raw!r}")
+    if low not in _TRUE_WORDS + _FALSE_WORDS:
+        raise ValueError(raw)
+    return low in _TRUE_WORDS
+
+
+class _FromEnv(NamedTuple):
+    """A flag default that its MTL_ variable overrides, read only when the
+    subcommand that takes the flag is the one parsed."""
+
+    flag: str
+    cast: Callable[[str], object]
+    fallback: object
+
+    def read(self):
+        raw = os.environ.get(_env_name(self.flag))
+        if raw is None:
+            return self.fallback
+        try:
+            return self.cast(raw)
+        except ValueError as exc:
+            raise UsageError(f"bad value for {_env_name(self.flag)}: {raw!r}") from exc
+
+
+def _env(flag: str, cast, fallback) -> _FromEnv:
+    return _FromEnv(flag, cast, fallback)
+
+
+def _env_flag(flag: str) -> _FromEnv:
+    return _FromEnv(flag, _boolean, False)
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reads its `_FromEnv` defaults when it parses,
+    so a bad MTL_ value stops only the commands that take its flag."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace = argparse.Namespace() if namespace is None else namespace
+        for action in self._actions:
+            if isinstance(action.default, _FromEnv) and not hasattr(namespace, action.dest):
+                setattr(namespace, action.dest, action.default.read())
+        return super().parse_known_args(args, namespace)
 
 
 def _cannot_open(exc: OSError) -> str:
@@ -107,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mklsp",
         description="Train and apply structured models with learned template weights.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p_train = subs.add_parser("train", help="fit a model on a labeled corpus")
     _add_common_train_flags(p_train)

@@ -10,11 +10,23 @@ emits one feature per distinct field value strictly between head and
 modifier.  Every feature string embeds the template index, the attachment
 direction, and the bucketed head-modifier distance.
 
+Features are integer keys.  A firing is (template, direction, distance
+bucket, one value code per selector slot, the ``between`` slot included);
+its string is ``index:direction:distance:`` and the slot values joined by
+``/``.  `EdgeFeatureExtractor.build` keys every candidate edge of the
+training corpus, template by template, in one numpy pass per sentence (see
+`_EdgeLayout`), and writes strings only for the distinct keys.  The task
+parses its alphabet strings back into a value vocabulary and sorted key
+tables (`_KeyTable`), the same way after `build` and after `Model.read`, so
+`DependencyTask.compile` looks features up by key, not by string.
+
 Model checksums rest on one invariant: each template's alphabet lists its
-strings in first-seen order over (sentence, head, modifier, between
-position), heads outer and modifiers inner.  `EdgeFeatureExtractor.build`
-and `DependencyTask.compile` both get their strings from `instantiate_edges`,
-which yields them in exactly that order for a whole sentence at once.
+strings in the order their keys are first seen over (sentence, head,
+modifier, between position), heads outer and modifiers inner.  A feature is
+still its string: values that hold a ``/`` can spell another key's string,
+and then the two are one feature, interned once.  Such strings have more
+``/`` than slots, so the key tables keep them as strings and `compile` looks
+them up by string, and only for firings with such a value.
 """
 
 from __future__ import annotations
@@ -23,7 +35,6 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -114,109 +125,142 @@ def augment(tokens: Sequence[tuple[str, ...]]) -> list[tuple[str, ...]]:
     return [ROOT_TOKEN, *tokens]
 
 
-class _EdgeFrame(NamedTuple):
-    """The candidate edges of a sentence with n positions (root included)."""
+_BUCKETS = (1, 2, 3, 4, 5, 10)
+# (direction, distance bucket) as a feature string spells them -> their code
+_DIR_DIST = {(d, str(b)): i for i, (d, b) in enumerate((d, b) for d in "RL" for b in _BUCKETS)}
+_N_DIR_DIST = len(_DIR_DIST)
+_KEY_LIMIT = 1 << 62  # integer keys stay below this, so no stage overflows int64
+_CHUNK = 1 << 13  # least firings `build` gathers before it drops repeated keys
 
-    heads: tuple[int, ...]
-    mods: tuple[int, ...]
-    head_ids: np.ndarray  # read-only int64 copies of heads / mods
-    mod_ids: np.ndarray
-    prefixes: tuple[str, ...]  # "dir:dist:" per edge
-    spans: tuple[int, ...]  # lo * n + hi per edge
+
+class _EdgeFrame(NamedTuple):
+    """The candidate edges of a sentence with n positions (root included):
+    u = 0..n-1 outer, v = 1..n-1 inner, u != v."""
+
+    anchors: np.ndarray  # (3, edges): u, v and zeros
+    cells: np.ndarray  # u * n + v
+    dir_dist: np.ndarray  # code of (direction, distance bucket)
+    lo: np.ndarray  # min(u, v)
+    last: np.ndarray  # max(u, v) - 1, the last position strictly between
 
 
 @lru_cache(maxsize=256)
 def _edge_frame(n: int) -> _EdgeFrame:
-    pairs = [(u, v) for u in range(n) for v in range(1, n) if u != v]
-    heads = tuple(u for u, _ in pairs)
-    mods = tuple(v for _, v in pairs)
-    head_ids = np.array(heads, dtype=np.int64)
-    mod_ids = np.array(mods, dtype=np.int64)
-    head_ids.flags.writeable = False
-    mod_ids.flags.writeable = False
-    prefixes = tuple(
-        f"{'R' if u < v else 'L'}:{distance_bucket(abs(u - v))}:" for u, v in pairs
+    u, v = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    keep = (v > 0) & (u != v)
+    u, v = u[keep], v[keep]
+    dist = np.abs(u - v)
+    bucket = np.where(dist >= 10, 5, np.minimum(dist, 5) - 1)  # index into _BUCKETS
+    frame = _EdgeFrame(
+        np.stack((u, v, np.zeros_like(u))),
+        u * n + v,
+        (u > v) * len(_BUCKETS) + bucket,
+        np.minimum(u, v),
+        np.maximum(u, v) - 1,
     )
-    spans = tuple(min(u, v) * n + max(u, v) for u, v in pairs)
-    return _EdgeFrame(heads, mods, head_ids, mod_ids, prefixes, spans)
+    for a in frame:
+        a.flags.writeable = False
+    return frame
 
 
-def _between_values(aug_tokens: Sequence[tuple[str, ...]], column: int) -> list[tuple[str, ...]]:
-    """Distinct values strictly inside each span (first seen first), at lo * n + hi.
+def _fresh(columns: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Whether position p holds a value not seen in (lo, p), per column.
 
-    Each left end keeps one running list as the right end moves, so no span
-    is scanned twice; spans that add no new value share the previous tuple.
+    `columns` is (R, n), value codes at positions 0..n-1 with equal codes
+    for equal values; the result is (R, len(lo), n).  Inside a span
+    (lo, hi), the positions marked are its distinct values, first seen first.
     """
-    n = len(aug_tokens)
-    values = [tok[column] for tok in aug_tokens]
-    table: list[tuple[str, ...]] = [()] * (n * n)
-    for lo in range(n - 2):
-        seen: list[str] = []
-        current: tuple[str, ...] = ()
-        for hi in range(lo + 2, n):
-            value = values[hi - 1]
-            if value not in seen:
-                seen.append(value)
-                current = tuple(seen)
-            table[lo * n + hi] = current
-    return table
+    q = np.arange(columns.shape[1])
+    same = (columns[:, :, None] == columns[:, None, :]) & (q[:, None] < q)  # [r, q, p]
+    prev = np.where(same, q[:, None], -1).max(axis=1)  # the last earlier q of p's value
+    return prev[:, None, :] <= lo[:, None]
 
 
-def instantiate_edges(
-    spec: EdgeTemplateSpec, aug_tokens: Sequence[tuple[str, ...]]
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Feature strings of `spec` over every candidate edge of one sentence.
+class _EdgeLayout:
+    """Where each slot of each template reads its value, for any sentence.
 
-    Returns ``(heads, mods, strings)``: entry i is a string of edge
-    ``heads[i] -> mods[i]``, over the edges u = 0..n-1 (outer), v = 1..n-1
-    (inner), u != v, of the augmented tokens; the int64 arrays may be
-    read-only.  A string is ``index:direction:distance:`` and the selectors'
-    values joined by ``/``, a position outside the sentence reading its
-    boundary sentinel.  Without a ``between`` selector each edge has one
-    string; with one, an edge has a string per distinct value strictly
-    between head and modifier (first seen first), so adjacent pairs have
-    none.  Each selector's column of values is read once per sentence, and
-    the strings are joined edge-parallel.
+    A slot is one selector of a template, in template order, with the
+    ``between`` selector in its place; slots past a template's last read the
+    pad.  A sentence is read as one flat array of value codes: per field that
+    some selector reads, its values at positions ``reach[0] .. n - 1 +
+    reach[1]`` (boundary sentinels outside the sentence), then the pad code 0.
     """
-    n = len(aug_tokens)
-    frame = _edge_frame(n)
-    n_edges = len(frame.heads)
-    prefixes = map(f"{spec.index}:".__add__, frame.prefixes)
-    parts = []  # per selector: its value on every edge (None for between)
-    for sel in spec.selectors:
-        if sel.anchor == "between":
-            parts.append(None)
-            continue
-        column = [
-            aug_tokens[p][sel.column] if 0 <= p < n else boundary_symbol(p, n)
-            for p in range(sel.offset, sel.offset + n)
-        ]
-        anchors = frame.heads if sel.anchor == "head" else frame.mods
-        parts.append(map(column.__getitem__, anchors))
 
-    between_col = spec.between_column
-    if between_col is None:
-        strings = list(map(add, prefixes, map("/".join, zip(*parts))))
-        return frame.head_ids, frame.mod_ids, strings
+    def __init__(self, specs: Sequence[EdgeTemplateSpec]):
+        n_templates = len(specs)
+        self.width = max((len(s.selectors) for s in specs), default=0)
+        self.fields = sorted({sel.column for s in specs for sel in s.selectors})
+        offsets = [sel.offset for s in specs for sel in s.selectors]
+        self.reach = (min([0, *offsets]), max([0, *offsets]))
+        row = {f: i for i, f in enumerate(self.fields)}
+        # the distinct head and mod selectors (anchor row of the edge frame,
+        # field row, offset), then the pad
+        selectors: dict[tuple[int, int, int], int] = {}
+        slots = np.full((n_templates, self.width), -1, dtype=np.int64)
+        for t, spec in enumerate(specs):
+            for k, sel in enumerate(spec.selectors):
+                if sel.anchor != "between":
+                    key = (int(sel.anchor == "mod"), row[sel.column], sel.offset - self.reach[0])
+                    slots[t, k] = selectors.setdefault(key, len(selectors))
+        selectors[(2, len(self.fields), 0)] = pad = len(selectors)
+        slots[slots < 0] = pad
+        table = np.array([*selectors], dtype=np.int64).reshape(-1, 3)
+        self._anchor, self._row, self._shift = table.T
 
-    b = parts.index(None)
-    # "x/y/" before and "/z" after the between value; empty without selectors
-    before = map("/".join, zip(*parts[:b], repeat("", n_edges)))
-    after = map("/".join, zip(repeat("", n_edges), *parts[b + 1 :]))
-    table = _between_values(aug_tokens, between_col)
-    values = list(map(table.__getitem__, frame.spans))
-    counts = list(map(len, values))
-    strings = list(
-        map(
-            "".join,
-            zip(
-                chain.from_iterable(map(repeat, map(add, prefixes, before), counts)),
-                chain.from_iterable(values),
-                chain.from_iterable(map(repeat, after, counts)),
-            ),
+        plain = [t for t, s in enumerate(specs) if s.between_column is None]
+        between = [t for t, s in enumerate(specs) if s.between_column is not None]
+        self.plain = np.array(plain, dtype=np.int64)
+        self._plain_slots = slots[plain].T  # (width, plain templates)
+        self.between = np.array(between, dtype=np.int64)
+        self._between_slots = slots[between]  # (between templates, width)
+        self._between_slot = np.array(
+            [[sel.anchor for sel in specs[t].selectors].index("between") for t in between],
+            dtype=np.int64,
         )
-    )
-    return np.repeat(frame.head_ids, counts), np.repeat(frame.mod_ids, counts), strings
+        rows = [row[specs[t].between_column] for t in between]
+        self._between_rows = np.array(sorted(set(rows)), dtype=np.int64)
+        self._between_field = np.searchsorted(self._between_rows, rows)
+        # firings come plain block first, so they run in template order
+        # exactly when every plain template comes before every between one
+        self.in_order = not plain or not between or max(plain) < min(between)
+
+    def values(self, aug_tokens: Sequence[tuple[str, ...]]) -> list[str]:
+        """The strings that a sentence's flat code array codes, pad excluded."""
+        n = len(aug_tokens)
+        positions = range(self.reach[0], n + self.reach[1])
+        return [
+            aug_tokens[p][f] if 0 <= p < n else boundary_symbol(p, n)
+            for f in self.fields
+            for p in positions
+        ]
+
+    def firings(self, n: int, codes: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Every feature firing of a sentence with n positions (root included).
+
+        `codes` is its flat code array, equal codes for equal strings.  A
+        template fires once per candidate edge of `_edge_frame(n)`, a
+        ``between`` template once per distinct value strictly between head
+        and modifier, first seen first.  Returns ``(plain, (templates, edges,
+        slots))``: the (width, templates, edges) slot-value codes of the
+        templates in `plain`, and the template, edge and (width, firings)
+        slot-value codes of each ``between`` firing, those of a template in
+        edge order.
+        """
+        frame = _edge_frame(n)
+        size = n + self.reach[1] - self.reach[0]
+        # per selector, its value's code on every edge
+        at = frame.anchors[self._anchor] + (self._row * size + self._shift)[:, None]
+        by_selector = codes[at]
+        plain = by_selector[self._plain_slots]
+        if not self.between.size:
+            return plain, (self.between, self.between, np.zeros((self.width, 0), dtype=np.int64))
+        columns = codes[(self._between_rows * size - self.reach[0])[:, None] + np.arange(n)]
+        p = np.arange(n)
+        inside = (p > frame.lo[:, None]) & (p <= frame.last[:, None])
+        j, e, spot = np.nonzero(_fresh(columns, frame.lo)[self._between_field] & inside)
+        slots = by_selector[self._between_slots[j].T, e]
+        slots[self._between_slot[j], np.arange(j.size)] = columns[self._between_field[j], spot]
+        return plain, (self.between[j], e, slots)
 
 
 class EdgeFeatureExtractor:
@@ -232,19 +276,188 @@ class EdgeFeatureExtractor:
     def build(
         cls, specs: Sequence[EdgeTemplateSpec], corpus: Sequence[DependencyInstance]
     ) -> "EdgeFeatureExtractor":
-        """Index every candidate edge of every sentence, first-seen order."""
+        """Index every candidate edge of every sentence, first-seen order.
+
+        Each firing is keyed by integers, (template, direction, distance)
+        and a code per slot value; strings are written only for the
+        distinct keys, in the order their keys are first seen.
+        """
         if not corpus:
             raise ValueError("cannot index an empty corpus")
         if not specs:
             raise ValueError("template file defines no feature groups")
-        alphabets = [FeatureAlphabet(s.index) for s in specs]
+        layout = _EdgeLayout(specs)
+        vocab: dict[str, int] = {}
+        # the distinct keys so far, first seen first, and the firings since
+        distinct = np.zeros((layout.width + 1, 0), dtype=np.int64)
+        pending, size = [], 0
         for inst in corpus:
             toks = augment(inst.tokens)
-            for spec, alphabet in zip(specs, alphabets):
-                alphabet.intern_all(instantiate_edges(spec, toks)[2])
-        for alphabet in alphabets:
+            codes = [vocab.setdefault(s, len(vocab)) for s in layout.values(toks)]
+            codes = np.array([*codes, 0], dtype=np.int64)
+            plain, (templates, edges, slots) = layout.firings(len(toks), codes)
+            dir_dist = _edge_frame(len(toks)).dir_dist
+            prefix = (layout.plain * _N_DIR_DIST)[:, None] + dir_dist
+            pending.append(np.vstack((prefix.ravel(), plain.reshape(len(plain), -1))))
+            pending.append(np.vstack((templates * _N_DIR_DIST + dir_dist[edges], slots)))
+            size += prefix.size + edges.size
+            if size >= max(_CHUNK, distinct.shape[1]):  # merges cost O(firings log firings)
+                distinct = _first_seen(np.hstack((distinct, *pending)))
+                pending, size = [], 0
+        keys = _first_seen(np.hstack((distinct, *pending)))
+        # per template, its keys in first-seen order
+        owner = keys[0] // _N_DIR_DIST
+        order = np.argsort(owner, kind="stable")
+        keys, bounds = keys[:, order], np.searchsorted(owner[order], np.arange(len(specs) + 1))
+        words = list(vocab)
+        alphabets = []
+        for t, spec in enumerate(specs):
+            prefixes = [f"{spec.index}:{d}:{b}:" for d, b in _DIR_DIST]
+            block = keys[: 1 + len(spec.selectors), bounds[t] : bounds[t + 1]].tolist()
+            heads = map(prefixes.__getitem__, (p % _N_DIR_DIST for p in block[0]))
+            tails = map("/".join, zip(*(map(words.__getitem__, row) for row in block[1:])))
+            alphabet = FeatureAlphabet(spec.index)
+            alphabet.intern_all(map(add, heads, tails))  # equal strings merge here
             alphabet.freeze()
+            alphabets.append(alphabet)
         return cls(specs, alphabets)
+
+
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """The distinct columns of a non-negative int64 key matrix, in first-seen order.
+
+    Rows fold into one integer key as long as it stays below 2**62; when the
+    next row would not fit, the key so far is replaced by its rank among the
+    distinct keys, which is below the column count.
+    """
+    if keys.shape[1] == 0:
+        return keys
+    key, bound = keys[0], int(keys[0].max()) + 1
+    for row in keys[1:]:
+        scale = int(row.max()) + 1
+        if bound * scale > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            key = key.reshape(-1)
+            bound = int(key.max()) + 1
+        key, bound = key * scale + row, bound * scale
+    _, first = np.unique(key, return_index=True)
+    return keys[:, np.sort(first)]
+
+
+class _KeyTable:
+    """Flat feature ids by integer key, parsed from the alphabet strings.
+
+    A string ``index:direction:distance:tail`` of a template with K slots
+    whose tail splits at ``/`` into exactly K values is the key (template,
+    direction, distance, value codes).  A tail with more parts can only be
+    fired by values that hold a ``/``; such strings stay strings, per
+    template.  Strings of any other shape are dead: no firing spells them.
+
+    Keys resolve in a few stages.  Stage 0 is (template, direction,
+    distance); each later stage looks up ``rank * B**m + (its m codes in
+    base B)`` in a sorted table, rank being the position found by the stage
+    before.  B = V + 1 for a vocabulary of V values, and V is the code of
+    every value the vocabulary lacks, which no key holds.  A stage takes as
+    many slots as keep its keys below 2**62.  The tables are frozen, so
+    compiling never changes them.
+    """
+
+    def __init__(self, specs, alphabets, offsets, width: int):
+        self.vocab: dict[str, int] = {}
+        self.slash: list[dict[str, int]] = [{} for _ in specs]
+        blocks = []
+        for t, (spec, alphabet, offset) in enumerate(zip(specs, alphabets, offsets)):
+            k = len(spec.selectors)
+            prefixes, tails, ids = [], [], []
+            for i, s in enumerate(alphabet.strings(), start=offset):
+                parts = s.split(":", 3)
+                if len(parts) < 4 or parts[0] != spec.index:
+                    continue
+                dd = _DIR_DIST.get((parts[1], parts[2]))
+                if dd is None:
+                    continue
+                slashes = parts[3].count("/")
+                if slashes == k - 1:
+                    prefixes.append(t * _N_DIR_DIST + dd)
+                    tails.append(parts[3])
+                    ids.append(i)
+                elif slashes >= k:
+                    self.slash[t][s] = i
+            values = "/".join(tails).split("/") if tails else []
+            for v in dict.fromkeys(values):
+                self.vocab.setdefault(v, len(self.vocab))
+            block = np.zeros((width + 2, len(ids)), dtype=np.int64)
+            block[0], block[-1] = prefixes, ids
+            block[1 : k + 1] = np.fromiter(
+                map(self.vocab.__getitem__, values), dtype=np.int64, count=len(values)
+            ).reshape(-1, k).T
+            blocks.append(block)
+        self.words = list(self.vocab)
+        self.unseen = len(self.vocab)
+        self.base = base = self.unseen + 1
+        keys = np.hstack([np.zeros((width + 2, 0), dtype=np.int64), *blocks])
+        rank, bound = keys[0], len(specs) * _N_DIR_DIST
+        self.stages: list[tuple[range, np.ndarray]] = []
+        k = 0
+        while k < width:
+            m = 1
+            while k + m < width and bound * base ** (m + 1) <= _KEY_LIMIT:
+                m += 1
+            key = rank
+            for row in keys[1 + k : 1 + k + m]:
+                key = key * base + row
+            table, rank = np.unique(key, return_inverse=True)
+            rank = rank.reshape(-1)
+            # a last entry above every key keeps searchsorted inside the table
+            self.stages.append((range(k, k + m), np.append(table, np.iinfo(np.int64).max)))
+            bound, k = max(table.size, 1), k + m
+        self.ids = np.full(rank.size + 1, -1, dtype=np.int64)  # rank -1 reads the last -1
+        self.ids[rank] = keys[-1]
+        self.prefixes = [f"{s.index}:{d}:{b}:" for s in specs for d, b in _DIR_DIST]
+        self.widths = [len(s.selectors) for s in specs]
+
+    def codes(self, values: list[str]) -> tuple[np.ndarray, list[str]]:
+        """A sentence's flat code array (pad code 0 appended) and the values
+        the vocabulary lacks: the i-th of them has code V + i, so equal codes
+        still mean equal strings."""
+        codes = list(map(self.vocab.get, values))
+        unseen: dict[str, int] = {}
+        if None in codes:
+            codes = [
+                self.unseen + unseen.setdefault(s, len(unseen)) if c is None else c
+                for c, s in zip(codes, values)
+            ]
+        return np.array([*codes, 0], dtype=np.int64), list(unseen)
+
+    def lookup(self, prefix: np.ndarray, slots: np.ndarray, unseen: list[str]) -> np.ndarray:
+        """Flat ids of firings, -1 where the alphabets lack the feature.
+
+        `prefix` holds each firing's stage-0 code and `slots` the (width,
+        firings) codes of its values, `unseen` the strings of codes V, V+1, ...
+        """
+        rank = prefix
+        known = np.minimum(slots, self.unseen)
+        for group, table in self.stages:
+            key = rank
+            for k in group:
+                key = key * self.base + known[k]
+            found = np.searchsorted(table, key)
+            rank = np.where(table[found] == key, found, -1)
+        ids = self.ids[rank]
+        if unseen and any(self.slash):
+            # a value holding "/" reads V, so only its string can match
+            words = self.words + unseen
+            marked = np.array(["/" in s for s in words])
+            slots = slots.reshape(len(slots), -1)
+            prefix, flat = prefix.reshape(-1), ids.reshape(-1)
+            for i in np.flatnonzero(marked[slots].any(axis=0)).tolist():
+                p = int(prefix[i])
+                strings = self.slash[p // _N_DIR_DIST]
+                if strings:
+                    tail = slots[: self.widths[p // _N_DIR_DIST], i].tolist()
+                    s = self.prefixes[p] + "/".join(map(words.__getitem__, tail))
+                    flat[i] = strings.get(s, -1)
+        return ids
 
 
 def parent_loss(gold: Sequence[int], other: Sequence[int]) -> float:
@@ -465,6 +678,10 @@ class DependencyTask:
         offsets = np.cumsum([0, *self.group_dims], dtype=np.int64)[:-1]
         offsets.flags.writeable = False
         self._offsets = offsets  # shared by every compiled sentence
+        self._layout = _EdgeLayout(extractor.specs)
+        self._keys = _KeyTable(
+            extractor.specs, extractor.alphabets, offsets.tolist(), self._layout.width
+        )
 
     @classmethod
     def build(
@@ -485,24 +702,35 @@ class DependencyTask:
         return [len(a) for a in self.extractor.alphabets]
 
     def compile(self, instance: DependencyInstance) -> CompiledDependency:
+        """The sentence's firings that the alphabets know, as flat ids.
+
+        All templates run in one pass over integer keys; see the module
+        docstring.  Unknown features fire nothing.
+        """
         toks = augment(instance.tokens)
         size = len(toks)
-        cells, ids = [], []
-        for spec, alphabet, offset in zip(
-            self.extractor.specs, self.extractor.alphabets, self._offsets.tolist(), strict=True
-        ):
-            heads, mods, strings = instantiate_edges(spec, toks)
-            found = alphabet.lookup_all(strings)
-            known = found >= 0  # unknown strings fire nothing
-            cells.append(heads[known] * size + mods[known])
-            ids.append(found[known] + offset)
-        bounds = np.cumsum([0, *map(len, ids)], dtype=np.int64)
+        layout, keys = self._layout, self._keys
+        codes, unseen = keys.codes(layout.values(toks))
+        plain, (between, edges, slots) = layout.firings(size, codes)
+        frame = _edge_frame(size)
+        ids = keys.lookup((layout.plain * _N_DIR_DIST)[:, None] + frame.dir_dist, plain, unseen)
+        rows, cols = np.nonzero(ids >= 0)
+        templates, cells, ids = layout.plain[rows], frame.cells[cols], ids[rows, cols]
+        if edges.size:
+            found = keys.lookup(between * _N_DIR_DIST + frame.dir_dist[edges], slots, unseen)
+            known = found >= 0
+            templates = np.concatenate((templates, between[known]))
+            cells = np.concatenate((cells, frame.cells[edges[known]]))
+            ids = np.concatenate((ids, found[known]))
+            if not layout.in_order:
+                order = np.argsort(templates, kind="stable")
+                templates, cells, ids = templates[order], cells[order], ids[order]
+        counts = np.bincount(templates, minlength=len(self._offsets))
+        bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(
-            size - 1, np.concatenate(cells), np.concatenate(ids), bounds, self._offsets, gold
-        )
+        return CompiledDependency(size - 1, cells, ids, bounds, self._offsets, gold)
 
     def edge_scores(self, weights: np.ndarray, inst: CompiledDependency) -> np.ndarray:
         """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)

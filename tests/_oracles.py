@@ -7,9 +7,12 @@ Nothing imports the package's solvers or decoders.
 The feature-string references are the package's earlier per-item
 definitions, kept as they were: `reference_instantiate` builds one tagger
 feature at one position and `reference_instantiate_edge` the strings of
-one edge.  The package's whole-sentence `instantiate_all` and
-`instantiate_edges` are tested against them, and the edge-feature
-references loop over edges one at a time with the latter.  The edge-score
+one edge.  The package's whole-sentence `instantiate_all` is tested against
+the former.  `instantiate_edges` is the parser's earlier whole-sentence
+string instantiation, kept as it was and tested against the latter; the
+package now keys edge features by integers and never builds these strings
+per edge.  The edge alphabet and compile references loop over edges one at
+a time with `reference_instantiate_edge`.  The edge-score
 reference adds one group at a time with `np.add.at`, the constraint-row
 reference only reuses the package's containers, and the barrier
 reference shares nothing with the package's primal-dual solver, not even
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from itertools import chain, repeat
+from operator import add
 from types import SimpleNamespace
 from functools import lru_cache
 from typing import Sequence
@@ -295,6 +300,99 @@ def reference_instantiate_edge(
         seen.add(value)
         out.append(prefix + "/".join(value if p is None else p for p in parts))
     return out
+
+
+@lru_cache(maxsize=256)
+def _string_frame(n):
+    """Heads, modifiers, "dir:dist:" prefixes and lo * n + hi span keys of the
+    candidate edges over n positions, in `candidate_edges` order."""
+    pairs = candidate_edges(n)
+    heads = np.array([u for u, _ in pairs], dtype=np.int64)
+    mods = np.array([v for _, v in pairs], dtype=np.int64)
+    heads.flags.writeable = False
+    mods.flags.writeable = False
+    prefixes = tuple(
+        f"{'R' if u < v else 'L'}:{distance_bucket(abs(u - v))}:" for u, v in pairs
+    )
+    spans = tuple(min(u, v) * n + max(u, v) for u, v in pairs)
+    return heads, mods, prefixes, spans
+
+
+def _between_values(aug_tokens, column):
+    """Distinct values strictly inside each span (first seen first), at lo * n + hi.
+
+    Each left end keeps one running list as the right end moves, so no span
+    is scanned twice; spans that add no new value share the previous tuple.
+    """
+    n = len(aug_tokens)
+    values = [tok[column] for tok in aug_tokens]
+    table = [()] * (n * n)
+    for lo in range(n - 2):
+        seen = []
+        current = ()
+        for hi in range(lo + 2, n):
+            value = values[hi - 1]
+            if value not in seen:
+                seen.append(value)
+                current = tuple(seen)
+            table[lo * n + hi] = current
+    return table
+
+
+def instantiate_edges(spec: EdgeTemplateSpec, aug_tokens: Sequence[tuple[str, ...]]):
+    """Feature strings of `spec` over every candidate edge of one sentence.
+
+    Returns ``(heads, mods, strings)``: entry i is a string of edge
+    ``heads[i] -> mods[i]``, over the edges u = 0..n-1 (outer), v = 1..n-1
+    (inner), u != v, of the augmented tokens; the int64 arrays may be
+    read-only.  A string is ``index:direction:distance:`` and the selectors'
+    values joined by ``/``, a position outside the sentence reading its
+    boundary sentinel.  Without a ``between`` selector each edge has one
+    string; with one, an edge has a string per distinct value strictly
+    between head and modifier (first seen first), so adjacent pairs have
+    none.  Each selector's column of values is read once per sentence, and
+    the strings are joined edge-parallel.
+    """
+    n = len(aug_tokens)
+    head_ids, mod_ids, frame_prefixes, spans = _string_frame(n)
+    heads, mods = head_ids.tolist(), mod_ids.tolist()
+    n_edges = len(heads)
+    prefixes = map(f"{spec.index}:".__add__, frame_prefixes)
+    parts = []  # per selector: its value on every edge (None for between)
+    for sel in spec.selectors:
+        if sel.anchor == "between":
+            parts.append(None)
+            continue
+        column = [
+            aug_tokens[p][sel.column] if 0 <= p < n else boundary_symbol(p, n)
+            for p in range(sel.offset, sel.offset + n)
+        ]
+        anchors = heads if sel.anchor == "head" else mods
+        parts.append(map(column.__getitem__, anchors))
+
+    between_col = spec.between_column
+    if between_col is None:
+        strings = list(map(add, prefixes, map("/".join, zip(*parts))))
+        return head_ids, mod_ids, strings
+
+    b = parts.index(None)
+    # "x/y/" before and "/z" after the between value; empty without selectors
+    before = map("/".join, zip(*parts[:b], repeat("", n_edges)))
+    after = map("/".join, zip(repeat("", n_edges), *parts[b + 1 :]))
+    table = _between_values(aug_tokens, between_col)
+    values = list(map(table.__getitem__, spans))
+    counts = list(map(len, values))
+    strings = list(
+        map(
+            "".join,
+            zip(
+                chain.from_iterable(map(repeat, map(add, prefixes, before), counts)),
+                chain.from_iterable(values),
+                chain.from_iterable(map(repeat, after, counts)),
+            ),
+        )
+    )
+    return np.repeat(head_ids, counts), np.repeat(mod_ids, counts), strings
 
 
 def candidate_edges(n):

@@ -478,6 +478,25 @@ def test_bad_env_boolean_exits_2(seq_setup, capsys, monkeypatch):
     assert "MTL_UNIFORM" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "eval", "weights"])
+def test_bad_env_value_stops_only_the_commands_that_read_it(
+    seq_setup, capsys, monkeypatch, command
+):
+    d = seq_setup
+    assert cli.main(train_args(d)) == 0
+    monkeypatch.setenv("MTL_MAX_ITER", "x")  # only `train` has --max-iter
+    argv = {
+        "predict": ["predict", "-m", str(d / "model.mkl"), "--data", str(d / "test_bare.txt")],
+        "eval": ["eval", "--task", "seq", "--gold", str(d / "test.txt"),
+                 "--pred", str(d / "test.txt")],
+        "weights": ["weights", "-m", str(d / "model.mkl")],
+    }[command]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(train_args(d)) == 2
+    assert "bad value for MTL_MAX_ITER" in capsys.readouterr().err
+
+
 def test_uniform_env_flag(seq_setup, capsys, monkeypatch):
     d = seq_setup
     monkeypatch.setenv("MTL_UNIFORM", "yes")

@@ -22,7 +22,6 @@ from mklsp.dependency import (
     default_edge_templates,
     distance_bucket,
     eisner_decode,
-    instantiate_edges,
     is_arborescence,
     is_projective,
     parent_loss,
@@ -37,6 +36,7 @@ from _oracles import (
     compile_edges,
     edge_alphabets,
     feature_counts,
+    instantiate_edges,
     reference_cle_decode,
     reference_edge_scores,
     reference_eisner_decode,
@@ -98,9 +98,20 @@ def test_distance_buckets():
 
 
 def edge_strings(spec, toks, u, v):
-    """The strings `instantiate_edges` gives edge u -> v."""
+    """The strings the whole-sentence reference `instantiate_edges` gives
+    edge u -> v."""
     heads, mods, strings = instantiate_edges(spec, toks)
     return [s for h, m, s in zip(heads.tolist(), mods.tolist(), strings) if (h, m) == (u, v)]
+
+
+def fired_strings(spec, toks, u, v):
+    """The strings of the features that the package fires on edge u -> v,
+    with `spec` indexed on the sentence itself."""
+    inst = DependencyInstance(toks[1:], None)
+    task = DependencyTask.build([spec], [inst])
+    strings = task.extractor.alphabets[0].strings()
+    heads, mods, ids = task.compile(inst).group_edges[0]
+    return [strings[f] for h, m, f in zip(heads.tolist(), mods.tolist(), ids) if (h, m) == (u, v)]
 
 
 def test_instantiate_edge_embeds_direction_and_distance():
@@ -108,14 +119,14 @@ def test_instantiate_edge_embeds_direction_and_distance():
     (spec,) = parse_edge_templates("P00:head.CPOSTAG/mod.CPOSTAG")
     for (u, v), want in [((3, 2), ["P00:L:1:V/N"]), ((0, 3), ["P00:R:3:<root>/V"])]:
         assert reference_instantiate_edge(spec, toks, u, v) == edge_strings(spec, toks, u, v)
-        assert edge_strings(spec, toks, u, v) == want
+        assert edge_strings(spec, toks, u, v) == fired_strings(spec, toks, u, v) == want
 
 
 def test_instantiate_edge_boundary_symbols():
     toks = augment(toy_sentence().tokens)
     (spec,) = parse_edge_templates("P00:mod+1.FORM")
     assert reference_instantiate_edge(spec, toks, 0, 3) == ["P00:R:3:_B+1"]
-    assert edge_strings(spec, toks, 0, 3) == ["P00:R:3:_B+1"]
+    assert edge_strings(spec, toks, 0, 3) == fired_strings(spec, toks, 0, 3) == ["P00:R:3:_B+1"]
 
 
 def test_between_features_one_per_distinct_value():
@@ -126,8 +137,10 @@ def test_between_features_one_per_distinct_value():
     # between 1 and 4 sit X, Y; X repeats but appears once, first-seen order
     want = ["P20:R:3:X/Y/Z", "P20:R:3:X/X/Z"]
     assert reference_instantiate_edge(spec, toks, 1, 4) == edge_strings(spec, toks, 1, 4) == want
+    assert fired_strings(spec, toks, 1, 4) == want
     # adjacent pair: nothing between, no features at all
     assert reference_instantiate_edge(spec, toks, 1, 2) == edge_strings(spec, toks, 1, 2) == []
+    assert fired_strings(spec, toks, 1, 2) == []
 
 
 # values that a feature string cannot tell apart from its own syntax: the

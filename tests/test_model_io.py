@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mklsp import cli
+from mklsp.corpus import DependencyInstance
 from mklsp.dependency import DependencyTask, parse_edge_templates
 from mklsp.model import MAGIC, Model, ModelFormatError
 from mklsp.sequence import SequenceTask
@@ -23,6 +24,8 @@ from mklsp.synthetic import (
     sequence_text,
 )
 from mklsp.templates import parse_templates
+
+from _oracles import compile_edges
 
 DEP_TEMPLATES = "P00:head.CPOSTAG/mod.CPOSTAG\nP01:head.FORM/mod.FORM\n"
 
@@ -481,6 +484,44 @@ def test_transition_block_holding_strings_is_a_format_error(seq_model):
 
     with pytest.raises(ModelFormatError, match="'B' interns no strings"):
         Model.read(io.BytesIO(with_blocks(seq_model, edit)))
+
+
+# strings that no edge firing spells, each beside P00's own alphabet
+DEAD_STRINGS = [
+    "P01:R:1:N/V",  # another template's index
+    "P00:X:1:N/V",  # a direction other than R or L
+    "P00:R:x:N/V",  # a distance that is no number
+    "P00:R:7:N/V",  # a number that is no distance bucket
+    "P00:R:1:N",  # too few slashes for two selectors
+    "P00:R:1",
+    "P00",
+    "",
+]
+
+
+def test_unparsable_alphabet_strings_are_dead_entries(dep_model, predict_inputs):
+    # they load, fire nothing and leave every other feature as it was; a
+    # string with more "/" than selectors fires for values that hold a "/"
+    extra = [*DEAD_STRINGS, "P00:R:1:N/V/X"]
+
+    def edit(blocks, m):
+        blocks[3] = b"\n".join([blocks[3], *(s.encode() for s in extra)])
+        blocks[3 + m] += floats(np.ones(len(extra)))
+
+    raw = with_blocks(dep_model, edit)
+    task = Model.read(io.BytesIO(raw)).task
+    specs = task.extractor.specs
+    alphabets = [a.strings() for a in task.extractor.alphabets]
+    slashed = [("a", "a", "N", "N"), ("b", "b", "V/X", "V/X")]
+    sentences = [i.tokens for i in load_dependency(dependency_text(3, seed=45))] + [slashed]
+    for tokens in sentences:
+        got = task.compile(DependencyInstance(tokens, None)).group_edges
+        for group, ref in zip(got, compile_edges(specs, alphabets, tokens), strict=True):
+            for a, b in zip(group, ref, strict=True):
+                assert np.array_equal(a, b)
+    u, v, f = task.compile(DependencyInstance(slashed, None)).group_edges[0]
+    assert {(1, 2, alphabets[0].index("P00:R:1:N/V/X"))} <= set(zip(u, v, f))
+    assert predict_exit_code(raw, "dep", predict_inputs) == 0
 
 
 # ---------------------------------------------------------------- fuzzing
