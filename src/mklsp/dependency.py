@@ -130,7 +130,12 @@ _BUCKETS = (1, 2, 3, 4, 5, 10)
 _DIR_DIST = {(d, str(b)): i for i, (d, b) in enumerate((d, b) for d in "RL" for b in _BUCKETS)}
 _N_DIR_DIST = len(_DIR_DIST)
 _KEY_LIMIT = 1 << 62  # integer keys stay below this, so no stage overflows int64
-_CHUNK = 1 << 13  # least firings `build` gathers before it drops repeated keys
+_CHUNK = 1 << 12  # least firings `build` gathers before it drops repeated keys
+
+
+def _prefixes(specs: Sequence[EdgeTemplateSpec]) -> list[str]:
+    """``index:direction:distance:`` by stage-0 code, template * 12 + (direction, distance)."""
+    return [f"{s.index}:{d}:{b}:" for s in specs for d, b in _DIR_DIST]
 
 
 class _EdgeFrame(NamedTuple):
@@ -309,12 +314,11 @@ class EdgeFeatureExtractor:
         owner = keys[0] // _N_DIR_DIST
         order = np.argsort(owner, kind="stable")
         keys, bounds = keys[:, order], np.searchsorted(owner[order], np.arange(len(specs) + 1))
-        words = list(vocab)
+        words, prefixes = list(vocab), _prefixes(specs)
         alphabets = []
         for t, spec in enumerate(specs):
-            prefixes = [f"{spec.index}:{d}:{b}:" for d, b in _DIR_DIST]
             block = keys[: 1 + len(spec.selectors), bounds[t] : bounds[t + 1]].tolist()
-            heads = map(prefixes.__getitem__, (p % _N_DIR_DIST for p in block[0]))
+            heads = map(prefixes.__getitem__, block[0])
             tails = map("/".join, zip(*(map(words.__getitem__, row) for row in block[1:])))
             alphabet = FeatureAlphabet(spec.index)
             alphabet.intern_all(map(add, heads, tails))  # equal strings merge here
@@ -413,7 +417,7 @@ class _KeyTable:
             bound, k = max(table.size, 1), k + m
         self.ids = np.full(rank.size + 1, -1, dtype=np.int64)  # rank -1 reads the last -1
         self.ids[rank] = keys[-1]
-        self.prefixes = [f"{s.index}:{d}:{b}:" for s in specs for d, b in _DIR_DIST]
+        self.prefixes = _prefixes(specs)
         self.widths = [len(s.selectors) for s in specs]
 
     def codes(self, values: list[str]) -> tuple[np.ndarray, list[str]]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mklsp import dependency
 from mklsp.corpus import DependencyInstance
 from mklsp.dependency import (
     FIELDS,
@@ -196,18 +197,36 @@ def test_instantiate_edges_matches_per_edge_definition(sentence, specs):
         assert heads.dtype == mods.dtype == np.int64
 
 
-@given(st.lists(SENTENCE, min_size=1, max_size=3), SENTENCE, edge_template_specs())
-def test_build_and_compile_match_per_edge_reference(corpus, unseen, specs):
+def check_build_and_compile(specs, corpus, unseen):
+    """`build` interns the reference alphabets and `compile` fires the
+    reference (u, v, id) triples, on the corpus and on unseen sentences."""
     instances = [DependencyInstance(s, None) for s in corpus]
     task = DependencyTask.build(specs, instances)
     alphabets = edge_alphabets(specs, instances)
     assert [a.strings() for a in task.extractor.alphabets] == alphabets
-    for tokens in [*corpus, unseen]:
+    for tokens in [*corpus, *unseen]:
         got = task.compile(DependencyInstance(tokens, None)).group_edges
         for group, ref in zip(got, compile_edges(specs, alphabets, tokens), strict=True):
             for a, b in zip(group, ref, strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert np.array_equal(a, b)
+    return task
+
+
+@given(st.lists(SENTENCE, min_size=1, max_size=3), SENTENCE, edge_template_specs())
+def test_build_and_compile_match_per_edge_reference(corpus, unseen, specs):
+    check_build_and_compile(specs, corpus, [unseen])
+
+
+def test_keys_too_wide_for_one_stage_match_per_edge_reference(monkeypatch):
+    # with a tiny key limit every slot gets a stage of its own, and `build`
+    # re-ranks its keys before each row it folds in
+    monkeypatch.setattr(dependency, "_KEY_LIMIT", 64)
+    corpus = [inst.tokens for inst in load_dependency(dependency_text(5, seed=9))]
+    unseen = [[("a/b", "a", "N", "N"), ("x:y", "_B-1", "V", "<root>"), *corpus[0][:3]]]
+    specs = parse_edge_templates(default_edge_templates())
+    task = check_build_and_compile(specs, corpus, unseen)
+    assert len(task._keys.stages) == max(len(s.selectors) for s in specs)
 
 
 def test_values_holding_a_slash_match_by_string():
