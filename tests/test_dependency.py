@@ -145,8 +145,8 @@ def test_between_features_one_per_distinct_value():
 
 
 # values that a feature string cannot tell apart from its own syntax: the
-# "/" that joins selector values, the ":" after the prefix, and look-alikes
-# of the boundary sentinels and the root token
+# "/" that joins selector values, the ":" after the prefix, look-alikes of
+# the boundary sentinels and the root token, and the empty value
 TRICKY = st.sampled_from(["a/b", "b/c", "/", ":", "x:y", "_B-1", "_B+1", "<root>", ""])
 
 
