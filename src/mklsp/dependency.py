@@ -15,10 +15,20 @@ bucket, one value code per selector slot, the ``between`` slot included);
 its string is ``index:direction:distance:`` and the slot values joined by
 ``/``.  `EdgeFeatureExtractor.build` keys every candidate edge of the
 training corpus, template by template, in one numpy pass per sentence (see
-`_EdgeLayout`), and writes strings only for the distinct keys.  The task
+`_EdgeLayout`), and writes strings only for the distinct keys.  The extractor
 parses its alphabet strings back into a value vocabulary and sorted key
-tables (`_KeyTable`), the same way after `build` and after `Model.read`, so
-`DependencyTask.compile` looks features up by key, not by string.
+tables (`_KeyTable`) when it is made, the same way inside `build` and inside
+`Model.read`, so `DependencyTask.compile` looks features up by key, not by
+string.
+
+The projective decoder is Eisner's span DP over padded batches:
+`decode_corpus` stable-sorts a corpus's sentences by length, cuts them into
+chunks whose (B, L, L) charts stay within a fixed cell budget, and runs one
+DP per chunk, each sentence's scores padded with -inf to L.  Padding is
+exact: a span inside a sentence reads only chart cells of spans inside it,
+so every tree and score are those of the sentence decoded alone, bit for
+bit, ties included.  The non-projective decoder (maximum arborescence)
+runs sentence by sentence.
 
 Model checksums rest on one invariant: each template's alphabet lists its
 strings in the order their keys are first seen over (sentence, head,
@@ -269,13 +279,23 @@ class _EdgeLayout:
 
 
 class EdgeFeatureExtractor:
-    """Edge templates plus their frozen alphabets."""
+    """Edge templates plus their frozen alphabets, the slot layout of the
+    templates and the key table parsed from the alphabet strings.
+
+    `offsets[j]` is the first flat feature id of template j, the sizes of
+    the alphabets before it summed.
+    """
 
     def __init__(self, specs: Sequence[EdgeTemplateSpec], alphabets: Sequence[FeatureAlphabet]):
         self.specs = list(specs)
         self.alphabets = list(alphabets)
         if len(self.specs) != len(self.alphabets):
             raise ValueError("one alphabet per edge template required")
+        offsets = np.cumsum([0, *map(len, self.alphabets)], dtype=np.int64)[:-1]
+        offsets.flags.writeable = False
+        self.offsets = offsets  # shared by every compiled sentence
+        self.layout = _EdgeLayout(self.specs)
+        self.keys = _KeyTable(self.specs, self.alphabets, offsets.tolist(), self.layout.width)
 
     @classmethod
     def build(
@@ -491,78 +511,145 @@ def is_projective(heads: Sequence[int]) -> bool:
     return True
 
 
+def _mask(S: np.ndarray) -> np.ndarray:
+    """Column 0 and the diagonal of every matrix in `S` set to -inf, in place."""
+    diagonal = np.arange(S.shape[-1])
+    S[..., 0] = NEG
+    S[..., diagonal, diagonal] = NEG
+    return S
+
+
 def _masked(scores: np.ndarray) -> np.ndarray:
     S = np.array(scores, dtype=float, copy=True)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 2:
         raise ValueError("scores must be (l+1) x (l+1) with l >= 1")
-    S[:, 0] = NEG
-    np.fill_diagonal(S, NEG)
-    return S
+    return _mask(S)
 
 
 def eisner_decode(scores: np.ndarray) -> tuple[list[int], float]:
     """Highest-scoring projective tree by the complete/incomplete span DP.
 
     `scores[u, v]` is the score of attaching modifier v (1..l) to head u
-    (0..l); column 0 and the diagonal are ignored.  The charts are filled one
-    span width w at a time, every span of that width at once.  A chart X is
-    kept left-anchored, ``L[s, w] = X[s, s+w]``, where it is read by left end,
-    and right-anchored, ``R[t, w] = X[t-w, t]``, where it is read by right
-    end, so the split candidates of a whole diagonal are two plain slices:
-    ``LCR[:n-w, :w] + RCL[w:, w-1::-1]`` for the incomplete spans.  Ties go
-    to the first maximum over ascending split points, as in a cell-by-cell
+    (0..l); column 0 and the diagonal are ignored.  This is the padded-batch
+    DP of `_eisner` over a batch of one; `decode_corpus` runs the same DP
+    over many sentences padded with -inf to one length, which is exact
+    because a span inside a sentence reads only cells inside it.  Ties go to
+    the first maximum over ascending split points, as in a cell-by-cell
     fill, which is deterministic but carries no lexicographic guarantee.
-    The backtrack walks an explicit stack, so sentence length is not bound
-    by the recursion limit.
     """
     S = _masked(scores)
-    n = S.shape[0]
-    LCR, RCR, LCL, RCL, LIR, RIL = (np.full((n, n), NEG) for _ in range(6))
+    return _eisner(S[None], [S.shape[0]])[0]
+
+
+def _best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First maximum over the last axis: its index and its value."""
+    r = vals.argmax(axis=-1)
+    rows = vals.reshape(-1, vals.shape[-1])
+    return r, rows[np.arange(len(rows)), r.reshape(-1)].reshape(r.shape)
+
+
+# most cells B * L * L in one batched DP's charts, unless one sentence alone
+# needs more; seven float64 arrays of this size are about 0.9 MiB
+_CHART_CELLS = 1 << 14
+
+
+def _chunks(sizes: Sequence[int]) -> list[list[int]]:
+    """Sentence indices, stable-sorted by size and cut into consecutive
+    chunks whose padded charts, B sentences of the chunk's largest size L,
+    keep B * L * L within `_CHART_CELLS`; a chunk holds at least one."""
+    chunks: list[list[int]] = []
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
+        if chunks and (len(chunks[-1]) + 1) * sizes[i] ** 2 <= _CHART_CELLS:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
+
+
+def _eisner(
+    S: np.ndarray, sizes: Sequence[int], single_root: bool = False
+) -> list[tuple[list[int], float]]:
+    """Best projective tree of every sentence of a padded batch, and its score.
+
+    `S` is (B, n, n), masked by `_mask`; sentence b holds its (n_b, n_b)
+    scores, root included, in ``S[b, :n_b, :n_b]`` and -inf beyond.  The
+    charts are filled one span width w at a time, every span of that width
+    of every sentence at once.  A chart X is kept left-anchored,
+    ``L[b, s, w] = X[b, s, s+w]``, where it is read by left end, and
+    right-anchored, ``R[b, t, w] = X[b, t-w, t]``, where it is read by right
+    end, so the split candidates of a whole diagonal are two plain slices:
+    ``LCR[:, :n-w, :w] + RCL[:, w:, w-1::-1]`` for the incomplete spans.
+
+    Padding is exact: a span inside [0, n_b - 1] reads only chart cells of
+    spans inside it, and scores inside it, so its value and back-pointers
+    are those of the sentence decoded alone, bit for bit; the sentence's
+    tree is backtracked from the span (0, n_b - 1).  The backtrack walks an
+    explicit stack, so sentence length is not bound by the recursion limit.
+
+    With `single_root`, each sentence's root edges are charged by
+    `_root_charge` over its own scores (S is changed and restored), and its
+    score is the uncharged total of its tree.
+    """
+    B, n, _ = S.shape
+    if single_root:
+        root = S[:, 0].copy()
+        S[:, 0] -= _root_charge(S, sizes)[:, None]
+    LCR, RCR, LCL, RCL, LIR, RIL = (np.full((B, n, n), NEG) for _ in range(6))
     for chart in (LCR, RCR, LCL, RCL):
-        chart[:, 0] = 0.0
+        chart[:, :, 0] = 0.0
     # split offsets from the left end, left-anchored like the charts
-    bI, bCL, bCR = (np.zeros((n, n), dtype=np.intp) for _ in range(3))
-    rows = np.arange(n)
+    bI, bCL, bCR = (np.zeros((B, n, n), dtype=np.min_scalar_type(n)) for _ in range(3))
 
     for w in range(1, n):
         m = n - w  # spans of width w: s = 0..m-1, t = w..n-1
-        ar = rows[:m]
-        vals = LCR[:m, :w] + RCL[w:, w - 1 :: -1]
-        r = vals.argmax(axis=1)
-        best = vals[ar, r]
-        bI[:m, w] = r
-        LIR[:m, w] = best + S.diagonal(w)
-        RIL[w:, w] = best + S.diagonal(-w)  # NEG when s == 0 via the mask
-        vals = LCL[:m, :w] + RIL[w:, w:0:-1]
-        r = vals.argmax(axis=1)
-        bCL[:m, w] = r
-        LCL[:m, w] = RCL[w:, w] = vals[ar, r]
-        vals = LIR[:m, 1 : w + 1] + RCR[w:, w - 1 :: -1]
-        r = vals.argmax(axis=1)
-        bCR[:m, w] = r + 1
-        LCR[:m, w] = RCR[w:, w] = vals[ar, r]
+        r, best = _best(LCR[:, :m, :w] + RCL[:, w:, w - 1 :: -1])
+        bI[:, :m, w] = r
+        LIR[:, :m, w] = best + S.diagonal(w, axis1=1, axis2=2)
+        RIL[:, w:, w] = best + S.diagonal(-w, axis1=1, axis2=2)  # NEG when s == 0 via the mask
+        r, best = _best(LCL[:, :m, :w] + RIL[:, w:, w:0:-1])
+        bCL[:, :m, w] = r
+        LCL[:, :m, w] = RCL[:, w:, w] = best
+        r, best = _best(LIR[:, :m, 1 : w + 1] + RCR[:, w:, w - 1 :: -1])
+        bCR[:, :m, w] = r + 1
+        LCR[:, :m, w] = RCR[:, w:, w] = best
 
-    heads = [0] * (n - 1)
-    stack = [(0, n - 1, "CR")]
+    if single_root:
+        S[:, 0] = root
+    trees = []
+    for b, size in enumerate(sizes):
+        heads = _backtrack(*(a[b, :size, :size].tolist() for a in (bI, bCL, bCR)))
+        score = _tree_score(S[b], heads) if single_root else float(LCR[b, 0, size - 1])
+        trees.append((heads, score))
+    return trees
+
+
+# span states: complete or incomplete, head at the left end (R) or right end (L)
+_CR, _CL, _IR, _IL = range(4)
+
+
+def _backtrack(bI: list, bCL: list, bCR: list) -> list[int]:
+    """Heads of the tree that the back-pointers of one sentence spell."""
+    heads = [0] * (len(bI) - 1)
+    stack = [(0, len(bI) - 1, _CR)]
     while stack:
         s, t, state = stack.pop()
         w = t - s
         if w == 0:
             continue
-        if state == "CR":
-            r = s + int(bCR[s, w])
-            stack += [(s, r, "IR"), (r, t, "CR")]
-        elif state == "CL":
-            r = s + int(bCL[s, w])
-            stack += [(s, r, "CL"), (r, t, "IL")]
+        if state == _CR:
+            r = s + bCR[s][w]
+            stack += [(s, r, _IR), (r, t, _CR)]
+        elif state == _CL:
+            r = s + bCL[s][w]
+            stack += [(s, r, _CL), (r, t, _IL)]
         else:
-            if state == "IR":
+            if state == _IR:
                 heads[t - 1] = s
             else:
                 heads[s - 1] = t
-            r = s + int(bI[s, w])
-            stack += [(s, r, "CR"), (r + 1, t, "CL")]
-    return heads, float(LCR[0, n - 1])
+            r = s + bI[s][w]
+            stack += [(s, r, _CR), (r + 1, t, _CL)]
+    return heads
 
 
 def cle_decode(scores: np.ndarray) -> tuple[list[int], float]:
@@ -619,18 +706,29 @@ def _cle(S: np.ndarray) -> np.ndarray:
     return bh
 
 
+def _root_charge(S: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Per sentence of a masked (B, L, L) batch, 1 + (l+1)(max - min) over
+    its own finite scores: more than two of its trees' scores can differ."""
+    finite = np.isfinite(S)
+    top = np.where(finite, S, NEG).max(axis=(1, 2))
+    bottom = np.where(finite, S, np.inf).min(axis=(1, 2))
+    return 1.0 + np.asarray(sizes) * (top - bottom)
+
+
 def decode_single_root(scores: np.ndarray, projective: bool) -> tuple[list[int], float]:
     """Best tree with exactly one child of the root, in one decode.
 
-    Root edges are charged 1 + (l+1)(max - min) over the finite scores, more
-    than two trees' scores can differ, so the best charged tree has one root
-    child (Gabow & Tarjan's root penalty); its total uses the uncharged
-    scores.  Ties may resolve unlike a search over each root child in turn.
+    Root edges are charged by `_root_charge`, so the best charged tree has
+    one root child (Gabow & Tarjan's root penalty); its total uses the
+    uncharged scores.  Ties may resolve unlike a search over each root child
+    in turn.
     """
     S = _masked(scores)
+    if projective:
+        return _eisner(S[None], [S.shape[0]], single_root=True)[0]
     charged = S.copy()
-    charged[0] -= 1.0 + S.shape[0] * np.ptp(S[np.isfinite(S)])
-    heads, _ = (eisner_decode if projective else cle_decode)(charged)
+    charged[0] -= _root_charge(S[None], [S.shape[0]])[0]
+    heads, _ = cle_decode(charged)
     return heads, _tree_score(S, heads)
 
 
@@ -679,13 +777,6 @@ class DependencyTask:
         self.extractor = extractor
         self.decoder = decoder
         self.single_root = single_root
-        offsets = np.cumsum([0, *self.group_dims], dtype=np.int64)[:-1]
-        offsets.flags.writeable = False
-        self._offsets = offsets  # shared by every compiled sentence
-        self._layout = _EdgeLayout(extractor.specs)
-        self._keys = _KeyTable(
-            extractor.specs, extractor.alphabets, offsets.tolist(), self._layout.width
-        )
 
     @classmethod
     def build(
@@ -713,7 +804,7 @@ class DependencyTask:
         """
         toks = augment(instance.tokens)
         size = len(toks)
-        layout, keys = self._layout, self._keys
+        layout, keys = self.extractor.layout, self.extractor.keys
         codes, unseen = keys.codes(layout.values(toks))
         plain, (between, edges, slots) = layout.firings(size, codes)
         frame = _edge_frame(size)
@@ -729,12 +820,13 @@ class DependencyTask:
             if not layout.in_order:
                 order = np.argsort(templates, kind="stable")
                 templates, cells, ids = templates[order], cells[order], ids[order]
-        counts = np.bincount(templates, minlength=len(self._offsets))
+        offsets = self.extractor.offsets
+        counts = np.bincount(templates, minlength=len(offsets))
         bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(size - 1, cells, ids, bounds, self._offsets, gold)
+        return CompiledDependency(size - 1, cells, ids, bounds, offsets, gold)
 
     def edge_scores(self, weights: np.ndarray, inst: CompiledDependency) -> np.ndarray:
         """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)
@@ -760,10 +852,16 @@ class DependencyTask:
         tree[harr * size + np.arange(1, size)] = True
         return inst.ids[tree[inst.cells]]
 
-    def _run_decoder(self, S: np.ndarray) -> tuple[list[int], float]:
-        if self.single_root:
-            return decode_single_root(S, self.decoder == "projective")
-        return (eisner_decode if self.decoder == "projective" else cle_decode)(S)
+    def _scores(self, flat: np.ndarray, inst: CompiledDependency, augmented: bool) -> np.ndarray:
+        """The sentence's edge scores, with +1 on every off-gold edge when
+        `augmented`."""
+        S = self.edge_scores(flat, inst)
+        if augmented:
+            if inst.gold is None:
+                raise ValueError("instance has no gold heads")
+            S += 1.0
+            S[inst.gold, np.arange(1, inst.n + 1)] -= 1.0
+        return S
 
     # --- solver-facing protocol ---
 
@@ -778,24 +876,31 @@ class DependencyTask:
         instances: Sequence[CompiledDependency],
         augmented: bool = False,
     ) -> tuple[list[list[int]], np.ndarray]:
-        """Best tree of every sentence and its score, one decode each.
+        """Best tree of every sentence and its score.
 
         With `augmented`, the argmax of score(T) + parent_loss(gold, T),
         decoded with +1 on every off-gold edge, and that augmented value.
+        The projective decoder runs one batched DP per chunk of sentences
+        (see `_chunks`); the nonprojective one decodes sentence by sentence.
         """
         flat = np.concatenate(weights)
-        outputs, scores = [], []
-        for inst in instances:
-            S = self.edge_scores(flat, inst)
-            if augmented:
-                if inst.gold is None:
-                    raise ValueError("instance has no gold heads")
-                S += 1.0
-                S[inst.gold, np.arange(1, inst.n + 1)] -= 1.0
-            heads, score = self._run_decoder(S)
-            outputs.append(heads)
-            scores.append(score)
-        return outputs, np.array(scores)
+        if self.decoder == "nonprojective":
+            trees = []
+            for inst in instances:
+                S = self._scores(flat, inst, augmented)
+                trees.append(decode_single_root(S, False) if self.single_root else cle_decode(S))
+        else:
+            trees = [None] * len(instances)
+            sizes = [inst.n + 1 for inst in instances]
+            for chunk in _chunks(sizes):
+                width = sizes[chunk[-1]]
+                S = np.full((len(chunk), width, width), NEG)
+                for b, i in enumerate(chunk):
+                    S[b, : sizes[i], : sizes[i]] = self._scores(flat, instances[i], augmented)
+                batch = _eisner(_mask(S), [sizes[i] for i in chunk], self.single_root)
+                for i, tree in zip(chunk, batch):
+                    trees[i] = tree
+        return [heads for heads, _ in trees], np.array([score for _, score in trees])
 
     def corpus_feature_ids(
         self, instances: Sequence[CompiledDependency], outputs: Sequence[Sequence[int]]

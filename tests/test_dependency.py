@@ -226,7 +226,7 @@ def test_keys_too_wide_for_one_stage_match_per_edge_reference(monkeypatch):
     unseen = [[("a/b", "a", "N", "N"), ("x:y", "_B-1", "V", "<root>"), *corpus[0][:3]]]
     specs = parse_edge_templates(default_edge_templates())
     task = check_build_and_compile(specs, corpus, unseen)
-    assert len(task._keys.stages) == max(len(s.selectors) for s in specs)
+    assert len(task.extractor.keys.stages) == max(len(s.selectors) for s in specs)
 
 
 def test_values_holding_a_slash_match_by_string():
@@ -622,6 +622,59 @@ def test_most_violated_matches_enumeration():
             _, want = tree_best(S, decoder == "projective", augment_gold=inst.gold.tolist())
             assert value == pytest.approx(want, abs=1e-9)
             assert valid_arborescence(heads)
+
+
+def projective_pool():
+    """A projective task and one compiled sentence of each length 1..30."""
+    corpus = [
+        load_dependency(dependency_text(1, seed=l, min_len=l, max_len=l))[0] for l in range(1, 31)
+    ]
+    task = DependencyTask.build(parse_edge_templates(default_edge_templates()), corpus)
+    return task, [task.compile(inst) for inst in corpus]
+
+
+PROJECTIVE_POOL = projective_pool()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 2000),
+)
+def test_batched_eisner_matches_each_sentence_alone(lengths, seed, tied, augmented, cells):
+    # sentences of mixed lengths in drawn order, cut into chunks by a chart
+    # budget that may hold less than one sentence; integer weights in -2..2
+    # make scores tie, so first-maximum tie-breaking is checked too
+    task, pool = PROJECTIVE_POOL
+    compiled = [pool[l - 1] for l in lengths]
+    rng = np.random.default_rng(seed)
+    if tied:
+        weights = [rng.integers(-2, 3, size=d).astype(float) for d in task.group_dims]
+    else:
+        weights = [rng.uniform(-1.0, 1.0, size=d) for d in task.group_dims]
+    rooted = DependencyTask(task.extractor, "projective", single_root=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dependency, "_CHART_CELLS", cells)
+        outputs, values = task.decode_corpus(weights, compiled, augmented)
+        rooted_outputs, rooted_values = rooted.decode_corpus(weights, compiled, augmented)
+    assert values.dtype == rooted_values.dtype == np.float64
+    assert values.shape == rooted_values.shape == (len(compiled),)
+    for i, inst in enumerate(compiled):
+        S = task.edge_scores(np.concatenate(weights), inst)
+        if augmented:
+            S += 1.0
+            S[inst.gold, np.arange(1, inst.n + 1)] -= 1.0
+        heads, value = reference_eisner_decode(S)
+        assert outputs[i] == heads
+        assert values[i].tobytes() == np.float64(value).tobytes()
+        heads, value = decode_single_root(S, True)
+        assert rooted_outputs[i] == heads
+        assert rooted_values[i].tobytes() == np.float64(value).tobytes()
+        # the uncharged total, summed edge by edge from the left
+        assert value == sum(S[h, v] for v, h in enumerate(heads, start=1))
 
 
 def test_most_violated_prefers_gold_under_large_margin():

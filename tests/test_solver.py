@@ -316,13 +316,19 @@ def test_constraint_row_feature_part_is_average_gap():
 
 def row_task(kind):
     """A small compiled corpus: a tagger with or without transitions, a
-    tagger on sentences of 1 to 5 tokens, or a parser."""
-    if kind == "dep":
-        instances = load_dependency(dependency_text(5, seed=3))
+    tagger on sentences of 1 to 5 tokens, a nonprojective parser, a
+    projective parser on sentences of 1 to 9 tokens, or a projective
+    single-root parser."""
+    if kind.startswith("dep"):
+        if kind == "dep-mixed":
+            instances = load_dependency(dependency_text(12, seed=5, min_len=1, max_len=9))
+        else:
+            instances = load_dependency(dependency_text(5, seed=3))
         specs = parse_edge_templates(
             "P00:head.CPOSTAG/mod.CPOSTAG\nP01:head.FORM\nP02:head.CPOSTAG/between.CPOSTAG\n"
         )
-        task = DependencyTask.build(specs, instances, decoder="nonprojective")
+        decoder = "nonprojective" if kind == "dep" else "projective"
+        task = DependencyTask.build(specs, instances, decoder, single_root=kind == "dep-root")
     else:
         if kind == "seq-mixed":
             corpus = sequence_text(10, seed=4, min_len=1, max_len=5)
@@ -334,7 +340,10 @@ def row_task(kind):
     return task, [task.compile(i) for i in instances]
 
 
-ROW_TASKS = {kind: row_task(kind) for kind in ("seq", "seq-no-B", "seq-mixed", "dep")}
+ROW_TASKS = {
+    kind: row_task(kind)
+    for kind in ("seq", "seq-no-B", "seq-mixed", "dep", "dep-mixed", "dep-root")
+}
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,10 +375,13 @@ def test_constraint_row_matches_reference_on_any_outputs():
     _, mixed = ROW_TASKS["seq-mixed"]
     assert min(inst.length for inst in mixed) == 1
     assert len({inst.length for inst in mixed}) > 2
+    _, mixed = ROW_TASKS["dep-mixed"]
+    assert min(inst.n for inst in mixed) == 1
+    assert len({inst.n for inst in mixed}) > 2
     rng = np.random.default_rng(38)
     for kind, (task, insts) in sorted(ROW_TASKS.items()):
         for _ in range(5):
-            if kind == "dep":
+            if kind.startswith("dep"):
                 outputs = [rng.integers(0, inst.n + 1, size=inst.n).tolist() for inst in insts]
             else:
                 outputs = [rng.integers(0, task.k, size=inst.length).tolist() for inst in insts]
