@@ -21,14 +21,15 @@ tables (`_KeyTable`) when it is made, the same way inside `build` and inside
 `Model.read`, so `DependencyTask.compile` looks features up by key, not by
 string.
 
-The projective decoder is Eisner's span DP over padded batches:
-`decode_corpus` stable-sorts a corpus's sentences by length, cuts them into
-chunks whose (B, L, L) charts stay within a fixed cell budget, and runs one
-DP per chunk, each sentence's scores padded with -inf to L.  Padding is
-exact: a span inside a sentence reads only chart cells of spans inside it,
-so every tree and score are those of the sentence decoded alone, bit for
-bit, ties included.  The non-projective decoder (maximum arborescence)
-runs sentence by sentence.
+Both decoders run over padded batches: `decode_corpus` stable-sorts a
+corpus's sentences by length, cuts them into chunks whose (B, L, L) slabs
+stay within a fixed cell budget, each sentence's scores padded with -inf to
+L, and hands every chunk to `_decode`, the one place that charges root
+edges for a single root.  The projective decoder is Eisner's span DP, one
+per chunk.  Padding is exact: a span inside a sentence reads only chart
+cells of spans inside it, so every tree and score are those of the sentence
+decoded alone, bit for bit, ties included.  The non-projective decoder
+(maximum arborescence) decodes each sentence's own slab of the chunk.
 
 Model checksums rest on one invariant: each template's alphabet lists its
 strings in the order their keys are first seen over (sentence, head,
@@ -119,15 +120,6 @@ def default_edge_templates() -> str:
         .joinpath("data/parse_templates.txt")
         .read_text(encoding="utf-8")
     )
-
-
-def distance_bucket(distance: int) -> int:
-    """Bucket |head - mod|: exact below 5, then 5 for [5,10), 10 for >= 10."""
-    if distance >= 10:
-        return 10
-    if distance >= 5:
-        return 5
-    return distance
 
 
 def augment(tokens: Sequence[tuple[str, ...]]) -> list[tuple[str, ...]]:
@@ -548,8 +540,9 @@ def _best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, rows[np.arange(len(rows)), r.reshape(-1)].reshape(r.shape)
 
 
-# most cells B * L * L in one batched DP's charts, unless one sentence alone
-# needs more; seven float64 arrays of this size are about 0.9 MiB
+# most cells B * L * L in one chunk's padded slab and, when projective, in
+# each of its DP charts, unless one sentence alone needs more; seven float64
+# arrays of this size are about 0.9 MiB
 _CHART_CELLS = 1 << 14
 
 
@@ -566,9 +559,7 @@ def _chunks(sizes: Sequence[int]) -> list[list[int]]:
     return chunks
 
 
-def _eisner(
-    S: np.ndarray, sizes: Sequence[int], single_root: bool = False
-) -> list[tuple[list[int], float]]:
+def _eisner(S: np.ndarray, sizes: Sequence[int]) -> list[tuple[list[int], float]]:
     """Best projective tree of every sentence of a padded batch, and its score.
 
     `S` is (B, n, n), masked by `_mask`; sentence b holds its (n_b, n_b)
@@ -585,15 +576,8 @@ def _eisner(
     are those of the sentence decoded alone, bit for bit; the sentence's
     tree is backtracked from the span (0, n_b - 1).  The backtrack walks an
     explicit stack, so sentence length is not bound by the recursion limit.
-
-    With `single_root`, each sentence's root edges are charged by
-    `_root_charge` over its own scores (S is changed and restored), and its
-    score is the uncharged total of its tree.
     """
     B, n, _ = S.shape
-    if single_root:
-        root = S[:, 0].copy()
-        S[:, 0] -= _root_charge(S, sizes)[:, None]
     LCR, RCR, LCL, RCL, LIR, RIL = (np.full((B, n, n), NEG) for _ in range(6))
     for chart in (LCR, RCR, LCL, RCL):
         chart[:, :, 0] = 0.0
@@ -613,13 +597,10 @@ def _eisner(
         bCR[:, :m, w] = r + 1
         LCR[:, :m, w] = RCR[:, w:, w] = best
 
-    if single_root:
-        S[:, 0] = root
     trees = []
     for b, size in enumerate(sizes):
         heads = _backtrack(*(a[b, :size, :size].tolist() for a in (bI, bCL, bCR)))
-        score = _tree_score(S[b], heads) if single_root else float(LCR[b, 0, size - 1])
-        trees.append((heads, score))
+        trees.append((heads, float(LCR[b, 0, size - 1])))
     return trees
 
 
@@ -715,21 +696,31 @@ def _root_charge(S: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return 1.0 + np.asarray(sizes) * (top - bottom)
 
 
-def decode_single_root(scores: np.ndarray, projective: bool) -> tuple[list[int], float]:
-    """Best tree with exactly one child of the root, in one decode.
+def _decode(
+    S: np.ndarray, sizes: Sequence[int], projective: bool, single_root: bool
+) -> list[tuple[list[int], float]]:
+    """Best tree of every sentence of a masked padded batch laid out as for
+    `_eisner`, and its score: one `_eisner` DP when `projective`, else
+    `cle_decode` on each sentence's own slab.
 
-    Root edges are charged by `_root_charge`, so the best charged tree has
-    one root child (Gabow & Tarjan's root penalty); its total uses the
-    uncharged scores.  Ties may resolve unlike a search over each root child
-    in turn.
+    With `single_root`, every sentence's root edges are charged by
+    `_root_charge`, so its best charged tree has exactly one root child
+    (Gabow & Tarjan's root penalty), in one decode.  Row 0 is restored
+    afterwards, and each tree's score is its uncharged total, summed edge by
+    edge from the left.  Ties may resolve unlike a search over each root
+    child in turn.
     """
-    S = _masked(scores)
+    if single_root:
+        root = S[:, 0].copy()
+        S[:, 0] -= _root_charge(S, sizes)[:, None]
     if projective:
-        return _eisner(S[None], [S.shape[0]], single_root=True)[0]
-    charged = S.copy()
-    charged[0] -= _root_charge(S[None], [S.shape[0]])[0]
-    heads, _ = cle_decode(charged)
-    return heads, _tree_score(S, heads)
+        trees = _eisner(S, sizes)
+    else:
+        trees = [cle_decode(S[b, :n, :n]) for b, n in enumerate(sizes)]
+    if single_root:
+        S[:, 0] = root
+        trees = [(heads, _tree_score(S[b], heads)) for b, (heads, _) in enumerate(trees)]
+    return trees
 
 
 @dataclass
@@ -880,26 +871,21 @@ class DependencyTask:
 
         With `augmented`, the argmax of score(T) + parent_loss(gold, T),
         decoded with +1 on every off-gold edge, and that augmented value.
-        The projective decoder runs one batched DP per chunk of sentences
-        (see `_chunks`); the nonprojective one decodes sentence by sentence.
+        Each chunk of sentences (see `_chunks`) is padded into one slab and
+        decoded by `_decode`, for both decoders.
         """
         flat = np.concatenate(weights)
-        if self.decoder == "nonprojective":
-            trees = []
-            for inst in instances:
-                S = self._scores(flat, inst, augmented)
-                trees.append(decode_single_root(S, False) if self.single_root else cle_decode(S))
-        else:
-            trees = [None] * len(instances)
-            sizes = [inst.n + 1 for inst in instances]
-            for chunk in _chunks(sizes):
-                width = sizes[chunk[-1]]
-                S = np.full((len(chunk), width, width), NEG)
-                for b, i in enumerate(chunk):
-                    S[b, : sizes[i], : sizes[i]] = self._scores(flat, instances[i], augmented)
-                batch = _eisner(_mask(S), [sizes[i] for i in chunk], self.single_root)
-                for i, tree in zip(chunk, batch):
-                    trees[i] = tree
+        projective = self.decoder == "projective"
+        trees = [None] * len(instances)
+        sizes = [inst.n + 1 for inst in instances]
+        for chunk in _chunks(sizes):
+            width = sizes[chunk[-1]]
+            S = np.full((len(chunk), width, width), NEG)
+            for b, i in enumerate(chunk):
+                S[b, : sizes[i], : sizes[i]] = self._scores(flat, instances[i], augmented)
+            batch = _decode(_mask(S), [sizes[i] for i in chunk], projective, self.single_root)
+            for i, tree in zip(chunk, batch):
+                trees[i] = tree
         return [heads for heads, _ in trees], np.array([score for _, score in trees])
 
     def corpus_feature_ids(

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from mklsp.corpus import find_cycle
-from mklsp.dependency import NEG, EdgeTemplateSpec, _masked, augment, distance_bucket
+from mklsp.dependency import NEG, EdgeTemplateSpec, _masked, augment
 from mklsp.sparse import GroupedSparseVector, SparseVector, sparse_dot
 from mklsp.templates import TemplateSpec, boundary_symbol
 
@@ -264,6 +264,15 @@ def qcqp_oracle(grams, q, C, rounds=4, steps=24):
         center = best_mu
         radius /= steps / 4.0
     return best_v
+
+
+def distance_bucket(distance: int) -> int:
+    """Bucket |head - mod|: exact below 5, then 5 for [5,10), 10 for >= 10."""
+    if distance >= 10:
+        return 10
+    if distance >= 5:
+        return 5
+    return distance
 
 
 def reference_instantiate_edge(

@@ -19,9 +19,7 @@ from mklsp.dependency import (
     DependencyTask,
     augment,
     cle_decode,
-    decode_single_root,
     default_edge_templates,
-    distance_bucket,
     eisner_decode,
     is_arborescence,
     is_projective,
@@ -35,6 +33,7 @@ from mklsp.templates import TemplateError
 from _oracles import (
     candidate_edges,
     compile_edges,
+    distance_bucket,
     edge_alphabets,
     feature_counts,
     instantiate_edges,
@@ -344,6 +343,12 @@ def test_decoders_ignore_root_column_and_diagonal():
     assert cle_decode(S) == cle_decode(noisy)
 
 
+def decode_single_root(scores, projective):
+    """`_decode`'s single-root tree of one sentence's scores, a batch of one."""
+    S = dependency._masked(scores)
+    return dependency._decode(S[None], [S.shape[0]], projective, single_root=True)[0]
+
+
 def test_single_root_decoding():
     rng = np.random.default_rng(24)
     for projective in (True, False):
@@ -624,38 +629,43 @@ def test_most_violated_matches_enumeration():
             assert valid_arborescence(heads)
 
 
-def projective_pool():
-    """A projective task and one compiled sentence of each length 1..30."""
+def sentence_pool():
+    """An edge feature extractor and one compiled sentence of each length 1..30."""
     corpus = [
         load_dependency(dependency_text(1, seed=l, min_len=l, max_len=l))[0] for l in range(1, 31)
     ]
     task = DependencyTask.build(parse_edge_templates(default_edge_templates()), corpus)
-    return task, [task.compile(inst) for inst in corpus]
+    return task.extractor, [task.compile(inst) for inst in corpus]
 
 
-PROJECTIVE_POOL = projective_pool()
+SENTENCE_POOL = sentence_pool()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    st.sampled_from(["projective", "nonprojective"]),
     st.lists(st.integers(1, 30), min_size=1, max_size=8),
     st.integers(0, 2**32 - 1),
     st.booleans(),
     st.booleans(),
     st.integers(1, 2000),
 )
-def test_batched_eisner_matches_each_sentence_alone(lengths, seed, tied, augmented, cells):
-    # sentences of mixed lengths in drawn order, cut into chunks by a chart
+def test_batched_decoding_matches_each_sentence_alone(
+    decoder, lengths, seed, tied, augmented, cells
+):
+    # sentences of mixed lengths in drawn order, cut into chunks by a slab
     # budget that may hold less than one sentence; integer weights in -2..2
     # make scores tie, so first-maximum tie-breaking is checked too
-    task, pool = PROJECTIVE_POOL
+    extractor, pool = SENTENCE_POOL
+    task = DependencyTask(extractor, decoder)
+    projective = decoder == "projective"
     compiled = [pool[l - 1] for l in lengths]
     rng = np.random.default_rng(seed)
     if tied:
         weights = [rng.integers(-2, 3, size=d).astype(float) for d in task.group_dims]
     else:
         weights = [rng.uniform(-1.0, 1.0, size=d) for d in task.group_dims]
-    rooted = DependencyTask(task.extractor, "projective", single_root=True)
+    rooted = DependencyTask(extractor, decoder, single_root=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dependency, "_CHART_CELLS", cells)
         outputs, values = task.decode_corpus(weights, compiled, augmented)
@@ -667,10 +677,10 @@ def test_batched_eisner_matches_each_sentence_alone(lengths, seed, tied, augment
         if augmented:
             S += 1.0
             S[inst.gold, np.arange(1, inst.n + 1)] -= 1.0
-        heads, value = reference_eisner_decode(S)
+        heads, value = (reference_eisner_decode if projective else reference_cle_decode)(S)
         assert outputs[i] == heads
         assert values[i].tobytes() == np.float64(value).tobytes()
-        heads, value = decode_single_root(S, True)
+        heads, value = decode_single_root(S, projective)
         assert rooted_outputs[i] == heads
         assert rooted_values[i].tobytes() == np.float64(value).tobytes()
         # the uncharged total, summed edge by edge from the left

@@ -70,3 +70,7 @@ def test_tracer_measures_a_training(kind):
     assert metrics["solver.decode_sentences"] == len(compiled) * result.n_iterations
     assert metrics["solver.subproblem_calls"] == len(result.rows)
     assert metrics["solver.recover_s"] > 0.0 and metrics["solver.row_s"] > 0.0
+    if kind == "dep":
+        # the nonprojective oracle's layers: a decode path that stops going
+        # through the wrapped functions reads 0 here
+        assert metrics["dependency.cle_s"] > 0.0 and metrics["dependency.scores_s"] > 0.0
