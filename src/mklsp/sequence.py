@@ -6,6 +6,10 @@ conjoined with label y is ``f * k + y``.  The optional transition group (one
 weight per label pair, no observation conjunction) uses ``prev * k + cur``
 and always sits last.
 
+`SequenceTask` parses its alphabet strings into key tables when it is made,
+after `build` and after `Model.read` alike; `compile` looks up every rule's
+keys (see `templates`) in one pass into a (G, l) array of feature ids.
+
 A corpus is decoded and counted by length bucket: the sentences of one
 length are stacked into (B, l) feature-id arrays, their emissions gathered
 into one (B, l, k) array, and the DP takes one step per position on
@@ -20,6 +24,7 @@ no label and no score.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +34,10 @@ from .templates import (
     OBSERVATION,
     TRANSITION,
     FeatureAlphabet,
+    TemplateKeys,
     TemplateSpec,
     index_corpus,
-    instantiate_all,
+    key_table,
 )
 
 
@@ -49,7 +55,7 @@ class CompiledSequence:
     """A sentence reduced to firing feature ids (-1 where a group is silent)."""
 
     length: int  # token count
-    feats: list[np.ndarray]  # per observation group, int64 array of length l
+    feats: np.ndarray  # (G, l) int64, one row per observation group
     gold: np.ndarray | None
 
 
@@ -82,15 +88,13 @@ def _viterbi(emit: np.ndarray, trans: np.ndarray | None) -> tuple[np.ndarray, np
 
 def _buckets(instances: Sequence[CompiledSequence]):
     """Per sentence length: the corpus positions of its B sentences, the
-    sentences, their per-group feature ids stacked (B, l), and (B, l)."""
+    sentences, their feature ids stacked (G, B, l), and (B, l)."""
     by_length: dict[int, list[int]] = {}
     for i, inst in enumerate(instances):
         by_length.setdefault(inst.length, []).append(i)
     for length, index in by_length.items():
         members = [instances[i] for i in index]
-        stacked = np.array([inst.feats for inst in members], dtype=np.int64)
-        shape = (len(index), len(members[0].feats), length)
-        feats = list(stacked.reshape(shape).swapaxes(0, 1))
+        feats = np.array([inst.feats for inst in members], dtype=np.int64).swapaxes(0, 1)
         yield index, members, feats, (len(index), length)
 
 
@@ -157,6 +161,8 @@ class SequenceTask:
         self.transition = transition
         if len(self.specs) != len(self.alphabets):
             raise ValueError("one alphabet per observation template required")
+        self.keys = TemplateKeys(self.specs)
+        self.lookups = [key_table(s, a.strings()) for s, a in zip(self.specs, self.alphabets)]
 
     @classmethod
     def build(
@@ -191,10 +197,10 @@ class SequenceTask:
         return dims
 
     def compile(self, instance: SequenceInstance) -> CompiledSequence:
-        feats = [
-            alphabet.lookup_all(instantiate_all(spec, instance.tokens))
-            for spec, alphabet in zip(self.specs, self.alphabets, strict=True)
-        ]
+        g, l = len(self.specs), len(instance.tokens)
+        keys = self.keys(instance.tokens)
+        ids = chain.from_iterable(map(get, k, repeat(-1)) for get, k in zip(self.lookups, keys))
+        feats = np.fromiter(ids, dtype=np.int64, count=g * l).reshape(g, l)
         gold = None
         if instance.labels is not None:
             gold = np.asarray(instance.labels, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Feature template parsing, instantiation, and per-group alphabets.
+"""Feature template parsing, template keys, and per-group alphabets.
 
 Template files follow the CRF++ conventions: one rule per line, ``#`` starts
 a comment, blank lines are ignored.  An observation rule looks like
@@ -7,16 +7,24 @@ from the current one and reads its column ``col``; several macros can be
 joined with ``/`` (``U05:%x[-1,0]/%x[0,0]``).  The bare line ``B`` switches
 on the label-transition group, so ``B`` is not an observation index.  Each
 rule owns one feature group.
+
+Features are keyed by value (`TemplateKeys`): a one-macro rule fires the
+value it reads, a rule with K macros the K-tuple of its values.  A feature's
+string is ``index:`` and the values joined by ``/``.  `index_corpus` writes
+strings only for distinct keys, in the order the keys are first seen over
+(sentence, position), which model checksums rest on; `key_table` maps
+strings back to keys.  A feature is still its string: values holding a
+``/`` can spell another key's string, and then the two are one feature.
+Such strings have more ``/`` than their rule has macros; they stay strings,
+looked up only when a firing's key misses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, filterfalse, repeat
-from typing import Iterable, Sequence
-
-import numpy as np
+from itertools import count, filterfalse
+from typing import Any, Callable, Iterable, Sequence
 
 OBSERVATION = "observation"
 TRANSITION = "transition"
@@ -79,22 +87,48 @@ def boundary_symbol(position: int, length: int) -> str | None:
     return None
 
 
-def instantiate_all(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]]) -> list[str]:
-    """Feature strings of `spec` at every position of one sentence.
+class TemplateKeys:
+    """Each template's key at each position of a sentence.  Each column is
+    read once into a list padded with boundary sentinels, and a macro's
+    values are one slice of it; columns must be valid (`validate_columns`)."""
 
-    Entry t is ``spec.index + ":"`` followed by the macros' values read
-    ``row`` positions from t and joined by ``/``.  An out-of-range position
-    reads the distance-stamped boundary sentinel instead of a token column;
-    columns must be valid for the corpus (checked once by `validate_columns`,
-    not here).  Each macro's column of values is read once per sentence,
-    then the columns are joined position by position.
-    """
-    l = len(tokens)
-    columns = [
-        [tokens[p][col] if 0 <= p < l else boundary_symbol(p, l) for p in range(row, row + l)]
-        for row, col in spec.macros
-    ]
-    return list(map((spec.index + ":").__add__, map("/".join, zip(*columns))))
+    def __init__(self, specs: Sequence[TemplateSpec]):
+        rows = [row for spec in specs for row, _ in spec.macros]
+        before, after = max(0, -min(rows, default=0)), max(0, max(rows, default=0))
+        # a sentinel depends on the distance past the edge, not on the length
+        self.left = [boundary_symbol(p, 0) for p in range(-before, 0)]
+        self.right = [boundary_symbol(p, 0) for p in range(after)]
+        self.slices = [[(before + row, col) for row, col in spec.macros] for spec in specs]
+
+    def __call__(self, tokens: Sequence[tuple[str, ...]]) -> list[Iterable]:
+        """Per template, its keys at positions 0..l-1, as one iterable."""
+        l = len(tokens)
+        if not l:
+            return [()] * len(self.slices)
+        padded = [[*self.left, *column, *self.right] for column in zip(*tokens)]
+        values = [[padded[col][s : s + l] for s, col in slices] for slices in self.slices]
+        return [v[0] if len(v) == 1 else zip(*v) for v in values]
+
+
+def key_table(spec: TemplateSpec, strings: Iterable[str]) -> Callable[[Any, int], int]:
+    """``get(key, default)``: the id of the `spec` string that `key` fires.
+    A one-macro tail (after ``index:``) is its value; with K > 1 macros a
+    tail of K - 1 ``/`` is its split K-tuple, and a tail of more is looked
+    up as a string when the key misses.  Other strings are dead."""
+    prefix, k = spec.index + ":", len(spec.macros)
+    tails = [(s[len(prefix) :], i) for i, s in enumerate(strings) if s.startswith(prefix)]
+    if k == 1:
+        return dict(tails).get
+    keyed = {tuple(t.split("/")): i for t, i in tails if t.count("/") == k - 1}
+    spelled = {t: i for t, i in tails if t.count("/") >= k}
+    if not spelled:
+        return keyed.get
+
+    def get(key, default):
+        i = keyed.get(key)
+        return spelled.get("/".join(key), default) if i is None else i
+
+    return get
 
 
 def validate_columns(specs: Iterable[TemplateSpec], n_columns: int) -> None:
@@ -139,12 +173,6 @@ class FeatureAlphabet:
         # `new` holds each string once, so ids are handed out in first-seen order
         self._ids.update(zip(new, count(len(self._ids))))
 
-    def lookup_all(self, strings: Sequence[str]) -> np.ndarray:
-        """Ids of `strings` as an int64 array, -1 where a string is unknown."""
-        return np.fromiter(
-            map(self._ids.get, strings, repeat(-1)), dtype=np.int64, count=len(strings)
-        )
-
     def strings(self) -> list[str]:
         # dicts preserve insertion order, which is the id order
         return list(self._ids)
@@ -158,18 +186,21 @@ def index_corpus(specs: Sequence[TemplateSpec], corpus: Sequence) -> list[Featur
     """Build one frozen alphabet per observation template, first-seen order.
 
     `corpus` is a sequence of objects with a `tokens` attribute (list of
-    column tuples).  Every feature string instantiated anywhere in the corpus
-    is interned.
+    column tuples).  Each template's distinct keys are collected in first-seen
+    order; strings are written only for them, and equal strings merge.
     """
     if not corpus:
         raise ValueError("cannot index an empty corpus")
     obs = [s for s in specs if s.kind == OBSERVATION]
     validate_columns(obs, len(corpus[0].tokens[0]) if corpus[0].tokens else 0)
-    alphabets = [FeatureAlphabet(s.index) for s in obs]
+    read = TemplateKeys(obs)
+    seen: list[dict] = [{} for _ in obs]
     for inst in corpus:
-        for spec, alphabet in zip(obs, alphabets):
-            alphabet.intern_all(instantiate_all(spec, inst.tokens))
-    for alphabet in alphabets:
+        for found, keys in zip(seen, read(inst.tokens)):
+            found.update(dict.fromkeys(keys))
+    alphabets = [FeatureAlphabet(s.index) for s in obs]
+    for spec, found, alphabet in zip(obs, seen, alphabets):
+        tails = found if len(spec.macros) == 1 else map("/".join, found)
+        alphabet.intern_all(map((spec.index + ":").__add__, tails))  # equal strings merge here
         alphabet.freeze()
     return alphabets
-

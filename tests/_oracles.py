@@ -7,12 +7,13 @@ Nothing imports the package's solvers or decoders.
 The feature-string references are the package's earlier per-item
 definitions, kept as they were: `reference_instantiate` builds one tagger
 feature at one position and `reference_instantiate_edge` the strings of
-one edge.  The package's whole-sentence `instantiate_all` is tested against
-the former.  `instantiate_edges` is the parser's earlier whole-sentence
-string instantiation, kept as it was and tested against the latter; the
-package now keys edge features by integers and never builds these strings
-per edge.  The edge alphabet and compile references loop over edges one at
-a time with `reference_instantiate_edge`.  The edge-score
+one edge.  `instantiate_all` and `instantiate_edges` are the tagger's and
+the parser's earlier whole-sentence string instantiations, kept as they
+were and tested against the former and the latter; the package now keys
+tagger features by their values and edge features by integers, and never
+builds these strings per position or per edge.  The edge alphabet and
+compile references loop over edges one at a time with
+`reference_instantiate_edge`.  The edge-score
 reference adds one group at a time with `np.add.at`, the constraint-row
 reference only reuses the package's containers, and the barrier
 reference shares nothing with the package's primal-dual solver, not even
@@ -58,6 +59,24 @@ def reference_instantiate(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]],
         sym = boundary_symbol(pos, len(tokens))
         parts.append(tokens[pos][col] if sym is None else sym)
     return spec.index + ":" + "/".join(parts)
+
+
+def instantiate_all(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]]) -> list[str]:
+    """Feature strings of `spec` at every position of one sentence.
+
+    Entry t is ``spec.index + ":"`` followed by the macros' values read
+    ``row`` positions from t and joined by ``/``.  An out-of-range position
+    reads the distance-stamped boundary sentinel instead of a token column;
+    columns must be valid for the corpus (checked once by `validate_columns`,
+    not here).  Each macro's column of values is read once per sentence,
+    then the columns are joined position by position.
+    """
+    l = len(tokens)
+    columns = [
+        [tokens[p][col] if 0 <= p < l else boundary_symbol(p, l) for p in range(row, row + l)]
+        for row, col in spec.macros
+    ]
+    return list(map((spec.index + ":").__add__, map("/".join, zip(*columns))))
 
 
 def dense_emissions(feats, tables, k):

@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mklsp
 from mklsp import cli, solver
@@ -529,3 +532,67 @@ def test_jobs_do_not_change_the_model(seq_setup, capsys):
     three = Model.load(str(d / "model.mkl")).payload()
     capsys.readouterr()
     assert one == three
+
+
+# ---------------------------------------------------------------- robustness
+
+# rules that read past the sentence or join several macros by "/", and
+# lines that break a template file: a column the corpus lacks, the reserved
+# index, a rule without a body or without an index, an empty macro, and
+# arbitrary text
+RULES = st.sampled_from([
+    "U00:%x[0,0]", "U01:%x[-1,0]/%x[0,0]", "U02:%x[2,1]/%x[-3,0]/%x[0,1]", "U03:%x[0,1]",
+    "B", "# note", "",
+])
+BAD_LINES = st.sampled_from(["U09:%x[0,7]", "B:%x[0,0]", "U00", "%x[0,0]", "U04:%x[0,0]/"])
+# values that feature strings cannot tell apart from their own syntax
+VALUE = st.sampled_from(["a", "b", "a/b", "/", ":", "x:y", "a/b:c", "_B-1", "_B+1"])
+LABELED_TOKEN = st.tuples(VALUE, VALUE, st.sampled_from(["L0", "L1", "L/2"])).map(" ".join)
+
+
+@st.composite
+def defective(draw, lines, bad):
+    """`lines`, and in one draw of four one line replaced by a `bad` one."""
+    lines = list(lines)
+    if draw(st.integers(0, 3)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(bad)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def template_text(draw):
+    rules = draw(st.lists(RULES, min_size=1, max_size=5, unique=True))
+    return draw(defective(rules, BAD_LINES | st.text(max_size=20)))
+
+
+@st.composite
+def corpus_text(draw, labeled):
+    """A column corpus, now and then with a defect: a token line with too
+    few or too many columns, or a line of arbitrary text."""
+    token = LABELED_TOKEN if labeled else LABELED_TOKEN.map(lambda line: line.rsplit(" ", 1)[0])
+    sentences = draw(st.lists(st.lists(token, min_size=1, max_size=5), min_size=1, max_size=4))
+    lines = [line for sentence in sentences for line in [*sentence, ""]]
+    bad = st.sampled_from(["a", "a b c d e", "a/b x:y"]) | st.text(max_size=12)
+    return draw(defective(lines, bad))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    template_text(),
+    corpus_text(labeled=True),
+    corpus_text(labeled=False),
+)
+def test_mutated_templates_and_corpora_end_in_a_clean_exit(templates, train, test):
+    # train, then predict when a model was saved: exit 0, 1 or 2, never an exception
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "templates.txt").write_text(templates, encoding="utf-8")
+        (d / "train.txt").write_text(train, encoding="utf-8")
+        (d / "test.txt").write_text(test, encoding="utf-8")
+        assert cli.main(train_args(d, **{"--max-iter": "20"})) in (0, 1, 2)
+        if (d / "model.mkl").exists():
+            code = cli.main([
+                "predict", "-m", str(d / "model.mkl"),
+                "--data", str(d / "test.txt"), "-o", str(d / "pred.txt"), "--jobs", "1",
+            ])
+            assert code in (0, 1, 2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mklsp import cli
-from mklsp.corpus import DependencyInstance
+from mklsp.corpus import DependencyInstance, LabelTable, SequenceInstance
 from mklsp.dependency import DependencyTask, parse_edge_templates
 from mklsp.model import MAGIC, Model, ModelFormatError
 from mklsp.sequence import SequenceTask
@@ -25,7 +25,7 @@ from mklsp.synthetic import (
 )
 from mklsp.templates import parse_templates
 
-from _oracles import compile_edges
+from _oracles import compile_edges, reference_instantiate
 
 DEP_TEMPLATES = "P00:head.CPOSTAG/mod.CPOSTAG\nP01:head.FORM/mod.FORM\n"
 
@@ -522,6 +522,48 @@ def test_unparsable_alphabet_strings_are_dead_entries(dep_model, predict_inputs)
     u, v, f = task.compile(DependencyInstance(slashed, None)).group_edges[0]
     assert {(1, 2, alphabets[0].index("P00:R:1:N/V/X"))} <= set(zip(u, v, f))
     assert predict_exit_code(raw, "dep", predict_inputs) == 0
+
+
+# strings beside each tagger group's own alphabet: dead ones, which no
+# firing spells, and live ones that only their exact spelling fires
+TAGGER_STRINGS = {
+    "U00": ["U05:a", "U00a", "", "U00:x/y"],
+    "U05": ["U00:a/b", "U05:a", "U05:_B-1", "U05:a/b/c", "U05:x:y/a"],
+}
+
+
+def test_hand_written_tagger_strings_match_only_their_own_spelling():
+    text = "U00:%x[0,0]\nU05:%x[-1,0]/%x[0,0]\nB\n"
+    table = LabelTable(["X"])
+    table.freeze()
+    trained = [SequenceInstance([("a",), ("b",)], [0, 0])]
+    task = SequenceTask.build(parse_templates(text), trained, table)
+    weights = [np.zeros(d) for d in task.group_dims]
+    model = Model.from_sequence(task, text, 1, np.full(3, 1 / 3), weights)
+
+    def edit(blocks, m):
+        for j, extra in enumerate(TAGGER_STRINGS.values()):
+            blocks[3 + j] = b"\n".join([blocks[3 + j], *(s.encode() for s in extra)])
+            blocks[3 + m + j] += floats(np.ones(len(extra)))
+
+    loaded = Model.read(io.BytesIO(with_blocks(model, edit))).task
+    alphabets = [a.strings() for a in loaded.alphabets]
+    assert [a[-len(TAGGER_STRINGS[g]) :] for g, a in zip(TAGGER_STRINGS, alphabets)] == list(
+        TAGGER_STRINGS.values()
+    )
+    fired = set()
+    for words in ["a b", "a/b c", "a b/c", "x/y", "x:y a", "U05:a", "_B-1", "a b c"]:
+        tokens = [(w,) for w in words.split()]
+        feats = loaded.compile(SequenceInstance(tokens)).feats
+        for spec, strings, ids in zip(loaded.specs, alphabets, feats, strict=True):
+            want = [reference_instantiate(spec, tokens, t) for t in range(len(tokens))]
+            assert [strings[i] if i >= 0 else None for i in ids.tolist()] == [
+                s if s in strings else None for s in want
+            ]
+            fired.update(strings[i] for i in ids.tolist() if i >= 0)
+    # each live hand-written string fired, no dead one did
+    assert {"U00:x/y", "U05:a/b/c", "U05:x:y/a"} <= fired
+    assert not fired & {"U05:a", "U00a", "", "U00:a/b", "U05:_B-1"}
 
 
 # ---------------------------------------------------------------- fuzzing

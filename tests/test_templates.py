@@ -1,8 +1,13 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mklsp.corpus import LabelTable, SequenceInstance
+from mklsp.model import MAGIC, Model
+from mklsp.sequence import SequenceTask
 from mklsp.templates import (
     OBSERVATION,
     TRANSITION,
@@ -10,12 +15,11 @@ from mklsp.templates import (
     TemplateError,
     boundary_symbol,
     index_corpus,
-    instantiate_all,
     parse_templates,
     validate_columns,
 )
 
-from _oracles import reference_instantiate
+from _oracles import instantiate_all, reference_instantiate
 
 TOKENS = [("John",), ("hit",), ("ball",)]
 
@@ -132,11 +136,10 @@ def test_batch_intern_and_lookup_match_one_at_a_time(first, second):
         one.intern_all([s])
     batch.intern_all(first)
     assert batch.strings() == one.strings() == list(dict.fromkeys(first))
-    ids = batch.lookup_all(second)
-    assert ids.dtype == np.int64
-    assert ids.tolist() == [int(one.lookup_all([s])[0]) for s in second]
-    seen = one.strings()
-    assert ids.tolist() == [seen.index(s) if s in seen else -1 for s in second]
+    # an id is its string's position in strings(): new strings follow in
+    # first-seen order, known ones keep their ids
+    batch.intern_all(second)
+    assert batch.strings() == list(dict.fromkeys(first + second))
 
 
 def test_validate_columns():
@@ -176,7 +179,6 @@ def test_index_corpus_first_seen_order():
 
 def test_frozen_alphabet_rejects_new():
     a = FeatureAlphabet("U00", ["U00:x"], frozen=True)
-    assert a.lookup_all(["U00:x", "U00:y"]).tolist() == [0, -1]
     with pytest.raises(ValueError, match="frozen"):
         a.intern_all(["U00:y"])
     a.intern_all(["U00:x"])
@@ -206,3 +208,95 @@ def test_boundary_symbol_total(length, offset):
             assert sym == f"_B{pos}"
         else:
             assert sym == f"_B+{pos - length + 1}"
+
+
+# values a feature string cannot tell apart from its own syntax: the "/"
+# that joins macro values, the ":" after the index, look-alikes of the
+# boundary sentinels, and the empty value
+TRICKY = st.sampled_from(["a/b", "b/c", "/", ":", "x:y", "_B-1", "_B+1", ""])
+TOKEN = st.tuples(st.sampled_from("abc") | TRICKY, st.sampled_from("bc") | TRICKY)
+SENTENCE = st.lists(TOKEN, min_size=1, max_size=5)
+# offsets reach past either end of a sentence, and a rule may repeat a macro
+MACRO = st.tuples(st.integers(-6, 6), st.integers(0, 1)).map(lambda m: "%x[{},{}]".format(*m))
+
+
+@st.composite
+def template_text(draw):
+    rules = [
+        f"U{j}:" + "/".join(draw(st.lists(MACRO, min_size=1, max_size=3)))
+        for j in range(draw(st.integers(1, 3)))
+    ]
+    return "\n".join(rules)
+
+
+def reference_alphabets(specs, corpus):
+    """Per template, its strings in the order first seen over (sentence, position)."""
+    return [
+        list(
+            dict.fromkeys(
+                reference_instantiate(spec, tokens, t)
+                for tokens in corpus
+                for t in range(len(tokens))
+            )
+        )
+        for spec in specs
+    ]
+
+
+def check_index_and_compile(text, corpus, unseen):
+    """`index_corpus` interns the reference alphabets and `compile` fires the
+    ids of the reference strings, on the corpus and on unseen sentences."""
+    specs = parse_templates(text)
+    table = LabelTable(["X"])
+    instances = [SequenceInstance(tokens, [0] * len(tokens)) for tokens in corpus]
+    alphabets = reference_alphabets(specs, corpus)
+    assert [a.strings() for a in index_corpus(specs, instances)] == alphabets
+    task = SequenceTask.build(specs, instances, table)
+    ids = [{s: i for i, s in enumerate(alphabet)} for alphabet in alphabets]
+    for tokens in [*corpus, *unseen]:
+        want = [
+            [known.get(reference_instantiate(spec, tokens, t), -1) for t in range(len(tokens))]
+            for spec, known in zip(specs, ids)
+        ]
+        feats = task.compile(SequenceInstance(tokens)).feats
+        assert all(f.dtype == np.int64 for f in feats)
+        assert [f.tolist() for f in feats] == want
+    return task
+
+
+@given(st.lists(SENTENCE, min_size=1, max_size=3), st.lists(SENTENCE, max_size=2), template_text())
+def test_index_and_compile_match_per_position_reference(corpus, unseen, text):
+    check_index_and_compile(text, corpus, unseen)
+
+
+def test_values_holding_a_slash_match_by_string():
+    # a feature is its string, so forms (a/b, c) and (a, b/c) fire the same
+    # two-macro feature "U05:a/b/c"
+    task = check_index_and_compile(
+        "U05:%x[-1,0]/%x[0,0]", [[("a/b",), ("c",)]], [[("a",), ("b/c",)], [("a/b/c",)]]
+    )
+    strings = task.alphabets[0].strings()
+    assert "U05:a/b/c" in strings
+    (f,) = task.compile(SequenceInstance([("a",), ("b/c",)])).feats
+    assert [strings[i] if i >= 0 else None for i in f.tolist()] == [None, "U05:a/b/c"]
+
+
+def read_back(task, text):
+    """The task of `task`'s model as `Model.read` rebuilds it from the saved bytes."""
+    m = len(task.group_ids)
+    model = Model.from_sequence(
+        task, text, 2, np.full(m, 1.0 / m), [np.zeros(d) for d in task.group_dims]
+    )
+    payload = model.payload()
+    header = f"{MAGIC}\nchecksum={hashlib.sha256(payload).hexdigest()}\n\n".encode("ascii")
+    return Model.read(io.BytesIO(header + payload)).task
+
+
+@given(st.lists(SENTENCE, min_size=1, max_size=3), st.lists(SENTENCE, max_size=2), template_text())
+def test_read_task_compiles_like_the_built_task(corpus, unseen, text):
+    task = check_index_and_compile(text, corpus, unseen)
+    loaded = read_back(task, text)
+    for tokens in [*corpus, *unseen]:
+        a, b = task.compile(SequenceInstance(tokens)), loaded.compile(SequenceInstance(tokens))
+        assert a.feats.dtype == b.feats.dtype and a.feats.shape == b.feats.shape
+        assert np.array_equal(a.feats, b.feats)
