@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import add
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -173,17 +174,18 @@ def write_sequence_corpus(
     every sentence.  A label column is appended when label ids are available
     (from `labels_override` or the instances) and `label_table` is given.
     """
+    names = None if label_table is None else label_table.labels()
     for i, inst in enumerate(instances):
         ids = labels_override[i] if labels_override is not None else inst.labels
-        for t, token in enumerate(inst.tokens):
-            parts = list(token)
-            if ids is not None:
-                if label_table is None:
-                    raise ValueError("label_table is required to write labels")
-                parts.append(label_table.label_of(ids[t]))
-            dest.write(" ".join(parts))
-            dest.write("\n")
-        dest.write("\n")
+        tokens = inst.tokens
+        if ids is not None and tokens:
+            if names is None:
+                raise ValueError("label_table is required to write labels")
+            tokens = map(add, tokens, [(names[ids[t]],) for t in range(len(tokens))])
+        # one write per sentence: its token lines, then the blank line
+        rows = list(map(" ".join, tokens))
+        rows.append("\n")
+        dest.write("\n".join(rows))
 
 
 def find_cycle(heads: Sequence[int]) -> list[int] | None:

@@ -10,15 +10,21 @@ and always sits last.
 after `build` and after `Model.read` alike; `compile` looks up every rule's
 keys (see `templates`) in one pass into a (G, l) array of feature ids.
 
-A corpus is decoded and counted by length bucket: the sentences of one
-length are stacked into (B, l) feature-id arrays, their emissions gathered
-into one (B, l, k) array, and the DP takes one step per position on
-(B, k, k).  The per-sentence decoders are a bucket of one through the same
-DP.  Ties break toward the lexicographically smallest label sequence: the
-DP runs backward to get exact suffix values, then each sequence is rebuilt
-front to back taking the first argmax at each position.  Each sentence of
-a bucket sees the float operations it would see alone, so bucketing moves
-no label and no score.
+A corpus is decoded in padded chunks: the sentences of a pass are
+stable-sorted by length and cut into chunks of B sentences within a fixed
+cell budget (B * L * k * k), each right-aligned in one (L, B) grid, so
+every sentence ends at L - 1.  Emissions are gathered per group from the
+table transposed with a zero column appended, which silent ids (-1) read,
+into a (k, L, B) array with the batch innermost; one DP per chunk takes one
+step per position.  The per-sentence decoders are a chunk of one through
+the same DP.  Ties break toward the lexicographically smallest label
+sequence: the DP runs backward to get exact suffix values, then each
+sequence is rebuilt front to back taking the first argmax at each
+position, from a virtual start label with zero transitions held through a
+sentence's padding.  Each sentence sees the float operations it would see
+alone, up to adding +0.0 (exact, as no running sum is -0.0), so chunking
+moves no label and no score.  The ids a corpus fires are counted over one
+concatenation of its sentences.
 """
 
 from __future__ import annotations
@@ -59,80 +65,100 @@ class CompiledSequence:
     gold: np.ndarray | None
 
 
-def _emissions(scorer: SequenceScorer, feats: Sequence[np.ndarray], shape) -> np.ndarray:
-    """Label scores of every position, (*shape, k), summed in group order."""
-    emit = np.zeros((*shape, scorer.k))
-    for f, table in zip(feats, scorer.emissions, strict=True):
-        firing = f >= 0
-        emit[firing] += table[f[firing]]
-    return emit
+# most cells B * L * k * k in one chunk's DP steps, unless one sentence alone
+# needs more; the chunk's emission and suffix arrays hold B * L * k floats each
+_CHUNK_CELLS = 1 << 16
 
 
-def _viterbi(emit: np.ndarray, trans: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Best labels (B, l) and their scores (B,) of a (B, l, k) emission stack."""
-    b, l, k = emit.shape
-    if trans is None:
-        trans = np.zeros((k, k))
-    # exact suffix values: suf[:, t, y] = best score of positions t.. given y at t
-    suf = np.empty_like(emit)
-    suf[:, l - 1] = emit[:, l - 1]
-    for t in range(l - 2, -1, -1):
-        suf[:, t] = emit[:, t] + (trans + suf[:, t + 1, None, :]).max(axis=2)
-    labels = np.empty((b, l), dtype=np.int64)
-    labels[:, 0] = suf[:, 0].argmax(axis=1)
-    total = suf[np.arange(b), 0, labels[:, 0]]
-    for t in range(1, l):
-        labels[:, t] = (trans[labels[:, t - 1]] + suf[:, t]).argmax(axis=1)
-    return labels, total
+def _chunks(lengths: Sequence[int], k: int) -> list[list[int]]:
+    """Indices of the nonempty sentences, stable-sorted by length and cut into
+    consecutive chunks whose padded DP, B sentences of the chunk's largest
+    length L, keeps B * L * k * k within `_CHUNK_CELLS`; a chunk holds at
+    least one."""
+    chunks: list[list[int]] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if lengths[i] == 0:
+            continue
+        if chunks and (len(chunks[-1]) + 1) * lengths[i] * k * k <= _CHUNK_CELLS:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
 
 
-def _buckets(instances: Sequence[CompiledSequence]):
-    """Per sentence length: the corpus positions of its B sentences, the
-    sentences, their feature ids stacked (G, B, l), and (B, l)."""
-    by_length: dict[int, list[int]] = {}
-    for i, inst in enumerate(instances):
-        by_length.setdefault(inst.length, []).append(i)
-    for length, index in by_length.items():
-        members = [instances[i] for i in index]
-        feats = np.array([inst.feats for inst in members], dtype=np.int64).swapaxes(0, 1)
-        yield index, members, feats, (len(index), length)
+def _viterbi(
+    tables: Sequence[np.ndarray],
+    trans: np.ndarray,
+    members: Sequence[CompiledSequence],
+    augmented: bool,
+) -> tuple[list[list[int]], np.ndarray]:
+    """Best labels and their scores of a chunk of sentences, sorted by length.
+
+    `tables` are the emission tables transposed, (k, d + 1) with a zero last
+    column, so a silent id (-1) adds +0.0; `trans` is (k, k).  Sentence b is
+    right-aligned in the (L, B) grid: it starts at L - l_b, and positions
+    before its start are padding that no real position reads.
+    """
+    sizes = np.array([inst.length for inst in members])
+    k, width, b = trans.shape[0], int(sizes[-1]), sizes.size
+    start = width - sizes
+    # the grid cell (t, owner) of every token, in chunk order
+    owner = np.repeat(np.arange(b), sizes)
+    t = np.arange(owner.size) - np.repeat(np.cumsum(sizes), sizes) + width
+    emit = np.zeros((k, width, b))
+    if tables:
+        feats = np.full((len(tables), width, b), -1, dtype=np.int64)
+        feats[:, t, owner] = np.concatenate([inst.feats for inst in members], axis=1)
+        for f, table in zip(feats, tables):
+            emit += np.take(table, f, axis=1)
+    if augmented:
+        emit += 1.0
+        emit[np.concatenate([inst.gold for inst in members]), t, owner] -= 1.0
+    # exact suffix values: suf[t, y, b] = best score of positions t.. given y at t
+    suf = np.empty((width, k, b))
+    suf[width - 1] = emit[:, width - 1]
+    for s in range(width - 2, -1, -1):
+        suf[s] = emit[:, s] + (trans[:, :, None] + suf[s + 1]).max(axis=1)
+    # front to back from a virtual label k, which every padding cell keeps:
+    # step[y, p] is the transition p -> y, zero from k
+    step = np.vstack([trans, np.zeros((1, k))]).T
+    labels = np.empty((width, b), dtype=np.int64)
+    prev = np.full(b, k)
+    for s in range(width):
+        prev = labels[s] = np.where(start <= s, (step[:, prev] + suf[s]).argmax(axis=0), k)
+    cols = np.arange(b)
+    total = suf[start, labels[start, cols], cols]
+    return [row[lo:] for row, lo in zip(labels.T.tolist(), start.tolist())], total
 
 
-def _stacked_gold(members: Sequence[CompiledSequence]) -> np.ndarray:
-    if any(inst.gold is None for inst in members):
-        raise ValueError("instance has no gold labels")
-    return np.array([inst.gold for inst in members], dtype=np.int64)
-
-
-def decode_buckets(
+def decode_chunks(
     scorer: SequenceScorer, instances: Sequence[CompiledSequence], augmented: bool = False
 ) -> tuple[list[list[int]], np.ndarray]:
-    """The labeling of every sentence and its score, one DP per length.
+    """The labeling of every sentence and its score, one DP per chunk.
 
     Plain Viterbi, or with `augmented` the loss-augmented argmax against
     each sentence's gold labels.  Every sentence gets the labels and the
-    bit-identical score it gets decoded alone.
+    bit-identical score it gets decoded alone; an empty one gets ([], 0.0).
     """
+    if augmented and any(inst.gold is None for inst in instances):
+        raise ValueError("instance has no gold labels")
+    k = scorer.k
+    zero = np.zeros((1, k))
+    tables = [np.ascontiguousarray(np.vstack([e, zero]).T) for e in scorer.emissions]
+    trans = np.zeros((k, k)) if scorer.transitions is None else scorer.transitions
     outputs: list[list[int]] = [[] for _ in instances]
     scores = np.zeros(len(instances))
-    for index, members, feats, shape in _buckets(instances):
-        gold = _stacked_gold(members) if augmented else None
-        if shape[1] == 0:
-            continue
-        emit = _emissions(scorer, feats, shape)
-        if augmented:
-            emit += 1.0
-            emit[np.arange(shape[0])[:, None], np.arange(shape[1]), gold] -= 1.0
-        labels, total = _viterbi(emit, scorer.transitions)
-        for i, y in zip(index, labels.tolist()):
+    for chunk in _chunks([inst.length for inst in instances], k):
+        labels, total = _viterbi(tables, trans, [instances[i] for i in chunk], augmented)
+        for i, y in zip(chunk, labels):
             outputs[i] = y
-        scores[index] = total
+        scores[chunk] = total
     return outputs, scores
 
 
 def viterbi_decode(scorer: SequenceScorer, inst: CompiledSequence) -> tuple[list[int], float]:
     """Exact argmax labeling and its score."""
-    (labels,), scores = decode_buckets(scorer, [inst])
+    (labels,), scores = decode_chunks(scorer, [inst])
     return labels, float(scores[0])
 
 
@@ -141,7 +167,7 @@ def loss_augmented_decode(
 ) -> tuple[list[int], float]:
     """Argmax of score(y) + Hamming(gold, y) and that augmented value."""
     target = CompiledSequence(inst.length, inst.feats, np.asarray(gold, dtype=np.int64))
-    (labels,), scores = decode_buckets(scorer, [target], augmented=True)
+    (labels,), scores = decode_chunks(scorer, [target], augmented=True)
     return labels, float(scores[0])
 
 
@@ -228,27 +254,33 @@ class SequenceTask:
         augmented: bool = False,
     ) -> tuple[list[list[int]], np.ndarray]:
         """Best (or with `augmented`, loss-augmented) labeling of every
-        sentence and its score, by length bucket."""
-        return decode_buckets(self.scorer(weights), instances, augmented)
+        sentence and its score, by chunk (see `_chunks`)."""
+        return decode_chunks(self.scorer(weights), instances, augmented)
 
     def corpus_feature_ids(
         self, instances: Sequence[CompiledSequence], outputs: Sequence[Sequence[int]]
     ) -> tuple[np.ndarray, int]:
         """The flat weight ids `outputs` fire over the corpus (group j's ids
         offset by the sizes of the groups before it), one entry per firing,
-        and their summed Hamming loss, by length bucket."""
+        and their summed Hamming loss, over the corpus concatenated once."""
         k = self.k
+        lengths = [inst.length for inst in instances]
+        if any(len(y) != l for y, l in zip(outputs, lengths, strict=True)):
+            raise ValueError("labeling length does not match the sentence")
+        if any(inst.gold is None for inst in instances):
+            raise ValueError("instance has no gold labels")
+        gold = np.concatenate([inst.gold for inst in instances])
+        y = np.fromiter(chain.from_iterable(outputs), dtype=np.int64, count=gold.size)
+        feats = np.concatenate([inst.feats for inst in instances], axis=1)
         offsets = np.cumsum([0, *self.group_dims])[:-1].tolist()
         ids = []
-        loss = 0
-        for index, members, feats, shape in _buckets(instances):
-            if any(len(outputs[i]) != shape[1] for i in index):
-                raise ValueError("labeling length does not match the sentence")
-            y = np.array([outputs[i] for i in index], dtype=np.int64)
-            loss += int((y != _stacked_gold(members)).sum())
-            for f, off in zip(feats, offsets):
-                on = f >= 0
-                ids.append(f[on] * k + y[on] + off)
-            if self.transition:
-                ids.append((y[:, :-1] * k + y[:, 1:]).ravel() + offsets[-1])
-        return np.concatenate(ids), loss
+        for f, off in zip(feats, offsets):
+            on = f >= 0
+            ids.append(f[on] * k + y[on] + off)
+        if self.transition:
+            # no transition from a sentence's last token into the next one's first
+            inner = np.ones(max(y.size - 1, 0), dtype=bool)
+            ends = np.cumsum(lengths)[:-1]
+            inner[ends[(ends > 0) & (ends < y.size)] - 1] = False
+            ids.append((y[:-1] * k + y[1:])[inner] + offsets[-1])
+        return np.concatenate(ids), int((y != gold).sum())

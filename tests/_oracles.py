@@ -26,6 +26,8 @@ span DP filled one cell at a time with a recursive backtrack, a maximum
 arborescence contracted with dicts and Python loops, and a single-root
 search that runs a whole decoder once per root child.  The tree
 references share only the package's score masking and cycle walk.
+`write_sequence_corpus_per_token` is the tagger corpus writer as it was,
+two writes per token.
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ from mklsp.corpus import find_cycle
 from mklsp.dependency import NEG, EdgeTemplateSpec, _masked, augment
 from mklsp.sparse import GroupedSparseVector, SparseVector, sparse_dot
 from mklsp.templates import TemplateSpec, boundary_symbol
+
+
+def write_sequence_corpus_per_token(instances, dest, label_table=None, labels_override=None):
+    """The column format written back one token line at a time, two writes
+    per token, then a blank line per sentence."""
+    for i, inst in enumerate(instances):
+        ids = labels_override[i] if labels_override is not None else inst.labels
+        for t, token in enumerate(inst.tokens):
+            parts = list(token)
+            if ids is not None:
+                if label_table is None:
+                    raise ValueError("label_table is required to write labels")
+                parts.append(label_table.label_of(ids[t]))
+            dest.write(" ".join(parts))
+            dest.write("\n")
+        dest.write("\n")
 
 
 def reference_instantiate(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]], t: int) -> str:

@@ -6,12 +6,15 @@ from hypothesis import given, strategies as st
 from mklsp.corpus import (
     CorpusFormatError,
     LabelTable,
+    SequenceInstance,
     find_cycle,
     read_dependency_corpus,
     read_sequence_corpus,
     write_dependency_corpus,
     write_sequence_corpus,
 )
+
+from _oracles import write_sequence_corpus_per_token
 
 
 def seq(text, **kw):
@@ -203,6 +206,50 @@ def test_sequence_write_read_round_trip(sentences):
 
 # no tab, newline or carriage return, so every value stays one field
 field_values = st.text(alphabet="abcXY_-=|. ", min_size=1, max_size=4)
+
+
+@st.composite
+def labeled_sentences(draw):
+    """Sentences of one to three columns (none empty, some sentences empty)
+    with label ids, a label table, and per sentence ids or None to override
+    them with."""
+    table = LabelTable()
+    for name in draw(st.lists(st.text("LXY-", min_size=1, max_size=3), min_size=1, max_size=3)):
+        table.intern(name)
+    columns = draw(st.integers(1, 3))
+    ids = st.integers(0, len(table) - 1)
+    instances, override = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        l = draw(st.integers(0, 4))
+        tokens = [
+            tuple(draw(st.lists(field_values, min_size=columns, max_size=columns)))
+            for _ in range(l)
+        ]
+        labels = draw(st.none() | st.lists(ids, min_size=l, max_size=l))
+        instances.append(SequenceInstance(tokens, labels))
+        override.append(draw(st.lists(ids, min_size=l, max_size=l)))
+    return instances, table, override
+
+
+@given(labeled_sentences(), st.sampled_from(["table", "override", "none"]))
+def test_sequence_writer_bytes_match_per_token_writer(case, mode):
+    # one write per sentence gives the bytes the per-token writer gives; with
+    # labels but no table both raise and leave the same sentences written
+    instances, table, override = case
+    kwargs = {
+        "table": {"label_table": table},
+        "override": {"label_table": table, "labels_override": override},
+        "none": {},
+    }[mode]
+    outputs = []
+    for writer in (write_sequence_corpus, write_sequence_corpus_per_token):
+        out = io.StringIO()
+        try:
+            writer(instances, out, **kwargs)
+            outputs.append((out.getvalue(), None))
+        except ValueError as exc:
+            outputs.append((out.getvalue(), str(exc)))
+    assert outputs[0] == outputs[1]
 
 
 @st.composite

@@ -5,18 +5,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mklsp import sequence
 from mklsp.corpus import LabelTable, SequenceInstance
 from mklsp.sequence import (
     CompiledSequence,
     SequenceScorer,
     SequenceTask,
-    decode_buckets,
+    decode_chunks,
     loss_augmented_decode,
     viterbi_decode,
 )
+from mklsp.synthetic import SEQ_TEMPLATES, load_sequence, sequence_text
 from mklsp.templates import parse_templates
 
 from _oracles import dense_emissions, feature_counts, reference_viterbi, sequence_best
@@ -72,15 +74,20 @@ def test_loss_augmented_matches_enumeration():
 @st.composite
 def tagged_batches(draw):
     """A scorer and a batch of compiled sentences of mixed lengths (0..6):
-    float tables, or -2..2 integer tables whose optima tie often."""
+    float tables, or -2..2 integer tables whose optima tie often, either
+    holding -0.0; one to four labels, no to two groups, transitions or none."""
     k = draw(st.integers(1, 4))
     values = draw(st.sampled_from([st.floats(-1e6, 1e6), st.integers(-2, 2).map(float)]))
+    values = values | st.just(-0.0)
     dims = draw(st.lists(st.integers(1, 4), max_size=2))
     tables = [draw(arrays(np.float64, (d, k), elements=values)) for d in dims]
     trans = draw(st.none() | arrays(np.float64, (k, k), elements=values))
     instances = []
     for l in draw(st.lists(st.integers(0, 6), min_size=1, max_size=8)):
-        feats = [draw(arrays(np.int64, l, elements=st.integers(-1, d - 1))) for d in dims]
+        feats = np.array(
+            [draw(arrays(np.int64, l, elements=st.integers(-1, d - 1))) for d in dims],
+            dtype=np.int64,
+        ).reshape(len(dims), l)
         gold = draw(arrays(np.int64, l, elements=st.integers(0, k - 1)))
         instances.append(CompiledSequence(l, feats, gold))
     return SequenceScorer(tables, trans, k), instances
@@ -90,11 +97,17 @@ def bits(x):
     return np.float64(x).tobytes()
 
 
-@given(tagged_batches(), st.booleans())
-def test_bucketed_decode_matches_reference(case, augmented):
-    # same labels and bit-identical scores as the per-sentence DP, ties included
+@settings(max_examples=200, deadline=None)
+@given(tagged_batches(), st.booleans(), st.integers(1, 400))
+def test_chunked_decode_matches_reference(case, augmented, cells):
+    # same labels and bit-identical scores as the earlier per-sentence DP and
+    # the per-sentence decoders, ties included, whatever the chunk budget:
+    # at 1 cell every sentence is a chunk of its own
     scorer, instances = case
-    outputs, scores = decode_buckets(scorer, instances, augmented)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequence, "_CHUNK_CELLS", cells)
+        outputs, scores = decode_chunks(scorer, instances, augmented)
+    assert scores.dtype == np.float64
     assert len(outputs) == len(scores) == len(instances)
     for inst, labels, score in zip(instances, outputs, scores):
         gold = inst.gold.tolist() if augmented else None
@@ -107,12 +120,26 @@ def test_bucketed_decode_matches_reference(case, augmented):
         else:
             emit = (
                 dense_emissions(inst.feats, scorer.emissions, scorer.k)
-                if inst.feats
+                if len(inst.feats)
                 else np.zeros((inst.length, scorer.k))
             )
             want = reference_viterbi(emit, scorer.transitions, augment_gold=gold)
         assert labels == alone[0] == want[0]
         assert bits(score) == bits(alone[1]) == bits(want[1])
+
+
+def test_augmented_decode_needs_every_gold():
+    # an empty sentence is not decoded, but it still needs gold to augment
+    scorer = zero_scorer(2, 3)
+    labeled = CompiledSequence(2, np.array([[0, 2]]), np.array([0, 1]))
+    unlabeled = [
+        CompiledSequence(2, np.array([[1, -1]]), None),
+        CompiledSequence(0, np.empty((1, 0), dtype=np.int64), None),
+    ]
+    for bare in unlabeled:
+        with pytest.raises(ValueError, match="gold"):
+            decode_chunks(scorer, [labeled, bare], augmented=True)
+        assert decode_chunks(scorer, [labeled, bare])[0][1] == [0] * bare.length
 
 
 def test_all_zero_weights_tie_breaks_to_first_label():
@@ -203,6 +230,72 @@ def toy_task(transition=True):
     ]
     table.freeze()
     return SequenceTask.build(specs, corpus, table), corpus
+
+
+def synthetic_task(transition):
+    instances, table = load_sequence(sequence_text(12, seed=3))
+    text = SEQ_TEMPLATES if transition else SEQ_TEMPLATES.replace("B\n", "")
+    return SequenceTask.build(parse_templates(text), instances, table)
+
+
+SYNTHETIC_TASKS = {flag: synthetic_task(flag) for flag in (False, True)}
+
+
+@st.composite
+def labeled_corpora(draw):
+    """A synthetic task, with or without the transition group, and drawn
+    sentences (lengths 0, 1 or mixed, firing any of its ids or none) with
+    gold labels and a drawn labeling each."""
+    task = SYNTHETIC_TASKS[draw(st.booleans())]
+    k = task.k
+    lengths = draw(
+        st.sampled_from([st.just(0), st.just(1), st.integers(0, 7)]).flatmap(
+            lambda size: st.lists(size, min_size=1, max_size=6)
+        )
+    )
+    instances, outputs = [], []
+    for l in lengths:
+        ids = [st.integers(-1, len(a) - 1) for a in task.alphabets]
+        feats = np.array(
+            [draw(arrays(np.int64, l, elements=e)) for e in ids], dtype=np.int64
+        ).reshape(len(ids), l)
+        gold = draw(arrays(np.int64, l, elements=st.integers(0, k - 1)))
+        instances.append(CompiledSequence(l, feats, gold))
+        outputs.append(draw(st.lists(st.integers(0, k - 1), min_size=l, max_size=l)))
+    return task, instances, outputs
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_corpora())
+def test_corpus_feature_ids_match_per_sentence_counts(case):
+    # the flat ids over the concatenated corpus are, as a multiset, the
+    # firings counted one position at a time, sentence by sentence, and
+    # the loss is the summed Hamming loss
+    task, instances, outputs = case
+    ids, loss = task.corpus_feature_ids(instances, outputs)
+    assert ids.dtype == np.int64
+    offsets = np.cumsum([0, *task.group_dims])[:-1]
+    want = Counter()
+    for inst, y in zip(instances, outputs):
+        for off, counts in zip(offsets, feature_counts(task, inst, y)):
+            want.update({int(off) + key: int(n) for key, n in counts.items()})
+    assert Counter(ids.tolist()) == want
+    assert loss == sum(
+        int((inst.gold != np.array(y, dtype=np.int64)).sum()) for inst, y in zip(instances, outputs)
+    )
+    long = max(range(len(instances)), key=lambda i: instances[i].length)
+    wrong = list(outputs)
+    wrong[long] = [*outputs[long], 0]
+    with pytest.raises(ValueError, match="length"):
+        task.corpus_feature_ids(instances, wrong)
+    if instances[long].length:
+        wrong[long] = outputs[long][:-1]
+        with pytest.raises(ValueError, match="length"):
+            task.corpus_feature_ids(instances, wrong)
+    bare = list(instances)
+    bare[long] = CompiledSequence(instances[long].length, instances[long].feats, None)
+    with pytest.raises(ValueError, match="gold"):
+        task.corpus_feature_ids(bare, outputs)
 
 
 def fired(task, inst, labels):
