@@ -9,6 +9,9 @@ Two on-disk formats are supported:
   (ID FORM LEMMA CPOSTAG POSTAG FEATS HEAD DEPREL PHEAD PDEPREL), ``_`` for a
   missing value.  Only the six named fields are interpreted; the rest are
   preserved on read and echoed back on write.
+
+`size_chunks` is the one batching policy of both decoders: a pass's
+instances, stable-sorted by size, cut into chunks within a cost budget.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import add
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 Token = tuple[str, ...]
 """A token is its tuple of observation-column strings."""
@@ -211,6 +214,21 @@ def find_cycle(heads: Sequence[int]) -> list[int] | None:
         for visited in path:
             state[visited] = 2
     return None
+
+
+def size_chunks(
+    sizes: Sequence[int], cost: Callable[[int], int], budget: int
+) -> list[list[int]]:
+    """Indices of `sizes`, stable-sorted by size and cut into consecutive
+    chunks: B items whose largest size is L keep B * cost(L) within
+    `budget`; a chunk holds at least one."""
+    chunks: list[list[int]] = []
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
+        if chunks and (len(chunks[-1]) + 1) * cost(sizes[i]) <= budget:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
 
 
 _CONLL_FIELDS = 10

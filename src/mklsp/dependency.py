@@ -51,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import DependencyInstance, find_cycle
+from .corpus import DependencyInstance, find_cycle, size_chunks
 from .templates import FeatureAlphabet, TemplateError, boundary_symbol
 
 ROOT_TOKEN = ("<root>", "<root>", "<root>", "<root>")
@@ -546,19 +546,6 @@ def _best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _CHART_CELLS = 1 << 14
 
 
-def _chunks(sizes: Sequence[int]) -> list[list[int]]:
-    """Sentence indices, stable-sorted by size and cut into consecutive
-    chunks whose padded charts, B sentences of the chunk's largest size L,
-    keep B * L * L within `_CHART_CELLS`; a chunk holds at least one."""
-    chunks: list[list[int]] = []
-    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
-        if chunks and (len(chunks[-1]) + 1) * sizes[i] ** 2 <= _CHART_CELLS:
-            chunks[-1].append(i)
-        else:
-            chunks.append([i])
-    return chunks
-
-
 def _eisner(S: np.ndarray, sizes: Sequence[int]) -> list[tuple[list[int], float]]:
     """Best projective tree of every sentence of a padded batch, and its score.
 
@@ -871,14 +858,14 @@ class DependencyTask:
 
         With `augmented`, the argmax of score(T) + parent_loss(gold, T),
         decoded with +1 on every off-gold edge, and that augmented value.
-        Each chunk of sentences (see `_chunks`) is padded into one slab and
+        Each chunk of sentences (see `size_chunks`) is padded into one slab and
         decoded by `_decode`, for both decoders.
         """
         flat = np.concatenate(weights)
         projective = self.decoder == "projective"
         trees = [None] * len(instances)
         sizes = [inst.n + 1 for inst in instances]
-        for chunk in _chunks(sizes):
+        for chunk in size_chunks(sizes, lambda n: n * n, _CHART_CELLS):
             width = sizes[chunk[-1]]
             S = np.full((len(chunk), width, width), NEG)
             for b, i in enumerate(chunk):

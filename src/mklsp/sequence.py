@@ -12,8 +12,8 @@ keys (see `templates`) in one pass into a (G, l) array of feature ids.
 
 A corpus is decoded in padded chunks: the sentences of a pass are
 stable-sorted by length and cut into chunks of B sentences within a fixed
-cell budget (B * L * k * k), each right-aligned in one (L, B) grid, so
-every sentence ends at L - 1.  Emissions are gathered per group from the
+budget of array cells (see `_CHUNK_CELLS`), each right-aligned in one
+(L, B) grid, so every sentence ends at L - 1.  Emissions are gathered per group from the
 table transposed with a zero column appended, which silent ids (-1) read,
 into a (k, L, B) array with the batch innermost; one DP per chunk takes one
 step per position.  The per-sentence decoders are a chunk of one through
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelTable, SequenceInstance
+from .corpus import LabelTable, SequenceInstance, size_chunks
 from .templates import (
     OBSERVATION,
     TRANSITION,
@@ -65,25 +65,14 @@ class CompiledSequence:
     gold: np.ndarray | None
 
 
-# most cells B * L * k * k in one chunk's DP steps, unless one sentence alone
-# needs more; the chunk's emission and suffix arrays hold B * L * k floats each
-_CHUNK_CELLS = 1 << 16
-
-
-def _chunks(lengths: Sequence[int], k: int) -> list[list[int]]:
-    """Indices of the nonempty sentences, stable-sorted by length and cut into
-    consecutive chunks whose padded DP, B sentences of the chunk's largest
-    length L, keeps B * L * k * k within `_CHUNK_CELLS`; a chunk holds at
-    least one."""
-    chunks: list[list[int]] = []
-    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if lengths[i] == 0:
-            continue
-        if chunks and (len(chunks[-1]) + 1) * lengths[i] * k * k <= _CHUNK_CELLS:
-            chunks[-1].append(i)
-        else:
-            chunks.append([i])
-    return chunks
+# most array cells (8 bytes each) one chunk of B sentences of length L
+# allocates, unless one sentence alone needs more: B * L * (3k + G + 1) in
+# its (k, L, B) emissions, their gather and suffix values, its (G, L, B)
+# feature ids and (L, B) labels, and B * k * k in one DP step's temporary.
+# A DP step reduces the middle axis of that temporary, so a small B is slow
+# at large k: at k = 45 a budget of 2^16 decodes slower than one batch per
+# length would, 2^17 about as fast
+_CHUNK_CELLS = 1 << 17
 
 
 def _viterbi(
@@ -148,7 +137,11 @@ def decode_chunks(
     trans = np.zeros((k, k)) if scorer.transitions is None else scorer.transitions
     outputs: list[list[int]] = [[] for _ in instances]
     scores = np.zeros(len(instances))
-    for chunk in _chunks([inst.length for inst in instances], k):
+    nonempty = [i for i, inst in enumerate(instances) if inst.length]
+    lengths = [instances[i].length for i in nonempty]
+    per_token = 3 * k + len(tables) + 1
+    for part in size_chunks(lengths, lambda l: l * per_token + k * k, _CHUNK_CELLS):
+        chunk = [nonempty[j] for j in part]
         labels, total = _viterbi(tables, trans, [instances[i] for i in chunk], augmented)
         for i, y in zip(chunk, labels):
             outputs[i] = y
@@ -254,7 +247,7 @@ class SequenceTask:
         augmented: bool = False,
     ) -> tuple[list[list[int]], np.ndarray]:
         """Best (or with `augmented`, loss-augmented) labeling of every
-        sentence and its score, by chunk (see `_chunks`)."""
+        sentence and its score, by chunk (see `decode_chunks`)."""
         return decode_chunks(self.scorer(weights), instances, augmented)
 
     def corpus_feature_ids(

@@ -10,6 +10,7 @@ from mklsp.corpus import (
     find_cycle,
     read_dependency_corpus,
     read_sequence_corpus,
+    size_chunks,
     write_dependency_corpus,
     write_sequence_corpus,
 )
@@ -170,6 +171,29 @@ def test_find_cycle():
     # the walk from token 1 enters the cycle 2 -> 3 -> 2 at token 2
     assert find_cycle([2, 3, 2]) == [2, 3]
     assert find_cycle([0, 3, 2]) == [2, 3]
+
+
+@given(
+    st.lists(st.integers(0, 30), max_size=40),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(1, 2000),
+)
+def test_size_chunks_fill_the_budget_in_stable_size_order(sizes, a, b, budget):
+    def cost(n):
+        return a * n + b
+
+    chunks = size_chunks(sizes, cost, budget)
+    assert [i for chunk in chunks for i in chunk] == sorted(
+        range(len(sizes)), key=sizes.__getitem__
+    )
+    for chunk, after in zip(chunks, chunks[1:] + [None]):
+        assert chunk
+        # within budget unless alone, and full: the next item would not fit
+        width = cost(sizes[chunk[-1]])
+        assert len(chunk) == 1 or len(chunk) * width <= budget
+        if after is not None:
+            assert (len(chunk) + 1) * cost(sizes[after[0]]) > budget
 
 
 def test_label_table_first_seen_and_freeze():

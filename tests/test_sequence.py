@@ -98,7 +98,7 @@ def bits(x):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tagged_batches(), st.booleans(), st.integers(1, 400))
+@given(tagged_batches(), st.booleans(), st.integers(1, 1000))
 def test_chunked_decode_matches_reference(case, augmented, cells):
     # same labels and bit-identical scores as the earlier per-sentence DP and
     # the per-sentence decoders, ties included, whatever the chunk budget:
