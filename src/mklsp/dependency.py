@@ -19,7 +19,14 @@ training corpus, template by template, in one numpy pass per sentence (see
 parses its alphabet strings back into a value vocabulary and sorted key
 tables (`_KeyTable`) when it is made, the same way inside `build` and inside
 `Model.read`, so `DependencyTask.compile` looks features up by key, not by
-string.
+string.  The index arrays of that pass that depend only on the sentence
+length (where each selector reads on each edge, where each ``between``
+template reads its field, which positions precede which) are a
+`_LengthPlan`, built the first time the layout meets a length and kept on it,
+so a plan lives as long as its task.  Per sentence, `build` and `compile` do
+only what depends on its values: one code list, the gathers of the slot
+values, the test for values first seen inside a span and, in `compile`, one
+key lookup over all its firings.
 
 Both decoders run over padded batches: `decode_corpus` stable-sorts a
 corpus's sentences by length, cuts them into chunks whose (B, L, L) slabs
@@ -170,17 +177,17 @@ def _edge_frame(n: int) -> _EdgeFrame:
     return frame
 
 
-def _fresh(columns: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Whether position p holds a value not seen in (lo, p), per column.
+class _LengthPlan(NamedTuple):
+    """The index arrays of `_EdgeLayout.firings` that depend on the sentence
+    length alone, for a sentence with n positions (root included), each in
+    the smallest integer type that holds it.  None is (templates, edges):
+    with the default templates, a plan for a sentence of one token or more
+    holds fewer bytes than `_edge_frame(n)`."""
 
-    `columns` is (R, n), value codes at positions 0..n-1 with equal codes
-    for equal values; the result is (R, len(lo), n).  Inside a span
-    (lo, hi), the positions marked are its distinct values, first seen first.
-    """
-    q = np.arange(columns.shape[1])
-    same = (columns[:, :, None] == columns[:, None, :]) & (q[:, None] < q)  # [r, q, p]
-    prev = np.where(same, q[:, None], -1).max(axis=1)  # the last earlier q of p's value
-    return prev[:, None, :] <= lo[:, None]
+    at: np.ndarray  # (selectors, edges): where each selector reads, in the flat code array
+    cols: np.ndarray  # (between templates, n): where each reads its between field
+    earlier: np.ndarray  # (n, n): q at [q, p] when q < p, else -1
+    below: np.ndarray  # (n, n): l at [l, p] when l < p, else -2
 
 
 class _EdgeLayout:
@@ -191,6 +198,9 @@ class _EdgeLayout:
     pad.  A sentence is read as one flat array of value codes: per field that
     some selector reads, its values at positions ``reach[0] .. n - 1 +
     reach[1]`` (boundary sentinels outside the sentence), then the pad code 0.
+    The index arrays that depend on the sentence length alone are built the
+    first time a length is seen and kept, one `_LengthPlan` per length, as
+    long as the layout lives.
     """
 
     def __init__(self, specs: Sequence[EdgeTemplateSpec]):
@@ -199,6 +209,9 @@ class _EdgeLayout:
         self.fields = sorted({sel.column for s in specs for sel in s.selectors})
         offsets = [sel.offset for s in specs for sel in s.selectors]
         self.reach = (min([0, *offsets]), max([0, *offsets]))
+        # a sentinel depends on the distance past the edge, not on the length
+        self._left = [boundary_symbol(p, 0) for p in range(self.reach[0], 0)]
+        self._right = [boundary_symbol(p, 0) for p in range(self.reach[1])]
         row = {f: i for i, f in enumerate(self.fields)}
         # the distinct head and mod selectors (anchor row of the edge frame,
         # field row, offset), then the pad
@@ -216,58 +229,90 @@ class _EdgeLayout:
 
         plain = [t for t, s in enumerate(specs) if s.between_column is None]
         between = [t for t, s in enumerate(specs) if s.between_column is not None]
-        self.plain = np.array(plain, dtype=np.int64)
+        self._plain_prefix = np.array(plain, dtype=np.int64)[:, None] * _N_DIR_DIST
         self._plain_slots = slots[plain].T  # (width, plain templates)
-        self.between = np.array(between, dtype=np.int64)
+        self._between_prefix = np.array(between, dtype=np.int64) * _N_DIR_DIST
         self._between_slots = slots[between]  # (between templates, width)
-        self._between_slot = np.array(
-            [[sel.anchor for sel in specs[t].selectors].index("between") for t in between],
+        # the row of `firings`' keys that holds each between template's value
+        self._between_key_row = np.array(
+            [1 + [sel.anchor for sel in specs[t].selectors].index("between") for t in between],
             dtype=np.int64,
         )
-        rows = [row[specs[t].between_column] for t in between]
-        self._between_rows = np.array(sorted(set(rows)), dtype=np.int64)
-        self._between_field = np.searchsorted(self._between_rows, rows)
+        self._between_field_row = np.array(
+            [row[specs[t].between_column] for t in between], dtype=np.int64
+        )
         # firings come plain block first, so they run in template order
         # exactly when every plain template comes before every between one
         self.in_order = not plain or not between or max(plain) < min(between)
+        self._plans: dict[int, _LengthPlan] = {}
 
     def values(self, aug_tokens: Sequence[tuple[str, ...]]) -> list[str]:
         """The strings that a sentence's flat code array codes, pad excluded."""
-        n = len(aug_tokens)
-        positions = range(self.reach[0], n + self.reach[1])
-        return [
-            aug_tokens[p][f] if 0 <= p < n else boundary_symbol(p, n)
-            for f in self.fields
-            for p in positions
-        ]
+        columns = list(zip(*aug_tokens))
+        values: list[str] = []
+        for f in self.fields:
+            values += self._left
+            values += columns[f]
+            values += self._right
+        return values
 
-    def firings(self, n: int, codes: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def plan(self, n: int) -> _LengthPlan:
+        """The `_LengthPlan` of sentences with n positions, built on first use."""
+        plan = self._plans.get(n)
+        if plan is None:
+            size = n + self.reach[1] - self.reach[0]
+            at = _edge_frame(n).anchors[self._anchor] + (self._row * size + self._shift)[:, None]
+            q = np.arange(n)
+            cols = (self._between_field_row * size - self.reach[0])[:, None] + q
+            signed = np.min_scalar_type(-n)  # holds -2 .. n - 1
+            plan = self._plans[n] = _LengthPlan(
+                *(a.astype(np.min_scalar_type(a.max(initial=0))) for a in (at, cols)),
+                np.where(q[:, None] < q, q[:, None], -1).astype(signed),
+                np.where(q[:, None] < q, q[:, None], -2).astype(signed),
+            )
+        return plan
+
+    def firings(self, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every feature firing of a sentence with n positions (root included).
 
         `codes` is its flat code array, equal codes for equal strings.  A
         template fires once per candidate edge of `_edge_frame(n)`, a
         ``between`` template once per distinct value strictly between head
-        and modifier, first seen first.  Returns ``(plain, (templates, edges,
-        slots))``: the (width, templates, edges) slot-value codes of the
-        templates in `plain`, and the template, edge and (width, firings)
-        slot-value codes of each ``between`` firing, those of a template in
-        edge order.
+        and modifier, first seen first.  Returns ``(keys, cells)``: `keys`
+        is (1 + width, firings), per firing its stage-0 code, template * 12 +
+        (direction, distance), then its slot-value codes, and `cells` holds
+        the cell of each firing's edge.  The templates without a ``between``
+        selector come first, template by template in edge order, then the
+        ``between`` firings, those of a template in edge order.
         """
-        frame = _edge_frame(n)
-        size = n + self.reach[1] - self.reach[0]
-        # per selector, its value's code on every edge
-        at = frame.anchors[self._anchor] + (self._row * size + self._shift)[:, None]
-        by_selector = codes[at]
-        plain = by_selector[self._plain_slots]
-        if not self.between.size:
-            return plain, (self.between, self.between, np.zeros((self.width, 0), dtype=np.int64))
-        columns = codes[(self._between_rows * size - self.reach[0])[:, None] + np.arange(n)]
-        p = np.arange(n)
-        inside = (p > frame.lo[:, None]) & (p <= frame.last[:, None])
-        j, e, spot = np.nonzero(_fresh(columns, frame.lo)[self._between_field] & inside)
-        slots = by_selector[self._between_slots[j].T, e]
-        slots[self._between_slot[j], np.arange(j.size)] = columns[self._between_field[j], spot]
-        return plain, (self.between[j], e, slots)
+        frame, plan = _edge_frame(n), self.plan(n)
+        by_selector = codes.take(plan.at)  # per selector, its value's code on every edge
+        j = e = spot = frame.cells[:0]
+        if self._between_prefix.size:
+            columns = codes.take(plan.cols)  # per between template, its field's codes
+            same = columns[:, :, None] == columns[:, None, :]  # [j, q, p]
+            # the last position q < p that holds p's value, else -1
+            prev = np.maximum.reduce(np.where(same, plan.earlier, -1), axis=1)
+            # [j, l, p]: l < p and p's value is not seen in (l, p); inside a
+            # span (lo, hi), the positions marked are its distinct values,
+            # first seen first
+            fresh = prev[:, None, :] <= plan.below
+            j, e, spot = np.nonzero(fresh[:, frame.lo] & (np.arange(n) <= frame.last[:, None]))
+        n_plain = self._plain_prefix.size * frame.cells.size
+        keys = np.empty((1 + self.width, n_plain + j.size), dtype=np.int64)
+        cells = np.empty(n_plain + j.size, dtype=np.int64)
+        shape = (len(self._plain_prefix), frame.cells.size)
+        plain = keys[:, :n_plain].reshape(len(keys), *shape)
+        np.add(self._plain_prefix, frame.dir_dist, out=plain[0])
+        by_selector.take(self._plain_slots, axis=0, out=plain[1:], mode="clip")
+        np.copyto(cells[:n_plain].reshape(shape), frame.cells)
+        if j.size:
+            between = keys[:, n_plain:]
+            np.add(self._between_prefix[j], frame.dir_dist[e], out=between[0])
+            between[1:] = by_selector[self._between_slots[j].T, e]
+            between[self._between_key_row[j], np.arange(j.size)] = columns[j, spot]
+            frame.cells.take(e, out=cells[n_plain:])
+        return keys, cells
 
 
 class EdgeFeatureExtractor:
@@ -311,13 +356,9 @@ class EdgeFeatureExtractor:
         for inst in corpus:
             toks = augment(inst.tokens)
             codes = [vocab.setdefault(s, len(vocab)) for s in layout.values(toks)]
-            codes = np.array([*codes, 0], dtype=np.int64)
-            plain, (templates, edges, slots) = layout.firings(len(toks), codes)
-            dir_dist = _edge_frame(len(toks)).dir_dist
-            prefix = (layout.plain * _N_DIR_DIST)[:, None] + dir_dist
-            pending.append(np.vstack((prefix.ravel(), plain.reshape(len(plain), -1))))
-            pending.append(np.vstack((templates * _N_DIR_DIST + dir_dist[edges], slots)))
-            size += prefix.size + edges.size
+            keys, _ = layout.firings(len(toks), np.array([*codes, 0], dtype=np.int64))
+            pending.append(keys)
+            size += keys.shape[1]
             if size >= max(_CHUNK, distinct.shape[1]):  # merges cost O(firings log firings)
                 distinct = _first_seen(np.hstack((distinct, *pending)))
                 pending, size = [], 0
@@ -413,7 +454,9 @@ class _KeyTable:
         self.base = base = self.unseen + 1
         keys = np.hstack([np.zeros((width + 2, 0), dtype=np.int64), *blocks])
         rank, bound = keys[0], len(specs) * _N_DIR_DIST
-        self.stages: list[tuple[range, np.ndarray]] = []
+        # per stage: its slots, its table, and the powers B**m .. B**0 that
+        # weigh the rank before it and its m codes
+        self.stages: list[tuple[range, np.ndarray, np.ndarray]] = []
         k = 0
         while k < width:
             m = 1
@@ -425,7 +468,13 @@ class _KeyTable:
             table, rank = np.unique(key, return_inverse=True)
             rank = rank.reshape(-1)
             # a last entry above every key keeps searchsorted inside the table
-            self.stages.append((range(k, k + m), np.append(table, np.iinfo(np.int64).max)))
+            self.stages.append(
+                (
+                    range(k, k + m),
+                    np.append(table, np.iinfo(np.int64).max),
+                    base ** np.arange(m, -1, -1, dtype=np.int64),
+                )
+            )
             bound, k = max(table.size, 1), k + m
         self.ids = np.full(rank.size + 1, -1, dtype=np.int64)  # rank -1 reads the last -1
         self.ids[rank] = keys[-1]
@@ -443,36 +492,45 @@ class _KeyTable:
                 self.unseen + unseen.setdefault(s, len(unseen)) if c is None else c
                 for c, s in zip(codes, values)
             ]
-        return np.array([*codes, 0], dtype=np.int64), list(unseen)
+        codes.append(0)
+        return np.array(codes, dtype=np.int64), list(unseen)
 
-    def lookup(self, prefix: np.ndarray, slots: np.ndarray, unseen: list[str]) -> np.ndarray:
+    def lookup(self, keys: np.ndarray, unseen: list[str]) -> np.ndarray:
         """Flat ids of firings, -1 where the alphabets lack the feature.
 
-        `prefix` holds each firing's stage-0 code and `slots` the (width,
-        firings) codes of its values, `unseen` the strings of codes V, V+1, ...
+        `keys` is (1 + width, firings) as `_EdgeLayout.firings` gives it:
+        per firing its stage-0 code and its slot-value codes; `unseen` holds
+        the strings of codes V, V+1, ...  The slot codes are clamped to V in
+        place.
         """
-        rank = prefix
-        known = np.minimum(slots, self.unseen)
-        for group, table in self.stages:
-            key = rank
-            for k in group:
-                key = key * self.base + known[k]
-            found = np.searchsorted(table, key)
-            rank = np.where(table[found] == key, found, -1)
-        ids = self.ids[rank]
+        # (firing, its template's strings, its string) where only the string
+        # can match: a value holding "/" reads V once clamped
+        by_string = []
         if unseen and any(self.slash):
-            # a value holding "/" reads V, so only its string can match
             words = self.words + unseen
             marked = np.array(["/" in s for s in words])
-            slots = slots.reshape(len(slots), -1)
-            prefix, flat = prefix.reshape(-1), ids.reshape(-1)
+            slots = keys[1:]
             for i in np.flatnonzero(marked[slots].any(axis=0)).tolist():
-                p = int(prefix[i])
+                p = int(keys[0, i])
                 strings = self.slash[p // _N_DIR_DIST]
                 if strings:
                     tail = slots[: self.widths[p // _N_DIR_DIST], i].tolist()
                     s = self.prefixes[p] + "/".join(map(words.__getitem__, tail))
-                    flat[i] = strings.get(s, -1)
+                    by_string.append((i, strings, s))
+        if unseen:
+            np.minimum(keys[1:], self.unseen, out=keys[1:])
+        rank = None
+        for group, table, powers in self.stages:
+            if rank is None:  # the stage-0 code is row 0, right above the first slot
+                key = powers @ keys[: 1 + group.stop]
+            else:
+                key = powers[1:] @ keys[1 + group.start : 1 + group.stop]
+                key += rank * powers[0]
+            rank = table.searchsorted(key)
+            rank[table[rank] != key] = -1
+        ids = self.ids[rank]
+        for i, strings, s in by_string:
+            ids[i] = strings.get(s, -1)
         return ids
 
 
@@ -755,6 +813,8 @@ class DependencyTask:
         self.extractor = extractor
         self.decoder = decoder
         self.single_root = single_root
+        # the first flat id of every group, then the total
+        self._ends = np.append(extractor.offsets, sum(map(len, extractor.alphabets)))
 
     @classmethod
     def build(
@@ -777,34 +837,31 @@ class DependencyTask:
     def compile(self, instance: DependencyInstance) -> CompiledDependency:
         """The sentence's firings that the alphabets know, as flat ids.
 
-        All templates run in one pass over integer keys; see the module
-        docstring.  Unknown features fire nothing.
+        All templates run in one pass over integer keys (see the module
+        docstring), and one lookup resolves the plain and the ``between``
+        firings together.  The index arrays that depend on the sentence
+        length alone come from the layout's `_LengthPlan` for that length,
+        built by the first sentence of that length that the task meets, so
+        the result does not depend on the sentences compiled before.
+        Unknown features fire nothing.  Group j's ids lie in
+        ``[offsets[j], offsets[j + 1])``, so `bounds` is a search over ids.
         """
         toks = augment(instance.tokens)
-        size = len(toks)
         layout, keys = self.extractor.layout, self.extractor.keys
         codes, unseen = keys.codes(layout.values(toks))
-        plain, (between, edges, slots) = layout.firings(size, codes)
-        frame = _edge_frame(size)
-        ids = keys.lookup((layout.plain * _N_DIR_DIST)[:, None] + frame.dir_dist, plain, unseen)
-        rows, cols = np.nonzero(ids >= 0)
-        templates, cells, ids = layout.plain[rows], frame.cells[cols], ids[rows, cols]
-        if edges.size:
-            found = keys.lookup(between * _N_DIR_DIST + frame.dir_dist[edges], slots, unseen)
-            known = found >= 0
-            templates = np.concatenate((templates, between[known]))
-            cells = np.concatenate((cells, frame.cells[edges[known]]))
-            ids = np.concatenate((ids, found[known]))
-            if not layout.in_order:
-                order = np.argsort(templates, kind="stable")
-                templates, cells, ids = templates[order], cells[order], ids[order]
-        offsets = self.extractor.offsets
-        counts = np.bincount(templates, minlength=len(offsets))
-        bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        firings, cells = layout.firings(len(toks), codes)
+        ids = keys.lookup(firings, unseen)
+        known = ids >= 0
+        cells, ids = cells[known], ids[known]
+        if not layout.in_order:
+            # group j's ids lie in [offsets[j], offsets[j + 1])
+            order = np.argsort(self._ends.searchsorted(ids, side="right"), kind="stable")
+            cells, ids = cells[order], ids[order]
+        bounds = ids.searchsorted(self._ends).astype(np.int64, copy=False)
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(size - 1, cells, ids, bounds, offsets, gold)
+        return CompiledDependency(len(toks) - 1, cells, ids, bounds, self.extractor.offsets, gold)
 
     def edge_scores(self, weights: np.ndarray, inst: CompiledDependency) -> np.ndarray:
         """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)
@@ -879,10 +936,13 @@ class DependencyTask:
         self, instances: Sequence[CompiledDependency], outputs: Sequence[Sequence[int]]
     ) -> tuple[np.ndarray, float]:
         """The flat weight ids `outputs` fire over the corpus, one entry per
-        firing, and their summed parent loss, sentence by sentence."""
+        firing, and their summed parent loss, counted in one comparison of
+        the corpus's heads with its gold heads."""
         ids = []
-        loss = 0.0
         for inst, out in zip(instances, outputs, strict=True):
-            loss += parent_loss(self.gold_output(inst), out)
+            if inst.gold is None:
+                raise ValueError("instance has no gold heads")
             ids.append(self.tree_ids(inst, out))
-        return np.concatenate(ids), loss
+        gold = np.concatenate([inst.gold for inst in instances])
+        loss = np.count_nonzero(np.concatenate(outputs) != gold)
+        return np.concatenate(ids), float(loss)

@@ -199,8 +199,10 @@ class SolveDiagnostics:
     names, in order, the branches taken when the solve could not go on
     normally: "lstsq" (a singular system solved by least squares), "floor"
     (with the gap at tolerance, three steps found no better point: the
-    residuals' rounding floor), "max-newton" (the Newton budget ran out)
-    and "non-finite" (a system or step that is not finite ended the solve).
+    residuals' rounding floor), "max-newton" (the Newton budget ran out),
+    "non-finite" (a system or step that is not finite ended the solve) and
+    "cold" (a warm-started solve ran out of Newton systems and was solved
+    again from the cold start, whose branches follow).
     """
 
     newton_systems: int = 0
@@ -333,14 +335,19 @@ def _primal_dual(
     the gap is there, three steps without a better point end the solve on
     the rounding floor ("floor"); the best point seen is returned.  A
     singular system is solved by least squares; a non-finite one ends the
-    solve.
+    solve.  A warm start can lock the steps into a cycle, alpha swinging
+    between corners of {a >= 0, sum(a) <= C} while the group rows stay
+    infeasible; a warm solve that runs out of Newton systems is solved again
+    from the cold start ("cold"), and that solve's point is returned, with
+    the Newton systems of both counted.
     """
     s, mf = q.size, len(G)
     n = s + 1 + mf  # complementarity pairs
     half_mass = free_mass / 2.0
     info = SolveDiagnostics()
 
-    if alpha0 is not None and alpha0.size == s and alpha0.sum() > 0:
+    warm = alpha0 is not None and alpha0.size == s and alpha0.sum() > 0
+    if warm:
         alpha = np.maximum(alpha0, 0.0)
         alpha += _WARM_SHIFT * alpha.sum() / s
     else:
@@ -444,6 +451,12 @@ def _primal_dual(
     if best is not None and best[0] < score:
         _, x, z, measures = best
         info.surrogate_gap, info.primal_residual, info.dual_residual = measures
+    if warm and "max-newton" in info.fallbacks:
+        alpha, z_g, cold = _primal_dual(G, Qpin, q, C, free_mass, None, tol)
+        cold.newton_systems += info.newton_systems
+        cold.min_step = min(cold.min_step, info.min_step)
+        cold.fallbacks[:0] = [*info.fallbacks, "cold"]
+        return alpha, z_g, cold
     return x[:s].copy(), z[s + 1 :], info
 
 

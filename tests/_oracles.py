@@ -585,7 +585,10 @@ def reference_constraint_row(task, instances, outputs):
     return SimpleNamespace(p=grouped_vector(groups), q=loss_total / n)
 
 
-BARRIER_GAP = 1e-10  # duality gap bound n_con / tbar at which the barrier stops
+# duality gap bound n_con / tbar at which the barrier stops, in units of
+# min(1, |objective|): relative below 1, so a small optimum is certified as
+# closely as a large one
+BARRIER_GAP = 1e-10
 NEWTON_BUDGET = 12_000  # Newton steps over all barrier stages
 
 
@@ -605,10 +608,11 @@ def reference_barrier_qcqp(
 
     The package's earlier log-barrier path following, kept as an
     independent reference for its primal-dual solver: barrier weight 1,
-    raised tenfold per stage until n_con / tbar <= BARRIER_GAP, each stage
-    centred by Newton steps whose system is assembled one group at a time,
-    every quadratic form computed on its own, and a step length from a 0.99
-    fraction-to-boundary cap and Armijo backtracking on the barrier value.
+    raised tenfold per stage until n_con / tbar <= BARRIER_GAP * min(1,
+    |objective|), each stage centred by Newton steps whose system is
+    assembled one group at a time, every quadratic form computed on its
+    own, and a step length from a 0.99 fraction-to-boundary cap and Armijo
+    backtracking on the barrier value.
     Late in a stage this Armijo search can stall (see the tests).
     """
     s = q.size
@@ -708,7 +712,9 @@ def reference_barrier_qcqp(
             t = t + scale * dt
             if decrement <= 1e-10:
                 break
-        if n_con / tbar <= BARRIER_GAP or tbar >= 1e14 or spent >= NEWTON_BUDGET:
+        objective = -float(q @ alpha) + 0.5 * float(alpha @ Qpin @ alpha) + free_mass * t / 2.0
+        gap = BARRIER_GAP * min(1.0, abs(objective))
+        if n_con / tbar <= gap or tbar >= 1e14 or spent >= NEWTON_BUDGET:
             break
         tbar *= 10.0
 

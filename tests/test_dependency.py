@@ -224,8 +224,23 @@ def test_keys_too_wide_for_one_stage_match_per_edge_reference(monkeypatch):
     corpus = [inst.tokens for inst in load_dependency(dependency_text(5, seed=9))]
     unseen = [[("a/b", "a", "N", "N"), ("x:y", "_B-1", "V", "<root>"), *corpus[0][:3]]]
     specs = parse_edge_templates(default_edge_templates())
+    lookups = []
+    lookup = dependency._KeyTable.lookup
+
+    def counted(self, keys, unseen):
+        lookups.append(keys.shape)
+        return lookup(self, keys, unseen)
+
+    monkeypatch.setattr(dependency._KeyTable, "lookup", counted)
     task = check_build_and_compile(specs, corpus, unseen)
     assert len(task.extractor.keys.stages) == max(len(s.selectors) for s in specs)
+    # one lookup per compiled sentence, its plain and between firings together
+    sizes = [len(toks) + 1 for toks in [*corpus, *unseen]]
+    assert len(lookups) == len(sizes)
+    plain = sum(s.between_column is None for s in specs)
+    for (rows, firings), size in zip(lookups, sizes):
+        assert rows == 1 + task.extractor.layout.width
+        assert firings > plain * (size - 1) ** 2  # the between templates fire too
 
 
 def test_values_holding_a_slash_match_by_string():
@@ -264,6 +279,68 @@ def test_read_task_compiles_like_the_built_task(corpus, unseen, template_text):
         for name in ("cells", "ids", "bounds"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+# tokens whose values the training corpora never hold: q, Q, or a drawn value
+# of TRICKY, several of which hold "/"
+STREAM_TOKEN = st.tuples(column("abq"), column("aq"), column("XQ"), column("XZQ"))
+
+
+@st.composite
+def between_first_template_text(draw):
+    """Templates whose first is a ``between`` template and whose last is a
+    plain one, so firings do not come in template order."""
+    lines = [draw(edge_template(f"P{j}")) for j in range(draw(st.integers(0, 2)))]
+    return "\n".join(["PB:mod.POSTAG/between.FORM", *lines, "PZ:head.CPOSTAG/mod-1.FORM"])
+
+
+def check_compiled(compiled, specs, alphabets, tokens):
+    for name in ("cells", "ids", "bounds"):
+        a = getattr(compiled, name)
+        assert a.dtype == np.int64 and a.ndim == 1 and a.flags.c_contiguous
+    want = compile_edges(specs, alphabets, tokens)
+    for group, ref in zip(compiled.group_edges, want, strict=True):
+        for a, b in zip(group, ref, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(SENTENCE, min_size=1, max_size=3),
+    between_first_template_text(),
+    edge_template_text(),
+    st.data(),
+)
+def test_length_plans_compile_any_stream_like_the_reference(corpus, text_a, text_b, data):
+    # Each task keeps its own plan per sentence length.  Three tasks, two
+    # template sets and a model read back, compile one stream in turns,
+    # whose lengths (a one-token sentence among them) are first seen mid-stream.
+    instances = [DependencyInstance(s, None) for s in corpus]
+    built = {}
+    for name, text in (("a", text_a), ("b", text_b)):
+        specs = parse_edge_templates(text)
+        task = DependencyTask.build(specs, instances)
+        built[name] = task, specs, [a.strings() for a in task.extractor.alphabets]
+    task_a, specs_a, alphabets_a = built["a"]
+    assert not task_a.extractor.layout.in_order
+    built["read"] = read_back(task_a, text_a), specs_a, alphabets_a
+    stream = data.draw(st.lists(st.lists(STREAM_TOKEN, min_size=2, max_size=9), max_size=4))
+    one_token = [data.draw(STREAM_TOKEN)]
+    stream.insert(data.draw(st.integers(0, len(stream))), one_token)
+    stream.insert(len(stream) // 2, corpus[0])
+    for tokens in stream:
+        for name in data.draw(st.permutations(sorted(built))):
+            task, specs, alphabets = built[name]
+            check_compiled(task.compile(DependencyInstance(tokens, None)), specs, alphabets, tokens)
+    assert 2 in task_a.extractor.layout._plans
+
+
+def test_length_plans_stay_within_the_edge_frame():
+    layout = dependency._EdgeLayout(parse_edge_templates(default_edge_templates()))
+    for n in (2, 3, 8, 26, 100):
+        plan = layout.plan(n)
+        assert layout.plan(n) is plan
+        assert sum(a.nbytes for a in plan) <= sum(a.nbytes for a in dependency._edge_frame(n))
 
 
 # ---------------------------------------------------------------- decoders
@@ -602,6 +679,40 @@ def test_tree_ids_match_per_group_mask(decoder, data):
             assert loss == parent_loss(raw.heads, heads)
     assert compiled[-2][1].n == 1
     assert any(f.size == 0 for _, _, f in compiled[-1][1].group_edges)  # unseen tag
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(TREE_CORPUS)), st.data())
+def test_corpus_feature_ids_match_per_sentence_counts(decoder, data):
+    task, compiled = TREE_CORPUS[decoder]
+    gold = [(raw, inst) for raw, inst, _ in compiled if raw.heads is not None]
+    offsets = np.cumsum([0, *task.group_dims])
+    outputs = [
+        data.draw(st.lists(st.integers(0, inst.n), min_size=inst.n, max_size=inst.n))
+        for _, inst in gold
+    ]
+    ids, loss = task.corpus_feature_ids([inst for _, inst in gold], outputs)
+    want = Counter()
+    for (_, inst), heads in zip(gold, outputs):
+        for off, counts in zip(offsets, feature_counts(task, inst, heads)):
+            want.update({int(off) + f: int(c) for f, c in counts.items()})
+    assert ids.dtype == np.int64
+    assert Counter(ids.tolist()) == want
+    hamming = sum(h != g for (raw, _), out in zip(gold, outputs) for h, g in zip(out, raw.heads))
+    assert isinstance(loss, float) and loss == hamming
+
+
+def test_corpus_feature_ids_errors():
+    task, compiled = TREE_CORPUS["projective"]
+    (_, inst, _), (_, other, _) = compiled[:2]
+    good = [0] * other.n
+    with pytest.raises(ValueError, match="size"):
+        task.corpus_feature_ids([inst, other], [[0] * (inst.n + 1), good])
+    with pytest.raises(ValueError, match="range"):
+        task.corpus_feature_ids([inst, other], [[inst.n + 1] * inst.n, good])
+    bare = compiled[-2][1]  # no gold heads
+    with pytest.raises(ValueError, match="gold"):
+        task.corpus_feature_ids([inst, bare], [[0] * inst.n, [0] * bare.n])
 
 
 def test_feature_map_rejects_wrong_length():

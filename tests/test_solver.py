@@ -3,7 +3,7 @@ corpora small enough to reason about."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mklsp import solver
 from mklsp.corpus import LabelTable, SequenceInstance
@@ -231,6 +231,11 @@ def epigraph_dual(grams, Qpin, q, free_mass, alpha):
     st.booleans(),
     st.booleans(),
 )
+# the optimum is alpha = C, objective 3.3e-3: the reference must certify it
+# relative to its size
+@example(s=1, mf=2, seed=0, pinned=False, warm=False)
+# a warm start that cycles between the corners of the simplex
+@example(s=2, mf=1, seed=8820, pinned=True, warm=True)
 def test_barrier_matches_per_group_reference(s, mf, seed, pinned, warm):
     # the primal-dual solve against the earlier log-barrier path following
     problem = barrier_problem(seed, s, mf, pinned, warm)
@@ -249,6 +254,23 @@ def test_barrier_matches_per_group_reference(s, mf, seed, pinned, warm):
     mu = z_groups / z_groups.sum()
     ref_mu = ref_lambdas / ref_lambdas.sum()
     assert np.abs(mu - ref_mu).max() <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "seed, s, pinned", [(8820, 2, True), (5, 2, False), (38, 3, False), (9, 3, True)]
+)
+def test_warm_solve_that_cycles_is_certified_from_the_cold_start(seed, s, pinned):
+    # these warm starts lock the steps into a cycle between corners of the
+    # simplex and run out of Newton systems; the cold start converges
+    problem = barrier_problem(seed, s, 1, pinned, warm=True)
+    grams, Qpin, q, C, free_mass, _ = problem
+    alpha, z_groups, info = solver._primal_dual(*problem)
+    assert info.fallbacks[:2] == ["max-newton", "cold"]
+    assert max(info.surrogate_gap, info.primal_residual, info.dual_residual) <= solver._TOL
+    cold_alpha, cold_z, cold = solver._primal_dual(grams, Qpin, q, C, free_mass, None)
+    assert cold.fallbacks == []
+    assert np.array_equal(alpha, cold_alpha) and np.array_equal(z_groups, cold_z)
+    assert info.newton_systems == solver._MAX_NEWTON + cold.newton_systems
 
 
 # ---------------------------------------------------------------- rows
