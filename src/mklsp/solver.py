@@ -18,15 +18,16 @@ mass M.  The subproblem is solved in its epigraph form
 
 by one infeasible-start primal-dual interior-point solve (Mehrotra's
 predictor-corrector; see `_primal_dual`): every inequality has an explicit
-slack and a multiplier, so a call starts at the previous solution's scale,
-and it stops on relative residuals and the relative surrogate gap, about
-ten Newton systems later.  The Gram matrices are one (groups, rows, rows)
-tensor, and each Newton system is assembled from its product with alpha
-rather than group by group.  Free mu_j are twice the multipliers of the
-group constraints, rescaled to sum to M; with no free group the same
-solve is the QP in alpha.  Group weights recover as
-w_j = -mu_j * sum_r alpha_r p_j^r.  Training stops when the decoded
-violation R_emp exceeds the working-set value R_s by less than epsilon.
+slack and a multiplier, every call starts cold at alpha = C / (2s) on each
+of its s rows, and it stops on relative residuals and the relative
+surrogate gap, about ten to twenty Newton systems later.  The Gram
+matrices are one (groups, rows, rows) tensor, and each Newton system is
+assembled from its product with alpha rather than group by group.  Free
+mu_j are twice the multipliers of the group constraints, rescaled to sum
+to M; with no free group the same solve is the QP in alpha.  Group weights
+recover as w_j = -mu_j * sum_r alpha_r p_j^r.  Training stops when the
+decoded violation R_emp exceeds the working-set value R_s by less than
+epsilon.
 
 Every iteration's record is certified: its relative primal-dual gap
 |primal - dual| / max(1, |primal|) must be at most 1e-6, or `train` raises
@@ -62,8 +63,6 @@ from .sparse import GroupedSparseVector, SparseVector, sparse_dot  # noqa: F401
 _TOL = 1e-12  # relative residuals and surrogate gap at which a subproblem solve stops
 _MAX_NEWTON = 50  # Newton systems per solve before it gives up
 _TO_BOUNDARY = 0.995  # share of the step to the nearest bound that a step takes
-_WARM_SHIFT = 0.1  # a warm start adds this share of the mean alpha to every row;
-# every start keeps the sum row's slack at least this share of C
 _MU_FLOOR = 0.1  # lowest centring target, as a share of the stopping gap
 _STALLS = 3  # steps without a better point that end a solve on its rounding floor
 _CERTIFIED_GAP = 1e-6  # largest relative primal-dual gap `train` accepts on a record
@@ -200,9 +199,7 @@ class SolveDiagnostics:
     normally: "lstsq" (a singular system solved by least squares), "floor"
     (with the gap at tolerance, three steps found no better point: the
     residuals' rounding floor), "max-newton" (the Newton budget ran out),
-    "non-finite" (a system or step that is not finite ended the solve) and
-    "cold" (a warm-started solve ran out of Newton systems and was solved
-    again from the cold start, whose branches follow).
+    and "non-finite" (a system or step that is not finite ended the solve).
     """
 
     newton_systems: int = 0
@@ -293,8 +290,6 @@ def _primal_dual(
     q: np.ndarray,
     C: float,
     free_mass: float,
-    alpha0: np.ndarray | None,
-    tol: float = _TOL,
 ) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
     """Primal-dual interior-point solve of the epigraph form of the subproblem.
 
@@ -307,9 +302,10 @@ def _primal_dual(
     The positive variables x = (a, w_s, w_g) are alpha and explicit slacks
     of the sum and group rows, whose primal residuals are
     r_s = C - sum(a) - w_s and r_g = t - a'Q_j a - w_g; z = (z_a, z_s, z_g)
-    are their multipliers.  A start needs only x > 0 and z > 0, so it takes
-    the scale of the warm start `alpha0` whatever C is.  With w, z_a and z_s
-    eliminated, each step solves one symmetric system in (da, dt, dz_g):
+    are their multipliers.  A start needs only x > 0 and z > 0; every solve
+    starts cold, at a = C / (2s), so its result depends on its input alone.
+    With w, z_a and z_s eliminated, each step solves one symmetric system in
+    (da, dt, dz_g):
 
         [ H + diag(z_a/a) + (z_s/w_s) 11'    0    2 Qa'           ]
         [ 0                                  0   -1'              ]
@@ -329,38 +325,27 @@ def _primal_dual(
 
     The solve stops when the surrogate gap x.z and the dual residual, in
     units of max(1, |objective|), and every primal row relative to the size
-    of its own terms are at most `tol`.  The dual residual counts
+    of its own terms are at most `_TOL`.  The dual residual counts
     C * max|r_a|: the most it can move the objective over
     {a >= 0, sum(a) <= C}, and what the trainer's primal value sees.  Once
     the gap is there, three steps without a better point end the solve on
     the rounding floor ("floor"); the best point seen is returned.  A
     singular system is solved by least squares; a non-finite one ends the
-    solve.  A warm start can lock the steps into a cycle, alpha swinging
-    between corners of {a >= 0, sum(a) <= C} while the group rows stay
-    infeasible; a warm solve that runs out of Newton systems is solved again
-    from the cold start ("cold"), and that solve's point is returned, with
-    the Newton systems of both counted.
+    solve.
     """
     s, mf = q.size, len(G)
     n = s + 1 + mf  # complementarity pairs
     half_mass = free_mass / 2.0
     info = SolveDiagnostics()
 
-    warm = alpha0 is not None and alpha0.size == s and alpha0.sum() > 0
-    if warm:
-        alpha = np.maximum(alpha0, 0.0)
-        alpha += _WARM_SHIFT * alpha.sum() / s
-    else:
-        alpha = np.full(s, C / (2.0 * s))
+    alpha = np.full(s, C / (2.0 * s))
     gam = (G @ alpha) @ alpha
     t = float(gam.max()) if mf else 0.0
     # every pair starts at one complementarity product mu0, the size of the
     # objective's terms per pair; the group multipliers split M/2 evenly
     mu0 = (abs(float(q @ alpha)) + float(alpha @ Qpin @ alpha) + free_mass * t) / n or 1.0
     z_g = np.full(mf, half_mass / max(mf, 1))
-    x = np.concatenate(
-        [alpha, [max(C - alpha.sum(), _WARM_SHIFT * C)], np.maximum(t - gam, mu0 / z_g)]
-    )
+    x = np.concatenate([alpha, [C - alpha.sum()], np.maximum(t - gam, mu0 / z_g)])
     z = mu0 / x
     z[s + 1 :] = z_g
 
@@ -388,12 +373,12 @@ def _primal_dual(
         )
         info.surrogate_gap, info.primal_residual, info.dual_residual = measures
         score = max(measures)
-        if score <= tol:
+        if score <= _TOL:
             break
         if best is None or score < best[0]:
             best = (score, x, z, measures)
             stalls = 0
-        elif info.surrogate_gap <= tol:
+        elif info.surrogate_gap <= _TOL:
             stalls += 1
             if stalls == _STALLS:
                 info.fallbacks.append("floor")
@@ -437,7 +422,7 @@ def _primal_dual(
         dx, dz, _ = predictor
         step = min(1.0, _max_step(np.append(x, z), np.append(dx, dz)))
         sigma = (float((x + step * dx) @ (z + step * dz)) / comp) ** 3
-        target = max(sigma * comp, _MU_FLOOR * tol * scale) / n
+        target = max(sigma * comp, _MU_FLOOR * _TOL * scale) / n
         corrector = direction(target - x * z - dx * dz)
         if corrector is None:
             break
@@ -451,12 +436,6 @@ def _primal_dual(
     if best is not None and best[0] < score:
         _, x, z, measures = best
         info.surrogate_gap, info.primal_residual, info.dual_residual = measures
-    if warm and "max-newton" in info.fallbacks:
-        alpha, z_g, cold = _primal_dual(G, Qpin, q, C, free_mass, None, tol)
-        cold.newton_systems += info.newton_systems
-        cold.min_step = min(cold.min_step, info.min_step)
-        cold.fallbacks[:0] = [*info.fallbacks, "cold"]
-        return alpha, z_g, cold
     return x[:s].copy(), z[s + 1 :], info
 
 
@@ -477,18 +456,13 @@ def _solve_newton(K: np.ndarray, rhs: np.ndarray, info: SolveDiagnostics) -> np.
     return step
 
 
-def solve_qp(
-    q: np.ndarray, H: np.ndarray, cap: float, tol: float = _TOL, x0: np.ndarray | None = None
-) -> np.ndarray:
-    """Maximize q.a - 1/2 a'Ha over {a >= 0, sum(a) <= cap}.
-
-    The primal-dual solve with no group row, stopped at relative tolerance
-    `tol`, warm-started at the scale of `x0` when given.
-    """
+def solve_qp(q: np.ndarray, H: np.ndarray, cap: float) -> np.ndarray:
+    """Maximize q.a - 1/2 a'Ha over {a >= 0, sum(a) <= cap}: the
+    primal-dual solve with no group row."""
     s = q.size
     if s == 0:
         return np.zeros(0)
-    return _primal_dual(np.zeros((0, s, s)), H, q, cap, 0.0, x0, tol)[0]
+    return _primal_dual(np.zeros((0, s, s)), H, q, cap, 0.0)[0]
 
 
 def solve_subproblem(
@@ -497,7 +471,6 @@ def solve_subproblem(
     C: float,
     *,
     pinned: np.ndarray | None = None,
-    alpha0: np.ndarray | None = None,
 ) -> SubproblemSolution:
     """Solve the restricted saddle problem over the collected rows.
 
@@ -531,7 +504,7 @@ def solve_subproblem(
 
     mu = pinned_part.copy()
     G_free = G[free] if free_mass > 0.0 else G[:0]
-    alpha, z_groups, info = _primal_dual(G_free, Qpin, q, C, free_mass, alpha0)
+    alpha, z_groups, info = _primal_dual(G_free, Qpin, q, C, free_mass)
     if "non-finite" in info.fallbacks:
         raise RuntimeError("non-finite Newton system in the subproblem")
     if not (np.isfinite(alpha).all() and np.isfinite(z_groups).all()):
@@ -609,13 +582,14 @@ def recover_primal(store: RowStore, alpha: np.ndarray, mu: np.ndarray) -> np.nda
 
 
 def primal_objective(
-    weights: np.ndarray, store: RowStore, C: float, pinned: np.ndarray | None = None
+    weights: np.ndarray, store: RowStore, r_s: float, C: float, pinned: np.ndarray | None = None
 ) -> float:
-    """1/2 (sum_j ||w_j||)^2 + C * max(0, max_r row_value) when every group
-    is free.  With `pinned` (positive mu per pinned group, NaN where free),
-    the primal whose dual `solve_subproblem` maximizes: a pinned group
-    costs ||w_j||^2 / (2 mu_j) and the free ones (sum ||w_j||)^2 / (2 M),
-    M the free mass."""
+    """1/2 (sum_j ||w_j||)^2 + C * max(0, r_s) when every group is free,
+    r_s the working set's value under `weights` (`working_set_value`).
+    With `pinned` (positive mu per pinned group, NaN where free), the primal
+    whose dual `solve_subproblem` maximizes: a pinned group costs
+    ||w_j||^2 / (2 mu_j) and the free ones (sum ||w_j||)^2 / (2 M), M the
+    free mass."""
     norms = [float(np.linalg.norm(w)) for w in store.split(weights)]
     fixed = np.zeros(len(norms), bool) if pinned is None else ~np.isnan(pinned)
     reg = sum(norm for norm, f in zip(norms, fixed) if not f)
@@ -624,7 +598,7 @@ def primal_objective(
         free_mass = 1.0 - float(pinned[fixed].sum())
         reg = reg / free_mass if free_mass > 0.0 else 0.0
         reg += sum(0.5 * norms[j] ** 2 / pinned[j] for j in np.flatnonzero(fixed))
-    return reg + C * max(0.0, working_set_value(store, weights))
+    return reg + C * max(0.0, r_s)
 
 
 def rows_equal(a: ConstraintRow, b: ConstraintRow) -> bool:
@@ -734,6 +708,8 @@ def train(
     kept with every earlier row in one `RowStore`.  With `jobs` > 1 one fork
     pool (`DecodePool`), started before the first iteration, decodes every
     oracle pass.
+    The working set's value under the current weights is taken once per
+    row added: it is that iteration's primal and the next one's r_s.
     Each `IterationRecord` carries the iteration's wall time and the time of
     its decode, row, Gram, subproblem and recovery phases, the diagnostics
     of its subproblem solve and its relative primal-dual gap; a gap above
@@ -766,6 +742,7 @@ def train(
     mu = np.full(m, 1.0 / m)
     alpha = np.zeros(0)
     dual = 0.0
+    value = 0.0  # working_set_value(store, flat); 0 for the empty set
     trace: list[IterationRecord] = []
     halt = None
     jobs = min(config.jobs, n)
@@ -779,7 +756,7 @@ def train(
             row = build_constraint_row(task, instances, outputs, gold)
             built = clock()
             r_emp = row_value(row, flat)
-            r_s = working_set_value(store, flat)
+            r_s = value
             gap = r_emp - r_s
             gram_s = subproblem_s = recover_s = 0.0
             diagnostics = None
@@ -793,9 +770,7 @@ def train(
                 t0 = clock()
                 store.add(row)
                 t1 = clock()
-                solution = solve_subproblem(
-                    store.gram, store.q, config.C, pinned=pinned, alpha0=np.append(alpha, 0.0)
-                )
+                solution = solve_subproblem(store.gram, store.q, config.C, pinned=pinned)
                 t2 = clock()
                 alpha, mu, dual = solution.alpha, solution.mu, solution.dual_objective
                 diagnostics = solution.diagnostics
@@ -805,8 +780,9 @@ def train(
                 if not np.all(np.isfinite(flat)):
                     raise RuntimeError("non-finite weights from primal recovery")
                 weights = store.split(flat)
+                value = working_set_value(store, flat)
 
-            primal = primal_objective(flat, store, config.C, pinned)
+            primal = primal_objective(flat, store, value, config.C, pinned)
             relative_gap = abs(primal - dual) / max(1.0, abs(primal))
             record = IterationRecord(
                 iteration, r_emp, r_s, gap, dual, primal, len(store.rows), mu.copy(),

@@ -397,7 +397,7 @@ def test_c_too_large_to_certify_exits_1(seq_setup, capsys):
 
 
 def test_non_finite_barrier_output_exits_1(seq_setup, capsys, monkeypatch):
-    def broken(G, Qpin, q, C, free_mass, alpha0):
+    def broken(G, Qpin, q, C, free_mass):
         return np.full(q.size, np.nan), np.full(len(G), np.nan), solver.SolveDiagnostics()
 
     monkeypatch.setattr(solver, "_primal_dual", broken)
