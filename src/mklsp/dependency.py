@@ -20,13 +20,17 @@ parses its alphabet strings back into a value vocabulary and sorted key
 tables (`_KeyTable`) when it is made, the same way inside `build` and inside
 `Model.read`, so `DependencyTask.compile` looks features up by key, not by
 string.  The index arrays of that pass that depend only on the sentence
-length (where each selector reads on each edge, where each ``between``
-template reads its field, which positions precede which) are a
-`_LengthPlan`, built the first time the layout meets a length and kept on it,
-so a plan lives as long as its task.  Per sentence, `build` and `compile` do
-only what depends on its values: one code list, the gathers of the slot
-values, the test for values first seen inside a span and, in `compile`, one
-key lookup over all its firings.
+length (the candidate edges, where each selector reads on each edge, where
+each ``between`` template reads its field, which positions precede which)
+are a read-only `_LengthPlan`, built the first time the layout meets a
+length.  A template set has one layout, so `build`, the task it returns and
+every task that `Model.read` makes of those templates share its plans and
+build each once.  The alphabets are plain tuples of strings, and the
+extractor's `ends` array of group boundaries is shared by every compiled
+sentence.  Per sentence, `build` and `compile` do only what depends on its
+values: one code list, the gathers of the slot values, the test for values
+first seen inside a span and, in `compile`, one key lookup over all its
+firings.
 
 Both decoders run over padded batches: `decode_corpus` stable-sorts a
 corpus's sentences by length, cuts them into chunks whose (B, L, L) slabs
@@ -59,7 +63,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import DependencyInstance, find_cycle, size_chunks
-from .templates import FeatureAlphabet, TemplateError, boundary_symbol
+from .templates import TemplateError, boundary_symbol
 
 ROOT_TOKEN = ("<root>", "<root>", "<root>", "<root>")
 FIELDS = {"FORM": 0, "LEMMA": 1, "CPOSTAG": 2, "POSTAG": 3}
@@ -147,43 +151,17 @@ def _prefixes(specs: Sequence[EdgeTemplateSpec]) -> list[str]:
     return [f"{s.index}:{d}:{b}:" for s in specs for d, b in _DIR_DIST]
 
 
-class _EdgeFrame(NamedTuple):
-    """The candidate edges of a sentence with n positions (root included):
-    u = 0..n-1 outer, v = 1..n-1 inner, u != v."""
-
-    anchors: np.ndarray  # (3, edges): u, v and zeros
-    cells: np.ndarray  # u * n + v
-    dir_dist: np.ndarray  # code of (direction, distance bucket)
-    lo: np.ndarray  # min(u, v)
-    last: np.ndarray  # max(u, v) - 1, the last position strictly between
-
-
-@lru_cache(maxsize=256)
-def _edge_frame(n: int) -> _EdgeFrame:
-    u, v = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    keep = (v > 0) & (u != v)
-    u, v = u[keep], v[keep]
-    dist = np.abs(u - v)
-    bucket = np.where(dist >= 10, 5, np.minimum(dist, 5) - 1)  # index into _BUCKETS
-    frame = _EdgeFrame(
-        np.stack((u, v, np.zeros_like(u))),
-        u * n + v,
-        (u > v) * len(_BUCKETS) + bucket,
-        np.minimum(u, v),
-        np.maximum(u, v) - 1,
-    )
-    for a in frame:
-        a.flags.writeable = False
-    return frame
-
-
 class _LengthPlan(NamedTuple):
     """The index arrays of `_EdgeLayout.firings` that depend on the sentence
-    length alone, for a sentence with n positions (root included), each in
-    the smallest integer type that holds it.  None is (templates, edges):
-    with the default templates, a plan for a sentence of one token or more
-    holds fewer bytes than `_edge_frame(n)`."""
+    length alone, for a sentence with n positions (root included).  Its
+    candidate edges are u = 0..n-1 outer, v = 1..n-1 inner, u != v; their
+    arrays are int64, the other arrays each in the smallest integer type
+    that holds it.  Plans are shared, so every array is read-only."""
 
+    cells: np.ndarray  # per edge, u * n + v
+    dir_dist: np.ndarray  # per edge, the code of (direction, distance bucket)
+    lo: np.ndarray  # per edge, min(u, v)
+    last: np.ndarray  # per edge, max(u, v) - 1, the last position strictly between
     at: np.ndarray  # (selectors, edges): where each selector reads, in the flat code array
     cols: np.ndarray  # (between templates, n): where each reads its between field
     earlier: np.ndarray  # (n, n): q at [q, p] when q < p, else -1
@@ -200,7 +178,8 @@ class _EdgeLayout:
     reach[1]`` (boundary sentinels outside the sentence), then the pad code 0.
     The index arrays that depend on the sentence length alone are built the
     first time a length is seen and kept, one `_LengthPlan` per length, as
-    long as the layout lives.
+    long as the layout lives.  A template set has one layout (`_edge_layout`),
+    so its plans are built once and shared by every task of those templates.
     """
 
     def __init__(self, specs: Sequence[EdgeTemplateSpec]):
@@ -260,23 +239,33 @@ class _EdgeLayout:
         """The `_LengthPlan` of sentences with n positions, built on first use."""
         plan = self._plans.get(n)
         if plan is None:
+            u, v = np.divmod(np.arange(n * n, dtype=np.int64), n)
+            keep = (v > 0) & (u != v)
+            u, v = u[keep], v[keep]
+            dist = np.abs(u - v)
+            bucket = np.where(dist >= 10, 5, np.minimum(dist, 5) - 1)  # index into _BUCKETS
             size = n + self.reach[1] - self.reach[0]
-            at = _edge_frame(n).anchors[self._anchor] + (self._row * size + self._shift)[:, None]
+            at = np.stack((u, v, 0 * u))[self._anchor] + (self._row * size + self._shift)[:, None]
             q = np.arange(n)
             cols = (self._between_field_row * size - self.reach[0])[:, None] + q
             signed = np.min_scalar_type(-n)  # holds -2 .. n - 1
-            plan = self._plans[n] = _LengthPlan(
+            plan = _LengthPlan(
+                u * n + v, (u > v) * len(_BUCKETS) + bucket,
+                np.minimum(u, v), np.maximum(u, v) - 1,
                 *(a.astype(np.min_scalar_type(a.max(initial=0))) for a in (at, cols)),
                 np.where(q[:, None] < q, q[:, None], -1).astype(signed),
                 np.where(q[:, None] < q, q[:, None], -2).astype(signed),
             )
+            for a in plan:
+                a.flags.writeable = False
+            self._plans[n] = plan
         return plan
 
     def firings(self, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every feature firing of a sentence with n positions (root included).
 
         `codes` is its flat code array, equal codes for equal strings.  A
-        template fires once per candidate edge of `_edge_frame(n)`, a
+        template fires once per candidate edge of its `_LengthPlan`, a
         ``between`` template once per distinct value strictly between head
         and modifier, first seen first.  Returns ``(keys, cells)``: `keys`
         is (1 + width, firings), per firing its stage-0 code, template * 12 +
@@ -285,9 +274,9 @@ class _EdgeLayout:
         selector come first, template by template in edge order, then the
         ``between`` firings, those of a template in edge order.
         """
-        frame, plan = _edge_frame(n), self.plan(n)
+        plan = self.plan(n)
         by_selector = codes.take(plan.at)  # per selector, its value's code on every edge
-        j = e = spot = frame.cells[:0]
+        j = e = spot = plan.cells[:0]
         if self._between_prefix.size:
             columns = codes.take(plan.cols)  # per between template, its field's codes
             same = columns[:, :, None] == columns[:, None, :]  # [j, q, p]
@@ -297,42 +286,49 @@ class _EdgeLayout:
             # span (lo, hi), the positions marked are its distinct values,
             # first seen first
             fresh = prev[:, None, :] <= plan.below
-            j, e, spot = np.nonzero(fresh[:, frame.lo] & (np.arange(n) <= frame.last[:, None]))
-        n_plain = self._plain_prefix.size * frame.cells.size
+            j, e, spot = np.nonzero(fresh[:, plan.lo] & (np.arange(n) <= plan.last[:, None]))
+        n_plain = self._plain_prefix.size * plan.cells.size
         keys = np.empty((1 + self.width, n_plain + j.size), dtype=np.int64)
         cells = np.empty(n_plain + j.size, dtype=np.int64)
-        shape = (len(self._plain_prefix), frame.cells.size)
+        shape = (len(self._plain_prefix), plan.cells.size)
         plain = keys[:, :n_plain].reshape(len(keys), *shape)
-        np.add(self._plain_prefix, frame.dir_dist, out=plain[0])
+        np.add(self._plain_prefix, plan.dir_dist, out=plain[0])
         by_selector.take(self._plain_slots, axis=0, out=plain[1:], mode="clip")
-        np.copyto(cells[:n_plain].reshape(shape), frame.cells)
+        np.copyto(cells[:n_plain].reshape(shape), plan.cells)
         if j.size:
             between = keys[:, n_plain:]
-            np.add(self._between_prefix[j], frame.dir_dist[e], out=between[0])
+            np.add(self._between_prefix[j], plan.dir_dist[e], out=between[0])
             between[1:] = by_selector[self._between_slots[j].T, e]
             between[self._between_key_row[j], np.arange(j.size)] = columns[j, spot]
-            frame.cells.take(e, out=cells[n_plain:])
+            plan.cells.take(e, out=cells[n_plain:])
         return keys, cells
 
 
-class EdgeFeatureExtractor:
-    """Edge templates plus their frozen alphabets, the slot layout of the
-    templates and the key table parsed from the alphabet strings.
+@lru_cache(maxsize=32)
+def _edge_layout(specs: tuple[EdgeTemplateSpec, ...]) -> _EdgeLayout:
+    """The one layout of a template set, and with it its length plans."""
+    return _EdgeLayout(specs)
 
-    `offsets[j]` is the first flat feature id of template j, the sizes of
-    the alphabets before it summed.
+
+class EdgeFeatureExtractor:
+    """Edge templates plus their alphabets, the slot layout of the templates
+    and the key table parsed from the alphabet strings.
+
+    `ends[j]` is the first flat feature id of template j, the sizes of the
+    alphabets before it summed, and `ends[-1]` the total; the array is
+    read-only and shared by every compiled sentence.
     """
 
-    def __init__(self, specs: Sequence[EdgeTemplateSpec], alphabets: Sequence[FeatureAlphabet]):
+    def __init__(self, specs: Sequence[EdgeTemplateSpec], alphabets: Sequence[tuple[str, ...]]):
         self.specs = list(specs)
         self.alphabets = list(alphabets)
         if len(self.specs) != len(self.alphabets):
             raise ValueError("one alphabet per edge template required")
-        offsets = np.cumsum([0, *map(len, self.alphabets)], dtype=np.int64)[:-1]
-        offsets.flags.writeable = False
-        self.offsets = offsets  # shared by every compiled sentence
-        self.layout = _EdgeLayout(self.specs)
-        self.keys = _KeyTable(self.specs, self.alphabets, offsets.tolist(), self.layout.width)
+        self.ends = np.cumsum([0, *map(len, self.alphabets)], dtype=np.int64)
+        self.ends.flags.writeable = False
+        self.layout = _edge_layout(tuple(self.specs))
+        offsets = self.ends[:-1].tolist()
+        self.keys = _KeyTable(self.specs, self.alphabets, offsets, self.layout.width)
 
     @classmethod
     def build(
@@ -348,7 +344,7 @@ class EdgeFeatureExtractor:
             raise ValueError("cannot index an empty corpus")
         if not specs:
             raise ValueError("template file defines no feature groups")
-        layout = _EdgeLayout(specs)
+        layout = _edge_layout(tuple(specs))
         vocab: dict[str, int] = {}
         # the distinct keys so far, first seen first, and the firings since
         distinct = np.zeros((layout.width + 1, 0), dtype=np.int64)
@@ -373,10 +369,7 @@ class EdgeFeatureExtractor:
             block = keys[: 1 + len(spec.selectors), bounds[t] : bounds[t + 1]].tolist()
             heads = map(prefixes.__getitem__, block[0])
             tails = map("/".join, zip(*(map(words.__getitem__, row) for row in block[1:])))
-            alphabet = FeatureAlphabet(spec.index)
-            alphabet.intern_all(map(add, heads, tails))  # equal strings merge here
-            alphabet.freeze()
-            alphabets.append(alphabet)
+            alphabets.append(tuple(dict.fromkeys(map(add, heads, tails))))  # equal strings merge
         return cls(specs, alphabets)
 
 
@@ -426,7 +419,7 @@ class _KeyTable:
         for t, (spec, alphabet, offset) in enumerate(zip(specs, alphabets, offsets)):
             k = len(spec.selectors)
             prefixes, tails, ids = [], [], []
-            for i, s in enumerate(alphabet.strings(), start=offset):
+            for i, s in enumerate(alphabet, start=offset):
                 parts = s.split(":", 3)
                 if len(parts) < 4 or parts[0] != spec.index:
                     continue
@@ -775,16 +768,15 @@ class CompiledDependency:
     Firing i is weight id `ids[i]` of the flat feature space (group j's ids
     offset by the sizes of the groups before it) on the edge whose flat
     index in the (n+1) x (n+1) score matrix is `cells[i]` = u * (n+1) + v.
-    Firings run group by group, in candidate-edge order within a group;
-    group j's are ``[bounds[j], bounds[j+1])``, and `offsets[j]` is its
-    first flat id.
+    Firings run group by group, in candidate-edge order within a group.
+    `ends` is the extractor's array of each group's first flat id, the total
+    last, so group j's ids lie in ``[ends[j], ends[j+1])``.
     """
 
     n: int  # token count, excluding root
     cells: np.ndarray
     ids: np.ndarray
-    bounds: np.ndarray
-    offsets: np.ndarray
+    ends: np.ndarray
     gold: np.ndarray | None
 
     @property
@@ -792,10 +784,11 @@ class CompiledDependency:
         """Per group, the (u, v, group-local feature id) int64 arrays of its
         firings, derived from `cells` and `ids`."""
         size = self.n + 1
+        bounds = self.ids.searchsorted(self.ends)  # ids run group by group
         edges = []
-        for j, (lo, hi) in enumerate(zip(self.bounds[:-1], self.bounds[1:])):
+        for lo, hi, first in zip(bounds[:-1], bounds[1:], self.ends[:-1]):
             u, v = np.divmod(self.cells[lo:hi], size)
-            edges.append((u, v, self.ids[lo:hi] - self.offsets[j]))
+            edges.append((u, v, self.ids[lo:hi] - first))
         return edges
 
 
@@ -813,8 +806,6 @@ class DependencyTask:
         self.extractor = extractor
         self.decoder = decoder
         self.single_root = single_root
-        # the first flat id of every group, then the total
-        self._ends = np.append(extractor.offsets, sum(map(len, extractor.alphabets)))
 
     @classmethod
     def build(
@@ -841,27 +832,25 @@ class DependencyTask:
         docstring), and one lookup resolves the plain and the ``between``
         firings together.  The index arrays that depend on the sentence
         length alone come from the layout's `_LengthPlan` for that length,
-        built by the first sentence of that length that the task meets, so
-        the result does not depend on the sentences compiled before.
-        Unknown features fire nothing.  Group j's ids lie in
-        ``[offsets[j], offsets[j + 1])``, so `bounds` is a search over ids.
+        built by the first sentence of that length that any task of these
+        templates meets, so the result does not depend on the sentences
+        compiled before.  Unknown features fire nothing.
         """
         toks = augment(instance.tokens)
-        layout, keys = self.extractor.layout, self.extractor.keys
+        layout, keys, ends = self.extractor.layout, self.extractor.keys, self.extractor.ends
         codes, unseen = keys.codes(layout.values(toks))
         firings, cells = layout.firings(len(toks), codes)
         ids = keys.lookup(firings, unseen)
         known = ids >= 0
         cells, ids = cells[known], ids[known]
         if not layout.in_order:
-            # group j's ids lie in [offsets[j], offsets[j + 1])
-            order = np.argsort(self._ends.searchsorted(ids, side="right"), kind="stable")
+            # group j's ids lie in [ends[j], ends[j + 1])
+            order = np.argsort(ends.searchsorted(ids, side="right"), kind="stable")
             cells, ids = cells[order], ids[order]
-        bounds = ids.searchsorted(self._ends).astype(np.int64, copy=False)
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(len(toks) - 1, cells, ids, bounds, self.extractor.offsets, gold)
+        return CompiledDependency(len(toks) - 1, cells, ids, ends, gold)
 
     def edge_scores(self, weights: np.ndarray, inst: CompiledDependency) -> np.ndarray:
         """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO, Sequence
@@ -45,7 +46,7 @@ import numpy as np
 from .corpus import LabelTable
 from .dependency import DependencyTask, EdgeFeatureExtractor, parse_edge_templates
 from .sequence import SequenceTask
-from .templates import OBSERVATION, FeatureAlphabet, parse_templates, validate_columns
+from .templates import OBSERVATION, parse_templates, validate_columns
 
 MAGIC = "MKLSP1"
 _MU_SUM_TOL = 1e-9  # trained mu sums to 1 within a few ulps
@@ -124,7 +125,7 @@ class Model:
             self.template_text.encode("utf-8"),
             np.ascontiguousarray(self.mu, dtype="<f8").tobytes(),
         ]
-        blocks += ["\n".join(a.strings()).encode("utf-8") for a in alphabets]
+        blocks += ["\n".join(a).encode("utf-8") for a in alphabets]
         blocks += [b""] * (len(task.group_ids) - len(alphabets))  # B interns nothing
         blocks += [np.ascontiguousarray(w, dtype="<f8").tobytes() for w in self.weights]
         return blocks
@@ -229,7 +230,7 @@ class Model:
         )
 
 
-def _alphabets(task: SequenceTask | DependencyTask) -> list[FeatureAlphabet]:
+def _alphabets(task: SequenceTask | DependencyTask) -> list[tuple[str, ...]]:
     """The task's alphabets in group order; `B`, last when present, has none."""
     return task.alphabets if isinstance(task, SequenceTask) else task.extractor.alphabets
 
@@ -241,10 +242,10 @@ def _build_task(
     if meta["task"] == "seq":
         specs = parse_templates(text)
         validate_columns(specs, meta["n_columns"])
-        obs = [s for s in specs if s.kind == OBSERVATION]
         table = LabelTable(meta["labels"])
         table.freeze()
-        return SequenceTask(obs, _frozen(obs, strings), table, len(obs) < len(specs))
+        obs = [s for s in specs if s.kind == OBSERVATION]
+        return SequenceTask(specs, _frozen(obs, strings), table)
     specs = parse_edge_templates(text)
     extractor = EdgeFeatureExtractor(specs, _frozen(specs, strings))
     return DependencyTask(
@@ -252,10 +253,15 @@ def _build_task(
     )
 
 
-def _frozen(specs: Sequence, strings: list[list[str]]) -> list[FeatureAlphabet]:
+def _frozen(specs: Sequence, strings: list[list[str]]) -> list[tuple[str, ...]]:
     # pairs rules and blocks in order; zip stops at B's block, and a rule
     # count unlike meta's fails the group check in `read`
-    return [FeatureAlphabet(s.index, group, frozen=True) for s, group in zip(specs, strings)]
+    alphabets = [tuple(group) for _, group in zip(specs, strings)]
+    for alphabet in alphabets:
+        if len(set(alphabet)) < len(alphabet):
+            repeated = next(s for s, n in Counter(alphabet).items() if n > 1)
+            raise ValueError(f"duplicate feature string {repeated!r}")
+    return alphabets
 
 
 def _floats(block: bytes, what: str) -> np.ndarray:

@@ -39,7 +39,6 @@ from .corpus import LabelTable, SequenceInstance, size_chunks
 from .templates import (
     OBSERVATION,
     TRANSITION,
-    FeatureAlphabet,
     TemplateKeys,
     TemplateSpec,
     index_corpus,
@@ -165,23 +164,26 @@ def loss_augmented_decode(
 
 
 class SequenceTask:
-    """Binds templates, alphabets, and the label set for one model."""
+    """Binds templates, alphabets, and the label set for one model.
+
+    `specs` is the whole rule list: its observation rules own the groups,
+    one alphabet each, in order, and a ``B`` rule adds the transition group.
+    """
 
     def __init__(
         self,
         specs: Sequence[TemplateSpec],
-        alphabets: Sequence[FeatureAlphabet],
+        alphabets: Sequence[tuple[str, ...]],
         labels: LabelTable,
-        transition: bool,
     ):
         self.specs = [s for s in specs if s.kind == OBSERVATION]
         self.alphabets = list(alphabets)
         self.labels = labels
-        self.transition = transition
+        self.transition = any(s.kind == TRANSITION for s in specs)
         if len(self.specs) != len(self.alphabets):
             raise ValueError("one alphabet per observation template required")
         self.keys = TemplateKeys(self.specs)
-        self.lookups = [key_table(s, a.strings()) for s, a in zip(self.specs, self.alphabets)]
+        self.lookups = [key_table(s, a) for s, a in zip(self.specs, self.alphabets)]
 
     @classmethod
     def build(
@@ -190,11 +192,9 @@ class SequenceTask:
         corpus: Sequence[SequenceInstance],
         labels: LabelTable,
     ) -> "SequenceTask":
-        obs = [s for s in specs if s.kind == OBSERVATION]
-        transition = any(s.kind == TRANSITION for s in specs)
-        if not obs and not transition:
+        if not specs:
             raise ValueError("template file defines no feature groups")
-        return cls(obs, index_corpus(obs, corpus), labels, transition)
+        return cls(specs, index_corpus(specs, corpus), labels)
 
     @property
     def k(self) -> int:

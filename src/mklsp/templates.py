@@ -12,18 +12,19 @@ Features are keyed by value (`TemplateKeys`): a one-macro rule fires the
 value it reads, a rule with K macros the K-tuple of its values.  A feature's
 string is ``index:`` and the values joined by ``/``.  `index_corpus` writes
 strings only for distinct keys, in the order the keys are first seen over
-(sentence, position), which model checksums rest on; `key_table` maps
-strings back to keys.  A feature is still its string: values holding a
-``/`` can spell another key's string, and then the two are one feature.
-Such strings have more ``/`` than their rule has macros; they stay strings,
-looked up only when a firing's key misses.
+(sentence, position), which model checksums rest on.  An alphabet is a
+plain tuple of strings, a string's position its id in its group, built once
+and only read afterwards; `key_table` maps strings back to keys.  A feature
+is still its string: values holding a ``/`` can spell another key's string,
+and then the two are one feature.  Such strings have more ``/`` than their
+rule has macros; they stay strings, looked up only when a firing's key
+misses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, filterfalse
 from typing import Any, Callable, Iterable, Sequence
 
 OBSERVATION = "observation"
@@ -141,49 +142,9 @@ def validate_columns(specs: Iterable[TemplateSpec], n_columns: int) -> None:
                 )
 
 
-class FeatureAlphabet:
-    """Interning table for one template group; frozen after corpus indexing."""
-
-    __slots__ = ("group_id", "_ids", "_frozen")
-
-    def __init__(self, group_id: str, strings: Iterable[str] = (), frozen: bool = False):
-        self.group_id = group_id
-        self._ids: dict[str, int] = {}
-        for s in strings:
-            if s in self._ids:
-                raise ValueError(f"duplicate feature string {s!r}")
-            self._ids[s] = len(self._ids)
-        self._frozen = frozen
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    def intern_all(self, strings: Iterable[str]) -> None:
-        """Intern every string in order: new strings get the next ids, first
-        seen first.  A frozen alphabet raises ValueError on a new string."""
-        new = filterfalse(self._ids.__contains__, dict.fromkeys(strings))
-        if self._frozen:
-            first = next(new, None)
-            if first is not None:
-                raise ValueError(f"alphabet {self.group_id} is frozen; cannot add {first!r}")
-            return
-        # `new` holds each string once, so ids are handed out in first-seen order
-        self._ids.update(zip(new, count(len(self._ids))))
-
-    def strings(self) -> list[str]:
-        # dicts preserve insertion order, which is the id order
-        return list(self._ids)
-
-    def __repr__(self) -> str:
-        state = "frozen" if self._frozen else "open"
-        return f"FeatureAlphabet({self.group_id!r}, {len(self)} entries, {state})"
-
-
-def index_corpus(specs: Sequence[TemplateSpec], corpus: Sequence) -> list[FeatureAlphabet]:
-    """Build one frozen alphabet per observation template, first-seen order.
+def index_corpus(specs: Sequence[TemplateSpec], corpus: Sequence) -> list[tuple[str, ...]]:
+    """Build one alphabet per observation template: its feature strings,
+    a string's position its id, in first-seen order.
 
     `corpus` is a sequence of objects with a `tokens` attribute (list of
     column tuples).  Each template's distinct keys are collected in first-seen
@@ -198,9 +159,9 @@ def index_corpus(specs: Sequence[TemplateSpec], corpus: Sequence) -> list[Featur
     for inst in corpus:
         for found, keys in zip(seen, read(inst.tokens)):
             found.update(dict.fromkeys(keys))
-    alphabets = [FeatureAlphabet(s.index) for s in obs]
-    for spec, found, alphabet in zip(obs, seen, alphabets):
+    alphabets = []
+    for spec, found in zip(obs, seen):
         tails = found if len(spec.macros) == 1 else map("/".join, found)
-        alphabet.intern_all(map((spec.index + ":").__add__, tails))  # equal strings merge here
-        alphabet.freeze()
+        strings = map((spec.index + ":").__add__, tails)
+        alphabets.append(tuple(dict.fromkeys(strings)))  # equal strings merge here
     return alphabets

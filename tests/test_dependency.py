@@ -109,7 +109,7 @@ def fired_strings(spec, toks, u, v):
     with `spec` indexed on the sentence itself."""
     inst = DependencyInstance(toks[1:], None)
     task = DependencyTask.build([spec], [inst])
-    strings = task.extractor.alphabets[0].strings()
+    strings = task.extractor.alphabets[0]
     heads, mods, ids = task.compile(inst).group_edges[0]
     return [strings[f] for h, m, f in zip(heads.tolist(), mods.tolist(), ids) if (h, m) == (u, v)]
 
@@ -202,7 +202,7 @@ def check_build_and_compile(specs, corpus, unseen):
     instances = [DependencyInstance(s, None) for s in corpus]
     task = DependencyTask.build(specs, instances)
     alphabets = edge_alphabets(specs, instances)
-    assert [a.strings() for a in task.extractor.alphabets] == alphabets
+    assert [list(a) for a in task.extractor.alphabets] == alphabets
     for tokens in [*corpus, *unseen]:
         got = task.compile(DependencyInstance(tokens, None)).group_edges
         for group, ref in zip(got, compile_edges(specs, alphabets, tokens), strict=True):
@@ -249,7 +249,7 @@ def test_values_holding_a_slash_match_by_string():
     (spec,) = parse_edge_templates("P00:head.FORM/mod.FORM")
     trained = DependencyInstance([("a/b", "_", "X", "X"), ("c", "_", "X", "X")], None)
     task = DependencyTask.build([spec], [trained])
-    strings = task.extractor.alphabets[0].strings()
+    strings = task.extractor.alphabets[0]
     assert "P00:R:1:a/b/c" in strings
     inst = task.compile(DependencyInstance([("a", "_", "X", "X"), ("b/c", "_", "X", "X")], None))
     u, v, f = inst.group_edges[0]
@@ -276,9 +276,13 @@ def test_read_task_compiles_like_the_built_task(corpus, unseen, template_text):
     for tokens in [*corpus, unseen]:
         inst = DependencyInstance(tokens, None)
         a, b = task.compile(inst), loaded.compile(inst)
-        for name in ("cells", "ids", "bounds"):
+        assert a.ends is task.extractor.ends and b.ends is loaded.extractor.ends
+        for name in ("cells", "ids", "ends"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and np.array_equal(x, y)
+        for x_group, y_group in zip(a.group_edges, b.group_edges, strict=True):
+            for x, y in zip(x_group, y_group, strict=True):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 # tokens whose values the training corpora never hold: q, Q, or a drawn value
@@ -294,10 +298,13 @@ def between_first_template_text(draw):
     return "\n".join(["PB:mod.POSTAG/between.FORM", *lines, "PZ:head.CPOSTAG/mod-1.FORM"])
 
 
-def check_compiled(compiled, specs, alphabets, tokens):
-    for name in ("cells", "ids", "bounds"):
+def check_compiled(task, specs, alphabets, tokens):
+    compiled = task.compile(DependencyInstance(tokens, None))
+    for name in ("cells", "ids"):
         a = getattr(compiled, name)
         assert a.dtype == np.int64 and a.ndim == 1 and a.flags.c_contiguous
+    assert compiled.cells.shape == compiled.ids.shape
+    assert compiled.ends is task.extractor.ends  # one array shared by every sentence
     want = compile_edges(specs, alphabets, tokens)
     for group, ref in zip(compiled.group_edges, want, strict=True):
         for a, b in zip(group, ref, strict=True):
@@ -312,15 +319,17 @@ def check_compiled(compiled, specs, alphabets, tokens):
     st.data(),
 )
 def test_length_plans_compile_any_stream_like_the_reference(corpus, text_a, text_b, data):
-    # Each task keeps its own plan per sentence length.  Three tasks, two
-    # template sets and a model read back, compile one stream in turns,
-    # whose lengths (a one-token sentence among them) are first seen mid-stream.
+    # The tasks of one template set share a plan per sentence length.  Three
+    # tasks, two template sets and a model read back, compile one stream in
+    # turns, whose lengths (a one-token sentence among them) are first seen
+    # mid-stream: `build` plans only the corpus's lengths.
+    dependency._edge_layout.cache_clear()
     instances = [DependencyInstance(s, None) for s in corpus]
     built = {}
     for name, text in (("a", text_a), ("b", text_b)):
         specs = parse_edge_templates(text)
         task = DependencyTask.build(specs, instances)
-        built[name] = task, specs, [a.strings() for a in task.extractor.alphabets]
+        built[name] = task, specs, task.extractor.alphabets
     task_a, specs_a, alphabets_a = built["a"]
     assert not task_a.extractor.layout.in_order
     built["read"] = read_back(task_a, text_a), specs_a, alphabets_a
@@ -331,16 +340,36 @@ def test_length_plans_compile_any_stream_like_the_reference(corpus, text_a, text
     for tokens in stream:
         for name in data.draw(st.permutations(sorted(built))):
             task, specs, alphabets = built[name]
-            check_compiled(task.compile(DependencyInstance(tokens, None)), specs, alphabets, tokens)
+            check_compiled(task, specs, alphabets, tokens)
     assert 2 in task_a.extractor.layout._plans
 
 
-def test_length_plans_stay_within_the_edge_frame():
-    layout = dependency._EdgeLayout(parse_edge_templates(default_edge_templates()))
-    for n in (2, 3, 8, 26, 100):
-        plan = layout.plan(n)
-        assert layout.plan(n) is plan
-        assert sum(a.nbytes for a in plan) <= sum(a.nbytes for a in dependency._edge_frame(n))
+def test_tasks_of_one_template_set_share_one_layout_and_its_plans():
+    dependency._edge_layout.cache_clear()
+    text = default_edge_templates()
+    corpus = load_dependency(dependency_text(4, seed=5))
+    task = DependencyTask.build(parse_edge_templates(text), corpus)
+    layout, extractor = task.extractor.layout, task.extractor
+    loaded = read_back(task, text)
+    again = dependency.EdgeFeatureExtractor(parse_edge_templates(text), extractor.alphabets)
+    assert loaded.extractor.layout is layout and again.layout is layout
+    # `build` planned the corpus's lengths; compiling them again builds no plan
+    plans = dict(layout._plans)
+    assert sorted(plans) == sorted({len(inst.tokens) + 1 for inst in corpus})
+    new = DependencyInstance([("n1", "n1", "N", "N")] * (max(plans) + 2), None)
+    for t in (task, loaded):
+        for inst in [*corpus, new]:
+            t.compile(inst)
+    assert sorted(layout._plans) == sorted([*plans, max(plans) + 3])
+    assert all(layout._plans[n] is plan for n, plan in plans.items())
+    # plans are shared, so none of their arrays can be written
+    for plan in layout._plans.values():
+        for a in plan:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        extractor.ends[0] = 1
 
 
 # ---------------------------------------------------------------- decoders
@@ -640,7 +669,7 @@ def tree_corpus():
     out = {}
     for decoder in ("projective", "nonprojective"):
         task = DependencyTask.build(specs, corpus, decoder=decoder)
-        alphabets = [a.strings() for a in task.extractor.alphabets]
+        alphabets = task.extractor.alphabets
         out[decoder] = task, [
             (inst, task.compile(inst), compile_edges(specs, alphabets, inst.tokens))
             for inst in [*corpus, *extra]
@@ -659,7 +688,7 @@ def test_tree_ids_match_per_group_mask(decoder, data):
     for raw, inst, layout in compiled:
         # one copy per firing; the per-group view derived from it is the
         # (u, v, id) triples of every candidate edge in order
-        assert inst.cells.shape == inst.ids.shape == (inst.bounds[-1],)
+        assert inst.cells.shape == inst.ids.shape and inst.ends is task.extractor.ends
         for got, want in zip(inst.group_edges, layout, strict=True):
             for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype == np.int64

@@ -511,7 +511,7 @@ def test_unparsable_alphabet_strings_are_dead_entries(dep_model, predict_inputs)
     raw = with_blocks(dep_model, edit)
     task = Model.read(io.BytesIO(raw)).task
     specs = task.extractor.specs
-    alphabets = [a.strings() for a in task.extractor.alphabets]
+    alphabets = task.extractor.alphabets
     slashed = [("a", "a", "N", "N"), ("b", "b", "V/X", "V/X")]
     sentences = [i.tokens for i in load_dependency(dependency_text(3, seed=45))] + [slashed]
     for tokens in sentences:
@@ -547,7 +547,7 @@ def test_hand_written_tagger_strings_match_only_their_own_spelling():
             blocks[3 + m + j] += floats(np.ones(len(extra)))
 
     loaded = Model.read(io.BytesIO(with_blocks(model, edit))).task
-    alphabets = [a.strings() for a in loaded.alphabets]
+    alphabets = [list(a) for a in loaded.alphabets]
     assert [a[-len(TAGGER_STRINGS[g]) :] for g, a in zip(TAGGER_STRINGS, alphabets)] == list(
         TAGGER_STRINGS.values()
     )

@@ -323,7 +323,7 @@ def test_feature_map_counts_frequencies():
     k = task.k
     # U00: dogs@S once, bark@P twice
     u00 = Counter(phi[0].tolist())
-    d_dogs, d_bark = map(task.alphabets[0].strings().index, ["U00:dogs", "U00:bark"])
+    d_dogs, d_bark = map(task.alphabets[0].index, ["U00:dogs", "U00:bark"])
     assert u00 == {d_dogs * k + 0: 1.0, d_bark * k + 1: 2.0}
     # transitions: S->P once, P->P once
     b = Counter(phi[2].tolist())

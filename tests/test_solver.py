@@ -218,20 +218,7 @@ def epigraph_dual(grams, Qpin, q, free_mass, alpha):
     return float(q @ alpha) - 0.5 * (float(alpha @ Qpin @ alpha) + free_mass * worst)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=25),
-    st.integers(min_value=1, max_value=20),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.booleans(),
-)
-# the optimum is alpha = C, objective 3.3e-3: the reference must certify it
-# relative to its size
-@example(s=1, mf=2, seed=0, pinned=False)
-# a problem on which a start from a previous alpha once cycled between the
-# corners of the simplex
-@example(s=2, mf=1, seed=8820, pinned=True)
-def test_barrier_matches_per_group_reference(s, mf, seed, pinned):
+def check_barrier_matches_reference(seed, s, mf, pinned):
     # the primal-dual solve against the earlier log-barrier path following
     problem = barrier_problem(seed, s, mf, pinned)
     grams, Qpin, q, C, free_mass = problem
@@ -249,6 +236,33 @@ def test_barrier_matches_per_group_reference(s, mf, seed, pinned):
     mu = z_groups / z_groups.sum()
     ref_mu = ref_lambdas / ref_lambdas.sum()
     assert np.abs(mu - ref_mu).max() <= 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+# the optimum is alpha = C, objective 3.3e-3: the reference must certify it
+# relative to its size
+@example(s=1, mf=2, seed=0, pinned=False)
+# a problem on which a start from a previous alpha once cycled between the
+# corners of the simplex
+@example(s=2, mf=1, seed=8820, pinned=True)
+def test_barrier_matches_per_group_reference(s, mf, seed, pinned):
+    check_barrier_matches_reference(seed, s, mf, pinned)
+
+
+# ROADMAP item 6: on these cold draws, each with a rank-deficient Gram, the
+# solve ends on "max-newton" after 50 Newton systems with a dual value 2.1e-2,
+# 3.1e-3 and 4.6e-3 short of the reference's.  The fix for item 6 removes
+# the mark.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 6")
+@pytest.mark.parametrize("seed, s, mf", [(3198941656, 3, 3), (2163256882, 3, 2), (527, 2, 20)])
+def test_barrier_matches_reference_on_rank_deficient_draws(seed, s, mf):
+    check_barrier_matches_reference(seed, s, mf, False)
 
 
 # ---------------------------------------------------------------- rows

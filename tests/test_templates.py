@@ -11,7 +11,6 @@ from mklsp.sequence import SequenceTask
 from mklsp.templates import (
     OBSERVATION,
     TRANSITION,
-    FeatureAlphabet,
     TemplateError,
     boundary_symbol,
     index_corpus,
@@ -129,19 +128,6 @@ def test_instantiate_all_matches_per_position(tokens, macros):
     ]
 
 
-@given(st.lists(st.sampled_from("abcd"), max_size=8), st.lists(st.sampled_from("abcde")))
-def test_batch_intern_and_lookup_match_one_at_a_time(first, second):
-    one, batch = FeatureAlphabet("U00"), FeatureAlphabet("U00")
-    for s in first:
-        one.intern_all([s])
-    batch.intern_all(first)
-    assert batch.strings() == one.strings() == list(dict.fromkeys(first))
-    # an id is its string's position in strings(): new strings follow in
-    # first-seen order, known ones keep their ids
-    batch.intern_all(second)
-    assert batch.strings() == list(dict.fromkeys(first + second))
-
-
 def test_validate_columns():
     specs = parse_templates("U00:%x[0,2]")
     validate_columns(specs, 3)
@@ -152,16 +138,15 @@ def test_validate_columns():
 def test_index_corpus_single_instantiation():
     specs = parse_templates("U02:%x[0,0]")
     (alphabet,) = index_corpus(specs, make_corpus([["a"]]))
-    assert len(alphabet) == 1
-    with pytest.raises(ValueError, match="frozen"):
-        alphabet.intern_all(["U02:b"])
+    # plain read-only data: nothing can add a string once indexing is done
+    assert alphabet == ("U02:a",) and isinstance(alphabet, tuple)
 
 
 def test_index_corpus_set_semantics():
     specs = parse_templates("U02:%x[0,0]")
     one = index_corpus(specs, make_corpus([["a", "b"]]))
     two = index_corpus(specs, make_corpus([["a", "b"], ["b", "a"]]))
-    assert one[0].strings() == two[0].strings()
+    assert one[0] == two[0]
 
 
 def test_index_corpus_distinct_values_count():
@@ -174,17 +159,7 @@ def test_index_corpus_distinct_values_count():
 def test_index_corpus_first_seen_order():
     specs = parse_templates("U02:%x[0,0]")
     (alphabet,) = index_corpus(specs, make_corpus([["b", "a"], ["c", "a"]]))
-    assert alphabet.strings() == ["U02:b", "U02:a", "U02:c"]
-
-
-def test_frozen_alphabet_rejects_new():
-    a = FeatureAlphabet("U00", ["U00:x"], frozen=True)
-    with pytest.raises(ValueError, match="frozen"):
-        a.intern_all(["U00:y"])
-    a.intern_all(["U00:x"])
-    with pytest.raises(ValueError, match="frozen"):
-        a.intern_all(["U00:x", "U00:y"])
-    assert a.strings() == ["U00:x"]
+    assert alphabet == ("U02:b", "U02:a", "U02:c")
 
 
 def test_feature_strings_embed_template_index():
@@ -193,7 +168,7 @@ def test_feature_strings_embed_template_index():
     specs = parse_templates("U00:%x[0,0]\nU01:%x[0,0]")
     corpus = make_corpus([["a", "b", "a"]])
     alphabets = index_corpus(specs, corpus)
-    all_strings = [s for a in alphabets for s in a.strings()]
+    all_strings = [s for a in alphabets for s in a]
     assert len(set(all_strings)) == sum(len(a) for a in alphabets)
 
 
@@ -250,7 +225,7 @@ def check_index_and_compile(text, corpus, unseen):
     table = LabelTable(["X"])
     instances = [SequenceInstance(tokens, [0] * len(tokens)) for tokens in corpus]
     alphabets = reference_alphabets(specs, corpus)
-    assert [a.strings() for a in index_corpus(specs, instances)] == alphabets
+    assert [list(a) for a in index_corpus(specs, instances)] == alphabets
     task = SequenceTask.build(specs, instances, table)
     ids = [{s: i for i, s in enumerate(alphabet)} for alphabet in alphabets]
     for tokens in [*corpus, *unseen]:
@@ -275,7 +250,7 @@ def test_values_holding_a_slash_match_by_string():
     task = check_index_and_compile(
         "U05:%x[-1,0]/%x[0,0]", [[("a/b",), ("c",)]], [[("a",), ("b/c",)], [("a/b/c",)]]
     )
-    strings = task.alphabets[0].strings()
+    strings = task.alphabets[0]
     assert "U05:a/b/c" in strings
     (f,) = task.compile(SequenceInstance([("a",), ("b/c",)])).feats
     assert [strings[i] if i >= 0 else None for i in f.tolist()] == [None, "U05:a/b/c"]
