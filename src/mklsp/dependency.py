@@ -16,21 +16,27 @@ its string is ``index:direction:distance:`` and the slot values joined by
 ``/``.  `EdgeFeatureExtractor.build` keys every candidate edge of the
 training corpus, template by template, in one numpy pass per sentence (see
 `_EdgeLayout`), and writes strings only for the distinct keys.  The extractor
-parses its alphabet strings back into a value vocabulary and sorted key
+parses its alphabet strings back into a value vocabulary and hashed key
 tables (`_KeyTable`) when it is made, the same way inside `build` and inside
-`Model.read`, so `DependencyTask.compile` looks features up by key, not by
-string.  The index arrays of that pass that depend only on the sentence
-length (the candidate edges, where each selector reads on each edge, where
-each ``between`` template reads its field, which positions precede which)
-are a read-only `_LengthPlan`, built the first time the layout meets a
-length.  A template set has one layout, so `build`, the task it returns and
-every task that `Model.read` makes of those templates share its plans and
-build each once.  The alphabets are plain tuples of strings, and the
-extractor's `ends` array of group boundaries is shared by every compiled
-sentence.  Per sentence, `build` and `compile` do only what depends on its
-values: one code list, the gathers of the slot values, the test for values
-first seen inside a span and, in `compile`, one key lookup over all its
-firings.
+`Model.read`, so features are looked up by key, not by string.  The index
+arrays of that pass that depend only on the sentence length (the candidate
+edges, where each selector reads on each edge, where each ``between``
+template reads its field, which positions precede which) are a read-only
+`_LengthPlan`, built the first time the layout meets a length.  A template
+set has one layout, so `build`, the task it returns and every task that
+`Model.read` makes of those templates share its plans and build each once.
+The alphabets are plain tuples of strings, and the extractor's `ends` array
+of group boundaries is shared by every compiled sentence.
+
+`DependencyTask.compile` does a sentence's string work only: it codes the
+values its slots can read.  The numpy work runs in
+`EdgeFeatureExtractor.expand`, once per batch of same-length sentences: one
+firing pass over the batch's stacked codes, one key lookup, the drop of
+unknown features and the split back into sentences.  `decode_corpus` and
+`corpus_feature_ids` expand their corpus first, so `train` expands its
+corpus in the parent process before any decode pool forks; a sentence
+whose firings are read before any batch took it expands alone, with the
+same arrays.
 
 Both decoders run over padded batches: `decode_corpus` stable-sorts a
 corpus's sentences by length, cuts them into chunks whose (B, L, L) slabs
@@ -47,8 +53,8 @@ strings in the order their keys are first seen over (sentence, head,
 modifier, between position), heads outer and modifiers inner.  A feature is
 still its string: values that hold a ``/`` can spell another key's string,
 and then the two are one feature, interned once.  Such strings have more
-``/`` than slots, so the key tables keep them as strings and `compile` looks
-them up by string, and only for firings with such a value.
+``/`` than slots, so the key tables keep them as strings and the lookup
+finds them by string, and only for firings with such a value.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -261,47 +268,57 @@ class _EdgeLayout:
             self._plans[n] = plan
         return plan
 
-    def firings(self, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every feature firing of a sentence with n positions (root included).
+    def firings(self, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every feature firing of a batch of sentences with n positions
+        each (root included).
 
-        `codes` is its flat code array, equal codes for equal strings.  A
-        template fires once per candidate edge of its `_LengthPlan`, a
-        ``between`` template once per distinct value strictly between head
-        and modifier, first seen first.  Returns ``(keys, cells)``: `keys`
-        is (1 + width, firings), per firing its stage-0 code, template * 12 +
-        (direction, distance), then its slot-value codes, and `cells` holds
-        the cell of each firing's edge.  The templates without a ``between``
-        selector come first, template by template in edge order, then the
-        ``between`` firings, those of a template in edge order.
+        `codes` is (B, size), row b the flat code array of sentence b, equal
+        codes for equal strings.  A template fires once per candidate edge
+        of its `_LengthPlan`, a ``between`` template once per distinct value
+        strictly between head and modifier, first seen first.  Returns
+        ``(keys, cells, owner)``: `keys` is (1 + width, firings), per firing
+        its stage-0 code, template * 12 + (direction, distance), then its
+        slot-value codes; `cells` holds the cell of each firing's edge and
+        `owner` its sentence.  The templates without a ``between`` selector
+        come first, sentence by sentence, template by template in edge
+        order, then the ``between`` firings, sentence by sentence, those of
+        a template in edge order.
         """
         plan = self.plan(n)
-        by_selector = codes.take(plan.at)  # per selector, its value's code on every edge
-        j = e = spot = plan.cells[:0]
+        batch = len(codes)
+        by_selector = codes.take(plan.at, axis=1)  # [b, selector, edge]: its value's code
+        b = j = e = spot = plan.cells[:0]
         if self._between_prefix.size:
-            columns = codes.take(plan.cols)  # per between template, its field's codes
-            same = columns[:, :, None] == columns[:, None, :]  # [j, q, p]
+            columns = codes.take(plan.cols, axis=1)  # [b, j, q]: between template j's field
+            same = columns[:, :, :, None] == columns[:, :, None, :]  # [b, j, q, p]
             # the last position q < p that holds p's value, else -1
-            prev = np.maximum.reduce(np.where(same, plan.earlier, -1), axis=1)
-            # [j, l, p]: l < p and p's value is not seen in (l, p); inside a
-            # span (lo, hi), the positions marked are its distinct values,
+            prev = np.maximum.reduce(np.where(same, plan.earlier, -1), axis=2)
+            # [b, j, l, p]: l < p and p's value is not seen in (l, p); inside
+            # a span (lo, hi), the positions marked are its distinct values,
             # first seen first
-            fresh = prev[:, None, :] <= plan.below
-            j, e, spot = np.nonzero(fresh[:, plan.lo] & (np.arange(n) <= plan.last[:, None]))
-        n_plain = self._plain_prefix.size * plan.cells.size
+            fresh = prev[:, :, None, :] <= plan.below
+            b, j, e, spot = np.nonzero(
+                fresh[:, :, plan.lo] & (np.arange(n) <= plan.last[:, None])
+            )
+        shape = (batch, len(self._plain_prefix), plan.cells.size)
+        n_plain = shape[0] * shape[1] * shape[2]
         keys = np.empty((1 + self.width, n_plain + j.size), dtype=np.int64)
         cells = np.empty(n_plain + j.size, dtype=np.int64)
-        shape = (len(self._plain_prefix), plan.cells.size)
+        owner = np.empty(n_plain + j.size, dtype=np.int64)
         plain = keys[:, :n_plain].reshape(len(keys), *shape)
         np.add(self._plain_prefix, plan.dir_dist, out=plain[0])
-        by_selector.take(self._plain_slots, axis=0, out=plain[1:], mode="clip")
+        for row, slots in zip(plain[1:], self._plain_slots):
+            by_selector.take(slots, axis=1, out=row, mode="clip")
         np.copyto(cells[:n_plain].reshape(shape), plan.cells)
+        np.copyto(owner[:n_plain].reshape(batch, -1), np.arange(batch)[:, None])
         if j.size:
             between = keys[:, n_plain:]
             np.add(self._between_prefix[j], plan.dir_dist[e], out=between[0])
-            between[1:] = by_selector[self._between_slots[j].T, e]
-            between[self._between_key_row[j], np.arange(j.size)] = columns[j, spot]
+            between[1:] = by_selector[b, self._between_slots[j].T, e]
+            between[self._between_key_row[j], np.arange(j.size)] = columns[b, j, spot]
             plan.cells.take(e, out=cells[n_plain:])
-        return keys, cells
+            owner[n_plain:] = b
+        return keys, cells, owner
 
 
 @lru_cache(maxsize=32)
@@ -352,7 +369,7 @@ class EdgeFeatureExtractor:
         for inst in corpus:
             toks = augment(inst.tokens)
             codes = [vocab.setdefault(s, len(vocab)) for s in layout.values(toks)]
-            keys, _ = layout.firings(len(toks), np.array([*codes, 0], dtype=np.int64))
+            keys, _, _ = layout.firings(len(toks), np.array([[*codes, 0]], dtype=np.int64))
             pending.append(keys)
             size += keys.shape[1]
             if size >= max(_CHUNK, distinct.shape[1]):  # merges cost O(firings log firings)
@@ -371,6 +388,50 @@ class EdgeFeatureExtractor:
             tails = map("/".join, zip(*(map(words.__getitem__, row) for row in block[1:])))
             alphabets.append(tuple(dict.fromkeys(map(add, heads, tails))))  # equal strings merge
         return cls(specs, alphabets)
+
+    def expand(self, instances: Sequence["CompiledDependency"]) -> None:
+        """Work out the firings of the sentences this extractor compiled
+        that are not expanded yet, one batch of same-length sentences at a
+        time: sorted by length, cut within `_FIRINGS` (see `size_chunks`)
+        and split where the length changes.
+
+        Per batch, the sentences' code arrays are stacked, each sentence's
+        unseen codes shifted past those of the sentences before it; one
+        `_EdgeLayout.firings` and one `_KeyTable.lookup` cover the batch,
+        unknown firings are dropped, and a stable sort by sentence (and by
+        group, when the layout is not in order) puts each sentence's firings
+        in the order of a batch of one.  Each sentence gets arrays of its own.
+        """
+        todo = [inst for inst in instances if inst.firings is None and inst.extractor is self]
+        sizes = [inst.n + 1 for inst in todo]
+        cost = len(self.specs)
+        for chunk in size_chunks(sizes, lambda n: cost * (n - 1) ** 2, _FIRINGS):
+            for _, run in groupby(chunk, sizes.__getitem__):
+                self._expand([todo[i] for i in run])
+
+    def _expand(self, batch: list["CompiledDependency"]) -> None:
+        codes = np.stack([inst.codes for inst in batch])
+        counts = [len(inst.unseen) for inst in batch]
+        unseen = [s for inst in batch for s in inst.unseen]
+        if unseen:  # the pad code 0, last, stays
+            values = codes[:, :-1]
+            values += np.where(values >= self.keys.unseen, np.cumsum([0, *counts[:-1]])[:, None], 0)
+        keys, cells, owner = self.layout.firings(batch[0].n + 1, codes)
+        ids = self.keys.lookup(keys, unseen)
+        del keys  # freed before the filters allocate
+        known = ids >= 0
+        cells, ids, owner = cells[known], ids[known], owner[known]
+        if len(batch) == 1 and self.layout.in_order:
+            batch[0].firings = cells, ids
+            return
+        bounds = np.cumsum(np.bincount(owner, minlength=len(batch))).tolist()
+        # both blocks of `firings` run by sentence, so the stable sort merges
+        # two sorted runs; group j's ids lie in [ends[j], ends[j + 1])
+        if not self.layout.in_order:
+            owner = owner * len(self.ends) + self.ends.searchsorted(ids, side="right")
+        order = np.argsort(owner, kind="stable")
+        for inst, lo, hi in zip(batch, [0, *bounds], bounds):
+            inst.firings = cells[order[lo:hi]], ids[order[lo:hi]]
 
 
 def _first_seen(keys: np.ndarray) -> np.ndarray:
@@ -394,6 +455,66 @@ def _first_seen(keys: np.ndarray) -> np.ndarray:
     return keys[:, np.sort(first)]
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
+_WINDOW = 8  # slots a lookup round looks at past the home slot
+
+
+class _HashedRanks:
+    """The rank of each key in a sorted table of distinct non-negative int64
+    keys, -1 for any other int64, by open addressing.
+
+    The slots are a power of two, at least four per key.  A key's home slot
+    is the top bits of ``key * _GOLDEN mod 2**64`` (Fibonacci hashing), and
+    a key that meets another key moves on to the next slot.  The table is
+    built in rounds, every unplaced key at once: one claimant of each free
+    slot wins it and the others move on.  A lookup also goes in rounds, each
+    over the needles that met another key in an occupied slot.  Every hash
+    operand is a uint64 array or an `np.uint64`, so no operand promotes the
+    product to float64 and no scalar overflows.
+    """
+
+    def __init__(self, table: np.ndarray):
+        bits = max(1, (4 * table.size - 1).bit_length())
+        self.mask = (1 << bits) - 1
+        self.shift = np.uint64(64 - bits)
+        self.keys = np.full(1 << bits, -1, dtype=np.int64)
+        self.ranks = np.full(1 << bits, -1, dtype=np.int64)  # -1: free
+        todo, slot = np.arange(table.size), self._home(table)
+        while todo.size:
+            free = self.ranks[slot] < 0
+            self.ranks[slot[free]] = todo[free]
+            won = self.ranks[slot] == todo
+            self.keys[slot[won]] = table[todo[won]]
+            todo, slot = todo[~won], (slot[~won] + 1) & self.mask
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        slot = keys.view(np.uint64) * _GOLDEN
+        slot >>= self.shift
+        return slot.view(np.int64)  # below 2**bits, so the bits read the same
+
+    def rank(self, needles: np.ndarray) -> np.ndarray:
+        """Per needle (int64), its rank in the table, else -1.
+
+        A needle stops at the slot that holds it or at a free slot, whose
+        rank reads -1.  The first round looks at every needle's home slot;
+        each later round looks at the next `_WINDOW` slots of the needles
+        that have met another key at every slot so far.
+        """
+        slot = self._home(needles)
+        todo = np.flatnonzero(self.keys.take(slot) != needles)
+        todo = todo[self.keys.take(slot[todo]) >= 0]
+        step = np.arange(1, _WINDOW + 1)
+        while todo.size:
+            window = (slot[todo, None] + step) & self.mask
+            found = self.keys.take(window)
+            stop = (found == needles[todo, None]) | (found < 0)
+            stopped = stop.any(axis=1)
+            at = np.where(stopped, stop.argmax(axis=1), _WINDOW - 1)
+            slot[todo] = window[np.arange(todo.size), at]
+            todo = todo[~stopped]
+        return self.ranks.take(slot)
+
+
 class _KeyTable:
     """Flat feature ids by integer key, parsed from the alphabet strings.
 
@@ -405,11 +526,12 @@ class _KeyTable:
 
     Keys resolve in a few stages.  Stage 0 is (template, direction,
     distance); each later stage looks up ``rank * B**m + (its m codes in
-    base B)`` in a sorted table, rank being the position found by the stage
-    before.  B = V + 1 for a vocabulary of V values, and V is the code of
-    every value the vocabulary lacks, which no key holds.  A stage takes as
-    many slots as keep its keys below 2**62.  The tables are frozen, so
-    compiling never changes them.
+    base B)``, rank being the key's position in the sorted table of the
+    stage before.  B = V + 1 for a vocabulary of V values, and V is the code
+    of every value the vocabulary lacks, which no key holds.  A stage takes
+    as many slots as keep its keys below 2**62, and finds ranks through a
+    hash table (`_HashedRanks`).  The tables are frozen, so compiling never
+    changes them.
     """
 
     def __init__(self, specs, alphabets, offsets, width: int):
@@ -460,13 +582,8 @@ class _KeyTable:
                 key = key * base + row
             table, rank = np.unique(key, return_inverse=True)
             rank = rank.reshape(-1)
-            # a last entry above every key keeps searchsorted inside the table
             self.stages.append(
-                (
-                    range(k, k + m),
-                    np.append(table, np.iinfo(np.int64).max),
-                    base ** np.arange(m, -1, -1, dtype=np.int64),
-                )
+                (range(k, k + m), _HashedRanks(table), base ** np.arange(m, -1, -1, dtype=np.int64))
             )
             bound, k = max(table.size, 1), k + m
         self.ids = np.full(rank.size + 1, -1, dtype=np.int64)  # rank -1 reads the last -1
@@ -514,13 +631,14 @@ class _KeyTable:
             np.minimum(keys[1:], self.unseen, out=keys[1:])
         rank = None
         for group, table, powers in self.stages:
+            # einsum, not matmul: numpy's integer matmul is twice as slow
             if rank is None:  # the stage-0 code is row 0, right above the first slot
-                key = powers @ keys[: 1 + group.stop]
+                key = np.einsum("i,ij->j", powers, keys[: 1 + group.stop])
             else:
-                key = powers[1:] @ keys[1 + group.start : 1 + group.stop]
+                key = np.einsum("i,ij->j", powers[1:], keys[1 + group.start : 1 + group.stop])
                 key += rank * powers[0]
-            rank = table.searchsorted(key)
-            rank[table[rank] != key] = -1
+            rank = table.rank(key)
+            del key
         ids = self.ids[rank]
         for i, strings, s in by_string:
             ids[i] = strings.get(s, -1)
@@ -595,6 +713,13 @@ def _best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # each of its DP charts, unless one sentence alone needs more; seven float64
 # arrays of this size are about 0.9 MiB
 _CHART_CELLS = 1 << 14
+
+# most firings one `EdgeFeatureExtractor.expand` batch gathers, counted as
+# one per template per candidate edge, unless one sentence alone has more;
+# a batch holds about 80 bytes per firing while it is looked up (its key
+# matrix 320 KiB with the default templates, of width 4), which larger
+# budgets, a little faster, add to the peak resident memory of `predict`
+_FIRINGS = 1 << 13
 
 
 def _eisner(S: np.ndarray, sizes: Sequence[int]) -> list[tuple[list[int], float]]:
@@ -761,34 +886,61 @@ def _decode(
     return trees
 
 
-@dataclass
 class CompiledDependency:
-    """A sentence reduced to its edge-feature firings, each stored once.
+    """A sentence reduced to its value codes and, once expanded, to its
+    edge-feature firings, each stored once.
 
-    Firing i is weight id `ids[i]` of the flat feature space (group j's ids
-    offset by the sizes of the groups before it) on the edge whose flat
-    index in the (n+1) x (n+1) score matrix is `cells[i]` = u * (n+1) + v.
-    Firings run group by group, in candidate-edge order within a group.
-    `ends` is the extractor's array of each group's first flat id, the total
-    last, so group j's ids lie in ``[ends[j], ends[j+1])``.
+    `codes` is the sentence's flat code array (see `_EdgeLayout`) and
+    `unseen` the strings of its codes V, V+1, ... that the vocabulary lacks.
+    Its firings are worked out by `EdgeFeatureExtractor.expand`, batch by
+    batch over the sentences of one length, or for this sentence alone the
+    first time `cells` or `ids` is read before any batch took it.  Firing i
+    is weight id `ids[i]` of the flat feature space (group j's ids offset by
+    the sizes of the groups before it) on the edge whose flat index in the
+    (n+1) x (n+1) score matrix is `cells[i]` = u * (n+1) + v.  Firings run
+    group by group, in candidate-edge order within a group.  `ends` is the
+    extractor's array of each group's first flat id, the total last, so
+    group j's ids lie in ``[ends[j], ends[j+1])``.
     """
 
-    n: int  # token count, excluding root
-    cells: np.ndarray
-    ids: np.ndarray
-    ends: np.ndarray
-    gold: np.ndarray | None
+    def __init__(
+        self, extractor: EdgeFeatureExtractor, n: int, codes: np.ndarray, unseen: list[str], gold
+    ):
+        self.extractor = extractor
+        self.n = n  # token count, excluding root
+        self.codes = codes
+        self.unseen = unseen
+        self.gold = gold
+        self.firings: tuple[np.ndarray, np.ndarray] | None = None  # (cells, ids) once expanded
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.extractor.ends
+
+    def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.firings is None:
+            self.extractor.expand([self])
+        return self.firings
+
+    @property
+    def cells(self) -> np.ndarray:
+        return self._expanded()[0]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._expanded()[1]
 
     @property
     def group_edges(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per group, the (u, v, group-local feature id) int64 arrays of its
         firings, derived from `cells` and `ids`."""
         size = self.n + 1
-        bounds = self.ids.searchsorted(self.ends)  # ids run group by group
+        cells, ids = self._expanded()
+        bounds = ids.searchsorted(self.ends)  # ids run group by group
         edges = []
         for lo, hi, first in zip(bounds[:-1], bounds[1:], self.ends[:-1]):
-            u, v = np.divmod(self.cells[lo:hi], size)
-            edges.append((u, v, self.ids[lo:hi] - first))
+            u, v = np.divmod(cells[lo:hi], size)
+            edges.append((u, v, ids[lo:hi] - first))
         return edges
 
 
@@ -826,31 +978,23 @@ class DependencyTask:
         return [len(a) for a in self.extractor.alphabets]
 
     def compile(self, instance: DependencyInstance) -> CompiledDependency:
-        """The sentence's firings that the alphabets know, as flat ids.
+        """The sentence's value codes, its firings left to the first batch
+        that reads them (see `CompiledDependency`).
 
-        All templates run in one pass over integer keys (see the module
-        docstring), and one lookup resolves the plain and the ``between``
-        firings together.  The index arrays that depend on the sentence
-        length alone come from the layout's `_LengthPlan` for that length,
-        built by the first sentence of that length that any task of these
-        templates meets, so the result does not depend on the sentences
-        compiled before.  Unknown features fire nothing.
+        Only the string work is done here: the values each template slot
+        can read, coded by the extractor's vocabulary.  The firings, their
+        key lookup and the drop of features the alphabets lack run once per
+        batch of same-length sentences in `EdgeFeatureExtractor.expand`,
+        which `decode_corpus` and `corpus_feature_ids` call first, and give
+        the same arrays as a sentence expanded alone.
         """
         toks = augment(instance.tokens)
-        layout, keys, ends = self.extractor.layout, self.extractor.keys, self.extractor.ends
-        codes, unseen = keys.codes(layout.values(toks))
-        firings, cells = layout.firings(len(toks), codes)
-        ids = keys.lookup(firings, unseen)
-        known = ids >= 0
-        cells, ids = cells[known], ids[known]
-        if not layout.in_order:
-            # group j's ids lie in [ends[j], ends[j + 1])
-            order = np.argsort(ends.searchsorted(ids, side="right"), kind="stable")
-            cells, ids = cells[order], ids[order]
+        extractor = self.extractor
+        codes, unseen = extractor.keys.codes(extractor.layout.values(toks))
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(len(toks) - 1, cells, ids, ends, gold)
+        return CompiledDependency(extractor, len(toks) - 1, codes, unseen, gold)
 
     def edge_scores(self, weights: np.ndarray, inst: CompiledDependency) -> np.ndarray:
         """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)
@@ -907,6 +1051,7 @@ class DependencyTask:
         Each chunk of sentences (see `size_chunks`) is padded into one slab and
         decoded by `_decode`, for both decoders.
         """
+        self.extractor.expand(instances)
         flat = np.concatenate(weights)
         projective = self.decoder == "projective"
         trees = [None] * len(instances)
@@ -927,6 +1072,7 @@ class DependencyTask:
         """The flat weight ids `outputs` fire over the corpus, one entry per
         firing, and their summed parent loss, counted in one comparison of
         the corpus's heads with its gold heads."""
+        self.extractor.expand(instances)
         ids = []
         for inst, out in zip(instances, outputs, strict=True):
             if inst.gold is None:

@@ -27,7 +27,9 @@ arborescence contracted with dicts and Python loops, and a single-root
 search that runs a whole decoder once per root child.  The tree
 references share only the package's score masking and cycle walk.
 `write_sequence_corpus_per_token` is the tagger corpus writer as it was,
-two writes per token.
+two writes per token.  `reference_compile` is the parser's earlier
+per-sentence compile, kept as it was: one firing pass and one key lookup
+per sentence, through the extractor's layout and key table.
 """
 
 from __future__ import annotations
@@ -475,6 +477,24 @@ def compile_edges(specs, alphabets, tokens):
                     fs.append(ids[s])
         groups.append(tuple(np.asarray(x, dtype=np.int64) for x in (us, vs, fs)))
     return groups
+
+
+def reference_compile(extractor, tokens):
+    """The (cells, ids) of one sentence, its firings worked out alone: the
+    firings the alphabets know, as flat ids, sorted by group when the
+    layout's firings do not come in template order."""
+    toks = augment(tokens)
+    layout, keys, ends = extractor.layout, extractor.keys, extractor.ends
+    codes, unseen = keys.codes(layout.values(toks))
+    firings, cells, _ = layout.firings(len(toks), codes[None])
+    ids = keys.lookup(firings, unseen)
+    known = ids >= 0
+    cells, ids = cells[known], ids[known]
+    if not layout.in_order:
+        # group j's ids lie in [ends[j], ends[j + 1])
+        order = np.argsort(ends.searchsorted(ids, side="right"), kind="stable")
+        cells, ids = cells[order], ids[order]
+    return cells, ids
 
 
 def sparse_vector(entries):

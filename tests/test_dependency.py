@@ -2,17 +2,19 @@
 the parsing task protocol."""
 
 import hashlib
+import importlib.util
 import inspect
 import io
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mklsp import dependency
+from mklsp import dependency, solver
 from mklsp.corpus import DependencyInstance
 from mklsp.dependency import (
     FIELDS,
@@ -38,6 +40,7 @@ from _oracles import (
     feature_counts,
     instantiate_edges,
     reference_cle_decode,
+    reference_compile,
     reference_edge_scores,
     reference_eisner_decode,
     reference_instantiate_edge,
@@ -353,13 +356,13 @@ def test_tasks_of_one_template_set_share_one_layout_and_its_plans():
     loaded = read_back(task, text)
     again = dependency.EdgeFeatureExtractor(parse_edge_templates(text), extractor.alphabets)
     assert loaded.extractor.layout is layout and again.layout is layout
-    # `build` planned the corpus's lengths; compiling them again builds no plan
+    # `build` planned the corpus's lengths; expanding them again builds no plan
     plans = dict(layout._plans)
     assert sorted(plans) == sorted({len(inst.tokens) + 1 for inst in corpus})
     new = DependencyInstance([("n1", "n1", "N", "N")] * (max(plans) + 2), None)
     for t in (task, loaded):
         for inst in [*corpus, new]:
-            t.compile(inst)
+            t.compile(inst).ids
     assert sorted(layout._plans) == sorted([*plans, max(plans) + 3])
     assert all(layout._plans[n] is plan for n, plan in plans.items())
     # plans are shared, so none of their arrays can be written
@@ -370,6 +373,174 @@ def test_tasks_of_one_template_set_share_one_layout_and_its_plans():
                 a[(0,) * a.ndim] = 0
     with pytest.raises(ValueError, match="read-only"):
         extractor.ends[0] = 1
+
+
+def check_expanded(task, compiled, tokens):
+    """`compiled`'s arrays equal the per-sentence compile of `tokens`."""
+    want = reference_compile(task.extractor, tokens)
+    for a, b in zip((compiled.cells, compiled.ids), want, strict=True):
+        assert a.dtype == np.int64 and a.ndim == 1 and a.flags.c_contiguous
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(SENTENCE, min_size=1, max_size=3),
+    st.one_of(between_first_template_text(), edge_template_text()),
+    st.integers(1, 600),
+    st.data(),
+)
+def test_batched_expansion_matches_per_sentence_compile(corpus, text, budget, data):
+    # A stream of mixed lengths (one-token sentences among them) with values
+    # the training corpus lacks, some holding "/", expanded by a firing
+    # budget so small that one length spans several batches: some sentences
+    # read alone before any batch, then drawn subsets, then the whole stream.
+    specs = parse_edge_templates(text)
+    task = DependencyTask.build(specs, [DependencyInstance(s, None) for s in corpus])
+    stream = data.draw(st.lists(st.lists(STREAM_TOKEN, min_size=1, max_size=7), max_size=12))
+    stream += [corpus[0], [data.draw(STREAM_TOKEN)]]
+    compiled = [task.compile(DependencyInstance(tokens, None)) for tokens in stream]
+    indices = st.integers(0, len(stream) - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dependency, "_FIRINGS", budget)
+        for i in data.draw(st.lists(indices, max_size=3)):
+            compiled[i].group_edges  # expands this sentence alone
+        for subset in data.draw(st.lists(st.lists(indices, max_size=8), max_size=3)):
+            task.extractor.expand([compiled[i] for i in subset])
+        task.extractor.expand(compiled)
+    assert all(inst.firings is not None for inst in compiled)
+    for inst, tokens in zip(compiled, stream):
+        check_expanded(task, inst, tokens)
+    alphabets = task.extractor.alphabets
+    check_compiled(task, specs, alphabets, stream[-1])
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [101, 102])
+@pytest.mark.parametrize("name", ["dep-eisner", "dep-subproblem"])
+def test_expansion_matches_per_sentence_compile_on_benchmark_corpora(name, seed):
+    workloads = load_workloads()
+    workload = workloads.WORKLOADS[name]
+    inputs = workloads.make_inputs(workload, seed)
+    train = load_dependency(inputs.train_text)
+    test = load_dependency(inputs.test_input_text)
+    task = DependencyTask.build(
+        parse_edge_templates(default_edge_templates()), train, workload.decoder
+    )
+    for corpus in (train, test):
+        compiled = [task.compile(inst) for inst in corpus]
+        task.extractor.expand(compiled)
+        for inst, raw in zip(compiled, corpus):
+            check_expanded(task, inst, raw.tokens)
+
+
+def test_firings_run_once_per_batch_not_per_sentence(monkeypatch):
+    # 120 sentences of three lengths: compile does no numpy work per
+    # sentence, and one decode expands them in a few same-length batches
+    specs = parse_edge_templates(default_edge_templates())
+    corpus = [
+        inst
+        for l in (3, 4, 5)
+        for inst in load_dependency(dependency_text(40, seed=l, min_len=l, max_len=l))
+    ]
+    task = DependencyTask.build(specs, corpus)
+    calls = []
+    firings = dependency._EdgeLayout.firings
+
+    def counted(self, n, codes):
+        calls.append((n, len(codes)))
+        return firings(self, n, codes)
+
+    monkeypatch.setattr(dependency._EdgeLayout, "firings", counted)
+    compiled = [task.compile(inst) for inst in corpus]
+    assert calls == []
+    weights = [np.zeros(d) for d in task.group_dims]
+    task.decode_corpus(weights, compiled)
+    assert sorted({n for n, _ in calls}) == [4, 5, 6]
+    assert sum(b for _, b in calls) == len(compiled)
+    assert 8 * len(calls) <= len(compiled)
+    batches = len(calls)
+    # expanded once: decoding again and counting rows add no firing pass
+    task.decode_corpus(weights, compiled, augmented=True)
+    solver.gold_counts(task, compiled)
+    assert len(calls) == batches
+    # `train` expands its corpus in `gold_counts`, before a pool forks
+    again = [task.compile(inst) for inst in corpus]
+    solver.gold_counts(task, again)
+    assert all(inst.firings is not None for inst in again)
+    assert len(calls) == 2 * batches
+
+
+def longest_run(occupied):
+    """The most consecutive occupied slots, wrapping around the end."""
+    if occupied.all():
+        return occupied.size
+    start = int(np.argmin(occupied))  # a free slot: no run wraps past it
+    rolled = np.roll(occupied, -start)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], rolled.astype(np.int8), [0]))))
+    return int((edges[1::2] - edges[::2]).max(initial=0))
+
+
+@st.composite
+def key_tables(draw):
+    """Distinct non-negative int64 keys below 2**62: random sets, arithmetic
+    progressions with power-of-two strides, or nothing."""
+    kind = draw(st.sampled_from(["random", "progression", "empty"]))
+    if kind == "random":
+        keys = draw(st.sets(st.integers(0, 2**62 - 1), max_size=400))
+        keys |= draw(st.sets(st.integers(0, 3000), max_size=400))
+    elif kind == "progression":
+        stride = 2 ** draw(st.integers(0, 50))
+        count = draw(st.integers(1, 3000))
+        start = draw(st.integers(0, 2**62 - 1 - stride * (count - 1)))
+        keys = range(start, start + stride * count, stride)
+    else:
+        keys = []
+    return np.array(sorted(keys), dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key_tables(), st.sampled_from([1, 2, 8]), st.data())
+def test_hashed_stage_ranks_like_searchsorted(table, window, data):
+    stage = dependency._HashedRanks(table)
+    occupied = stage.ranks >= 0
+    assert occupied.size >= 4 * table.size and occupied.size & (occupied.size - 1) == 0
+    assert occupied.sum() == table.size
+    assert np.array_equal(np.sort(stage.keys[occupied]), table)
+    assert np.array_equal(table[stage.ranks[occupied]], stage.keys[occupied])
+    # misses: neighbours of the keys, -1, the ends of the int64 range, draws
+    misses = np.concatenate(
+        (
+            table[:50] - 1,
+            table[-50:] + 1,
+            np.array([-1, -(2**63), 2**63 - 1, 2**62 - 1, 0], dtype=np.int64),
+            np.array(data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=50)),
+                     dtype=np.int64),
+        )
+    )
+    needles = np.concatenate((table, misses, table[::-1]))
+    want = np.minimum(table.searchsorted(needles), table.size - 1) if table.size else None
+    if table.size:
+        want = np.where(table[want] == needles, want, -1)
+    else:
+        want = np.full(needles.size, -1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dependency, "_WINDOW", window)
+        got = stage.rank(needles)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # a lookup takes one round for the home slots, then one per window of
+    # slots until a needle stops, so the longest run of occupied slots
+    # bounds the rounds: at most 1 + ceil(run / window), here 1 + 3 rounds
+    # of eight slots
+    assert longest_run(occupied) <= 24
 
 
 # ---------------------------------------------------------------- decoders
