@@ -4,11 +4,11 @@ parent loss, and the tree-level feature map.
 
 Edge templates reuse the template-file syntax with field selectors instead
 of %x macros: ``P03:head.POSTAG/mod.POSTAG``.  Selector anchors are ``head``,
-``mod`` (with optional ``+n``/``-n`` token offsets) and ``between`` (no
-offset), fields are FORM, LEMMA, CPOSTAG, POSTAG.  A ``between`` selector
-emits one feature per distinct field value strictly between head and
-modifier.  Every feature string embeds the template index, the attachment
-direction, and the bucketed head-modifier distance.
+``mod`` (with optional ``+n``/``-n`` token offsets, n at most 100)
+and ``between`` (no offset), fields are FORM, LEMMA, CPOSTAG, POSTAG.  A
+``between`` selector emits one feature per distinct field value strictly
+between head and modifier.  Every feature string embeds the template
+index, the attachment direction, and the bucketed head-modifier distance.
 
 Features are integer keys.  A firing is (template, direction, distance
 bucket, one value code per selector slot, the ``between`` slot included);
@@ -70,7 +70,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import DependencyInstance, find_cycle, size_chunks
-from .templates import TemplateError, boundary_symbol
+from .templates import TemplateError, boundary_symbol, parse_offset
 
 ROOT_TOKEN = ("<root>", "<root>", "<root>", "<root>")
 FIELDS = {"FORM": 0, "LEMMA": 1, "CPOSTAG": 2, "POSTAG": 3}
@@ -111,19 +111,17 @@ def parse_edge_templates(text: str) -> list[EdgeTemplateSpec]:
         if not sep or not index or not body:
             raise TemplateError(f"line {lineno}: expected 'Index:selector/...', got {raw!r}")
         selectors = []
-        n_between = 0
         for part in body.split("/"):
             m = _SELECTOR.match(part)
             if m is None:
                 raise TemplateError(f"line {lineno}: malformed selector {part!r}")
-            anchor, offset, fieldname = m.group(1), m.group(2), m.group(3)
+            anchor, offset, fieldname = m.groups("0")  # "0" when no offset is given
             if anchor == "between":
-                if offset is not None:
+                if offset != "0":
                     raise TemplateError(f"line {lineno}: 'between' takes no offset")
-                n_between += 1
-                if n_between > 1:
+                if any(sel.anchor == "between" for sel in selectors):
                     raise TemplateError(f"line {lineno}: at most one 'between' selector")
-            selectors.append(EdgeSelector(anchor, int(offset or 0), FIELDS[fieldname]))
+            selectors.append(EdgeSelector(anchor, parse_offset(offset, lineno), FIELDS[fieldname]))
         if index in seen:
             raise TemplateError(f"line {lineno}: duplicate template index {index!r}")
         seen.add(index)
@@ -150,7 +148,12 @@ _BUCKETS = (1, 2, 3, 4, 5, 10)
 _DIR_DIST = {(d, str(b)): i for i, (d, b) in enumerate((d, b) for d in "RL" for b in _BUCKETS)}
 _N_DIR_DIST = len(_DIR_DIST)
 _KEY_LIMIT = 1 << 62  # integer keys stay below this, so no stage overflows int64
-_CHUNK = 1 << 12  # least firings `build` gathers before it drops repeated keys
+# firings per numpy pass, one per template per candidate edge: the most an
+# `EdgeFeatureExtractor.expand` batch gathers (unless one sentence has more)
+# and the fewest `build` gathers before it drops repeated keys; a batch holds
+# about 80 bytes per firing while looked up (320 KiB with the default
+# templates), which larger budgets, a little faster, add to `predict`'s peak
+_FIRINGS = 1 << 13
 
 
 def _prefixes(specs: Sequence[EdgeTemplateSpec]) -> list[str]:
@@ -372,7 +375,7 @@ class EdgeFeatureExtractor:
             keys, _, _ = layout.firings(len(toks), np.array([[*codes, 0]], dtype=np.int64))
             pending.append(keys)
             size += keys.shape[1]
-            if size >= max(_CHUNK, distinct.shape[1]):  # merges cost O(firings log firings)
+            if size >= max(_FIRINGS, distinct.shape[1]):  # merges cost O(firings log firings)
                 distinct = _first_seen(np.hstack((distinct, *pending)))
                 pending, size = [], 0
         keys = _first_seen(np.hstack((distinct, *pending)))
@@ -713,13 +716,6 @@ def _best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # each of its DP charts, unless one sentence alone needs more; seven float64
 # arrays of this size are about 0.9 MiB
 _CHART_CELLS = 1 << 14
-
-# most firings one `EdgeFeatureExtractor.expand` batch gathers, counted as
-# one per template per candidate edge, unless one sentence alone has more;
-# a batch holds about 80 bytes per firing while it is looked up (its key
-# matrix 320 KiB with the default templates, of width 4), which larger
-# budgets, a little faster, add to the peak resident memory of `predict`
-_FIRINGS = 1 << 13
 
 
 def _eisner(S: np.ndarray, sizes: Sequence[int]) -> list[tuple[list[int], float]]:

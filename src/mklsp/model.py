@@ -101,7 +101,7 @@ class Model:
         return cls(task, template_text, 10, mu, weights, dict(diagnostics or {}))
 
     def build_task(self) -> SequenceTask | DependencyTask:
-        """The decoding task, with frozen alphabets."""
+        """The decoding task, the one this model holds."""
         return self.task
 
     # --- serialization ---

@@ -42,7 +42,8 @@ gold counts, the gold ones taken once per training run; the row stands for
 counts / n.  All rows share one store, so a new Gram row, the primal
 recovery and every row's value are each a gather and a `bincount` over
 the stored entries.  Gram entries are integer dots divided by n^2 once,
-exact whatever the summation order.
+exact whatever the summation order.  A new row's value is that same sum
+(`_values`), so a repeated row reads its stored value and closes the gap.
 """
 
 from __future__ import annotations
@@ -181,10 +182,13 @@ class RowStore:
 
     def values(self, weights: np.ndarray) -> np.ndarray:
         """Every row's value q^r + <w, p^r> under the concatenated weights."""
-        dots = np.bincount(
-            self.row, weights=weights[self.index] * self.counts, minlength=len(self.rows)
-        )
-        return self.q + dots / self.n
+        return _values(self.q, self.index, self.counts, self.row, self.n, weights)
+
+
+def _values(q, index, counts, row, n: int, weights: np.ndarray) -> np.ndarray:
+    """q^r + <w, counts^r> / n for every row r, whose entries are where `row`
+    is r, each dot summed left to right by `bincount`, stored row or new."""
+    return q + np.bincount(row, weights=weights[index] * counts, minlength=q.size) / n
 
 
 @dataclass
@@ -556,8 +560,9 @@ def build_constraint_row(
 
 
 def row_value(row: ConstraintRow, weights: np.ndarray) -> float:
-    """q^r + <w, p^r> under the concatenated weight vector `weights`."""
-    return row.q + float(weights[row.indices] @ row.counts) / row.n
+    """q^r + <w, p^r> under the concatenated `weights`, as `RowStore.values` reads it."""
+    one = np.zeros(row.indices.size, dtype=np.int64)
+    return float(_values(np.array([row.q]), row.indices, row.counts, one, row.n, weights)[0])
 
 
 def working_set_value(store: RowStore, weights: np.ndarray) -> float:
@@ -599,15 +604,6 @@ def primal_objective(
         reg = reg / free_mass if free_mass > 0.0 else 0.0
         reg += sum(0.5 * norms[j] ** 2 / pinned[j] for j in np.flatnonzero(fixed))
     return reg + C * max(0.0, r_s)
-
-
-def rows_equal(a: ConstraintRow, b: ConstraintRow) -> bool:
-    return (
-        a.q == b.q
-        and a.n == b.n
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.counts, b.counts)
-    )
 
 
 # set in each worker by `_pool_init`; fork hands the task and instances over
@@ -744,7 +740,7 @@ def train(
     dual = 0.0
     value = 0.0  # working_set_value(store, flat); 0 for the empty set
     trace: list[IterationRecord] = []
-    halt = None
+    converged = False
     jobs = min(config.jobs, n)
     clock = time.perf_counter
 
@@ -761,12 +757,8 @@ def train(
             gram_s = subproblem_s = recover_s = 0.0
             diagnostics = None
 
-            if gap < config.epsilon:
-                halt = "converged"
-            elif any(rows_equal(row, seen) for seen in store.rows):
-                # exact duplicates imply gap <= 0, so this is a float-edge guard
-                halt = "stalled"
-            else:
+            converged = gap < config.epsilon
+            if not converged:
                 t0 = clock()
                 store.add(row)
                 t1 = clock()
@@ -798,7 +790,8 @@ def train(
                     f"iteration {iteration}: relative primal-dual gap {relative_gap:.3e} "
                     f"exceeds {_CERTIFIED_GAP:g} at C={config.C:g}"
                 )
-            if halt:
+            if converged:
                 break
 
-    return TrainResult(weights, mu, alpha, store.rows, trace, halt or "max-iterations")
+    halt = "converged" if converged else "max-iterations"
+    return TrainResult(weights, mu, alpha, store.rows, trace, halt)

@@ -6,7 +6,7 @@ a comment, blank lines are ignored.  An observation rule looks like
 from the current one and reads its column ``col``; several macros can be
 joined with ``/`` (``U05:%x[-1,0]/%x[0,0]``).  The bare line ``B`` switches
 on the label-transition group, so ``B`` is not an observation index.  Each
-rule owns one feature group.
+rule owns one feature group.  No offset exceeds `MAX_OFFSET` either way.
 
 Features are keyed by value (`TemplateKeys`): a one-macro rule fires the
 value it reads, a rule with K macros the K-tuple of its values.  A feature's
@@ -31,10 +31,19 @@ OBSERVATION = "observation"
 TRANSITION = "transition"
 
 _MACRO = re.compile(r"^%x\[(-?\d+),(\d+)\]$")
+MAX_OFFSET = 100  # a task pads each sentence with a sentinel per position of reach
 
 
 class TemplateError(ValueError):
     """Raised for malformed template files or template/corpus mismatches."""
+
+
+def parse_offset(text: str, lineno: int) -> int:
+    """The macro row or selector offset that `text` spells, |offset| <= `MAX_OFFSET`."""
+    offset = int(text)
+    if abs(offset) > MAX_OFFSET:
+        raise TemplateError(f"line {lineno}: offset {offset} is more than {MAX_OFFSET} away")
+    return offset
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ def parse_templates(text: str) -> list[TemplateSpec]:
                 m = _MACRO.match(part)
                 if m is None:
                     raise TemplateError(f"line {lineno}: malformed macro {part!r}")
-                macros.append((int(m.group(1)), int(m.group(2))))
+                macros.append((parse_offset(m.group(1), lineno), int(m.group(2))))
             spec = TemplateSpec(index, OBSERVATION, tuple(macros))
         if spec.index in seen:
             raise TemplateError(f"line {lineno}: duplicate template index {spec.index!r}")

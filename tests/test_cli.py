@@ -18,6 +18,7 @@ from mklsp.corpus import read_dependency_corpus
 from mklsp.dependency import is_arborescence, is_projective
 from mklsp.model import Model
 from mklsp.synthetic import SEQ_TEMPLATES, dependency_text, sequence_text
+from mklsp.templates import MAX_OFFSET
 
 
 def strip_labels(text):
@@ -295,6 +296,28 @@ def test_template_error_exits_1(seq_setup, capsys):
     (d / "templates.txt").write_text("U00:%x[0,0]\nU00:%x[1,0]\n")
     assert cli.main(train_args(d)) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["seq", "dep"])
+def test_template_offset_beyond_the_limit_exits_1(seq_setup, capsys, task):
+    # an offset one past the limit is refused before any sentence is padded
+    d = seq_setup
+    far = MAX_OFFSET + 1
+    if task == "seq":
+        (d / "templates.txt").write_text(f"U00:%x[0,0]\nU01:%x[{far},0]\nB\n")
+        args = train_args(d)
+    else:
+        (d / "templates.txt").write_text(f"P00:head.FORM/mod.FORM\nP01:head+{far}.FORM\n")
+        (d / "train.conll").write_text(dependency_text(6, seed=53))
+        args = [
+            "train", "--task", "dep", "--templates", str(d / "templates.txt"),
+            "--data", str(d / "train.conll"), "-o", str(d / "model.mkl"), "--jobs", "1",
+        ]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: line 2: offset {far} is more than" in err
+    assert "Traceback" not in err
+    assert not (d / "model.mkl").exists()
 
 
 def test_observation_rule_indexed_b_exits_1(seq_setup, capsys):

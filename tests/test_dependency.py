@@ -30,7 +30,7 @@ from mklsp.dependency import (
 )
 from mklsp.model import MAGIC, Model
 from mklsp.synthetic import dependency_text, load_dependency
-from mklsp.templates import TemplateError
+from mklsp.templates import MAX_OFFSET, TemplateError
 
 from _oracles import (
     candidate_edges,
@@ -69,6 +69,8 @@ def test_parse_edge_templates():
     assert (b[0].anchor, b[0].offset) == ("mod", -1)
     assert specs[1].between_column == 2
     assert specs[0].between_column is None
+    (spec,) = parse_edge_templates(f"P00:head+{MAX_OFFSET}.FORM/mod-{MAX_OFFSET}.POSTAG")
+    assert [sel.offset for sel in spec.selectors] == [MAX_OFFSET, -MAX_OFFSET]
 
 
 @pytest.mark.parametrize(
@@ -80,6 +82,10 @@ def test_parse_edge_templates():
         ("P00:head.SHAPE", "malformed"),
         ("P00 head.FORM", "expected"),
         ("P00:head+1", "malformed"),
+        # every sentence is padded as far as offsets reach
+        (f"P00:head.FORM\nP01:head+{MAX_OFFSET + 1}.FORM", f"line 2: offset {MAX_OFFSET + 1} "),
+        (f"P00:mod-{MAX_OFFSET + 1}.FORM", f"line 1: offset -{MAX_OFFSET + 1} "),
+        (f"P00:head+{10**20}.FORM", "is more than"),
     ],
 )
 def test_parse_edge_templates_errors(text, match):
@@ -440,6 +446,31 @@ def test_expansion_matches_per_sentence_compile_on_benchmark_corpora(name, seed)
         task.extractor.expand(compiled)
         for inst, raw in zip(compiled, corpus):
             check_expanded(task, inst, raw.tokens)
+
+
+@pytest.mark.parametrize("name", ["dep-eisner", "dep-subproblem"])
+def test_build_alphabets_do_not_depend_on_the_firing_budget(name, monkeypatch):
+    # the budget only sets when `build` drops repeated keys: as soon as the
+    # firings since the last merge outnumber the distinct keys, or once at
+    # the end; first-seen order is the same
+    workloads = load_workloads()
+    train = load_dependency(workloads.make_inputs(workloads.WORKLOADS[name], 101).train_text)
+    specs = parse_edge_templates(default_edge_templates())
+    merges = []
+    first_seen = dependency._first_seen
+
+    def counted(keys):
+        merges[-1] += 1
+        return first_seen(keys)
+
+    monkeypatch.setattr(dependency, "_first_seen", counted)
+    alphabets = []
+    for budget in (1, 2**20):
+        monkeypatch.setattr(dependency, "_FIRINGS", budget)
+        merges.append(0)
+        alphabets.append(DependencyTask.build(specs, train).extractor.alphabets)
+    assert merges[0] >= 10 and merges[1] == 1
+    assert alphabets[0] == alphabets[1]
 
 
 def test_firings_run_once_per_batch_not_per_sentence(monkeypatch):

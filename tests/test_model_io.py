@@ -23,7 +23,7 @@ from mklsp.synthetic import (
     load_sequence,
     sequence_text,
 )
-from mklsp.templates import parse_templates
+from mklsp.templates import MAX_OFFSET, parse_templates
 
 from _oracles import compile_edges, reference_instantiate
 
@@ -370,6 +370,7 @@ def with_template(model, text):
 
 
 SEQ_LINES = SEQ_TEMPLATES.splitlines()[1:]  # U00..U03 and B, comment dropped
+FAR = MAX_OFFSET + 1  # a few hundred signed bytes must not make a task pad sentences this far
 
 
 @pytest.mark.parametrize(
@@ -383,9 +384,11 @@ SEQ_LINES = SEQ_TEMPLATES.splitlines()[1:]  # U00..U03 and B, comment dropped
         ("\n".join(["B", *SEQ_LINES[:4]]).encode(), None),  # B's line may come first
         (b"U00 %x[0,0]", "template block"),
         (b"U00:%x[0,0]\n\xff", "not UTF-8"),
+        ("\n".join([SEQ_LINES[0], f"U01:%x[-{FAR},0]", *SEQ_LINES[2:]]).encode(),
+         f"line 2: offset -{FAR} is more than"),
     ],
     ids=["one-rule", "column-9-one-rule", "column-9", "swapped", "no-B", "B-first",
-         "unparsable", "not-utf8"],
+         "unparsable", "not-utf8", "offset-past-limit"],
 )
 def test_seq_template_block_must_define_exactly_the_groups(
     seq_model, predict_inputs, text, match
@@ -408,8 +411,10 @@ def test_seq_template_block_must_define_exactly_the_groups(
         (b"P00:head.SHAPE\nP01:head.FORM", "template block"),
         (b"U00:%x[0,0]\nU01:%x[0,1]", "template block"),
         (b"P00:head.FORM\nP01:head.\xc3", "not UTF-8"),
+        (f"P00:head.CPOSTAG/mod.CPOSTAG\nP01:head+{FAR}.FORM/mod.FORM".encode(),
+         f"line 2: offset {FAR} is more than"),
     ],
-    ids=["one-rule", "swapped", "bad-field", "seq-rules", "not-utf8"],
+    ids=["one-rule", "swapped", "bad-field", "seq-rules", "not-utf8", "offset-past-limit"],
 )
 def test_dep_template_block_must_define_exactly_the_groups(
     dep_model, predict_inputs, text, match

@@ -22,7 +22,6 @@ from mklsp.solver import (
     primal_objective,
     recover_primal,
     row_value,
-    rows_equal,
     solve_qp,
     solve_subproblem,
     train,
@@ -412,15 +411,6 @@ def test_constraint_row_matches_reference_on_any_outputs():
             build_constraint_row(task, insts, [out + [0] for out in outputs], gold)
 
 
-def test_rows_equal_is_exact():
-    task, insts = toy_task()
-    a = row_of(task, insts, [[1, 1], [1, 0]])
-    b = row_of(task, insts, [[1, 1], [1, 0]])
-    c = row_of(task, insts, [[1, 1], [0, 0]])
-    assert rows_equal(a, b)
-    assert not rows_equal(a, c)
-
-
 def test_working_set_value_empty_is_zero():
     assert working_set_value(RowStore([3], 1), np.zeros(3)) == 0.0
 
@@ -515,6 +505,49 @@ def test_row_store_matches_per_group_references(dims, n, s, seed):
         assert abs(values[r] - want) <= bound
         assert abs(row_value(row, w) - want) <= bound
     assert working_set_value(store, w) == values.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_new_row_reads_its_stored_value_bit_for_bit(dims, n, s, seed):
+    # the trainer compares a new row's value with the working set's values;
+    # a repeated row must read exactly its stored copy's value, or a row the
+    # oracle repeats looks violated by a rounding error
+    rng = np.random.default_rng(seed)
+    dim = sum(dims)
+    offsets = np.cumsum([0, *dims])
+    store = RowStore(dims, n)
+    for _ in range(s):
+        scale = int(rng.choice([1, 3, 10**6]))
+        density = rng.choice([0.0, 0.5, 1.0])
+        dense = rng.integers(-scale, scale + 1, size=dim) * (rng.random(dim) < density)
+        idx = np.flatnonzero(dense)
+        store.add(ConstraintRow(idx, dense[idx], n, float(rng.uniform(0.0, 2.0)), offsets))
+    w = rng.normal(size=dim) * rng.choice([1e-3, 1.0, 1e3], size=dim)
+    values = store.values(w)
+    for k, row in enumerate(store.rows):
+        # a fresh copy, as the oracle would build it again
+        again = ConstraintRow(row.indices.copy(), row.counts.copy(), n, row.q, offsets)
+        assert row_value(again, w) == values[k]
+    assert working_set_value(store, w) == values.max()
+
+
+def test_train_converges_on_a_repeated_row():
+    # at this tiny epsilon the oracle's row repeats a stored one at
+    # iteration 31; it reads its stored value, so the gap is exactly 0
+    instances, table = load_sequence(sequence_text(10, seed=4))
+    task = SequenceTask.build(parse_templates(SEQ_TEMPLATES), instances, table)
+    compiled = [task.compile(i) for i in instances]
+    out = train(task, compiled, SolverConfig(C=1.0, epsilon=1e-300))
+    assert out.halt_reason == "converged"
+    assert out.n_iterations == 31
+    assert out.final_gap == 0.0
+    assert len(out.rows) == 30
 
 
 # ---------------------------------------------------------------- gap

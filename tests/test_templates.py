@@ -9,6 +9,7 @@ from mklsp.corpus import LabelTable, SequenceInstance
 from mklsp.model import MAGIC, Model
 from mklsp.sequence import SequenceTask
 from mklsp.templates import (
+    MAX_OFFSET,
     OBSERVATION,
     TRANSITION,
     TemplateError,
@@ -75,6 +76,16 @@ def test_duplicate_transition_rejected():
 def test_malformed_macro_rejected(line):
     with pytest.raises(TemplateError):
         parse_templates(line)
+
+
+def test_offsets_beyond_the_limit_are_rejected():
+    # every sentence is padded as far as the largest offset reaches, so an
+    # unbounded one would exhaust memory before any feature is read
+    specs = parse_templates(f"U00:%x[{MAX_OFFSET},0]\nU01:%x[-{MAX_OFFSET},0]/%x[0,0]")
+    assert [s.macros[0][0] for s in specs] == [MAX_OFFSET, -MAX_OFFSET]
+    for offset in (MAX_OFFSET + 1, -MAX_OFFSET - 1, 10**20):
+        with pytest.raises(TemplateError, match=f"line 2: offset {offset} is more than"):
+            parse_templates(f"U00:%x[0,0]\nU01:%x[0,0]/%x[{offset},0]")
 
 
 def test_file_order_preserved():
