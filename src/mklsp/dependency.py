@@ -28,11 +28,11 @@ set has one layout, so `build`, the task it returns and every task that
 The alphabets are plain tuples of strings, and the extractor's `ends` array
 of group boundaries is shared by every compiled sentence.
 
-`DependencyTask.compile` does a sentence's string work only: it codes the
-values its slots can read.  The numpy work runs in
-`EdgeFeatureExtractor.expand`, once per batch of same-length sentences: one
-firing pass over the batch's stacked codes, one key lookup, the drop of
-unknown features and the split back into sentences.  `decode_corpus` and
+`DependencyTask.compile` does a sentence's string work only: it keeps the
+values its slots can read.  The rest runs in `EdgeFeatureExtractor.expand`,
+once per batch of same-length sentences: the batch's values coded at once,
+one firing pass over the codes, one key lookup, the drop of unknown
+features and the split back into sentences.  `decode_corpus` and
 `corpus_feature_ids` expand their corpus first, so `train` expands its
 corpus in the parent process before any decode pool forks; a sentence
 whose firings are read before any batch took it expands alone, with the
@@ -63,7 +63,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -398,8 +398,7 @@ class EdgeFeatureExtractor:
         time: sorted by length, cut within `_FIRINGS` (see `size_chunks`)
         and split where the length changes.
 
-        Per batch, the sentences' code arrays are stacked, each sentence's
-        unseen codes shifted past those of the sentences before it; one
+        Per batch, one `_KeyTable.codes` codes the sentences' values, one
         `_EdgeLayout.firings` and one `_KeyTable.lookup` cover the batch,
         unknown firings are dropped, and a stable sort by sentence (and by
         group, when the layout is not in order) puts each sentence's firings
@@ -413,12 +412,7 @@ class EdgeFeatureExtractor:
                 self._expand([todo[i] for i in run])
 
     def _expand(self, batch: list["CompiledDependency"]) -> None:
-        codes = np.stack([inst.codes for inst in batch])
-        counts = [len(inst.unseen) for inst in batch]
-        unseen = [s for inst in batch for s in inst.unseen]
-        if unseen:  # the pad code 0, last, stays
-            values = codes[:, :-1]
-            values += np.where(values >= self.keys.unseen, np.cumsum([0, *counts[:-1]])[:, None], 0)
+        codes, unseen = self.keys.codes([inst.values for inst in batch])
         keys, cells, owner = self.layout.firings(batch[0].n + 1, codes)
         ids = self.keys.lookup(keys, unseen)
         del keys  # freed before the filters allocate
@@ -594,10 +588,13 @@ class _KeyTable:
         self.prefixes = _prefixes(specs)
         self.widths = [len(s.selectors) for s in specs]
 
-    def codes(self, values: list[str]) -> tuple[np.ndarray, list[str]]:
-        """A sentence's flat code array (pad code 0 appended) and the values
-        the vocabulary lacks: the i-th of them has code V + i, so equal codes
-        still mean equal strings."""
+    def codes(self, rows: Sequence[list[str]]) -> tuple[np.ndarray, list[str]]:
+        """The (B, size + 1) code array of B equal-length rows of values, each
+        row a sentence's flat code array with the pad code 0 appended, and
+        the values the vocabulary lacks: the i-th of them, in first-seen
+        order over the batch, has code V + i, so equal codes mean equal
+        strings throughout the batch."""
+        values = list(chain.from_iterable(rows))
         codes = list(map(self.vocab.get, values))
         unseen: dict[str, int] = {}
         if None in codes:
@@ -605,8 +602,9 @@ class _KeyTable:
                 self.unseen + unseen.setdefault(s, len(unseen)) if c is None else c
                 for c, s in zip(codes, values)
             ]
-        codes.append(0)
-        return np.array(codes, dtype=np.int64), list(unseen)
+        array = np.zeros((len(rows), len(rows[0]) + 1), dtype=np.int64)
+        array[:, :-1] = np.array(codes, dtype=np.int64).reshape(len(rows), -1)
+        return array, list(unseen)
 
     def lookup(self, keys: np.ndarray, unseen: list[str]) -> np.ndarray:
         """Flat ids of firings, -1 where the alphabets lack the feature.
@@ -617,21 +615,22 @@ class _KeyTable:
         place.
         """
         # (firing, its template's strings, its string) where only the string
-        # can match: a value holding "/" reads V once clamped
+        # can match: a value holding "/" reads V once clamped.  No vocabulary
+        # value holds "/", so only the unseen ones are looked at.
         by_string = []
-        if unseen and any(self.slash):
-            words = self.words + unseen
-            marked = np.array(["/" in s for s in words])
+        v = self.unseen
+        slashed = [v + i for i, s in enumerate(unseen) if "/" in s]
+        if slashed and any(self.slash):
             slots = keys[1:]
-            for i in np.flatnonzero(marked[slots].any(axis=0)).tolist():
+            for i in np.flatnonzero(np.isin(slots, slashed).any(axis=0)).tolist():
                 p = int(keys[0, i])
                 strings = self.slash[p // _N_DIR_DIST]
                 if strings:
                     tail = slots[: self.widths[p // _N_DIR_DIST], i].tolist()
-                    s = self.prefixes[p] + "/".join(map(words.__getitem__, tail))
-                    by_string.append((i, strings, s))
+                    words = (self.words[c] if c < v else unseen[c - v] for c in tail)
+                    by_string.append((i, strings, self.prefixes[p] + "/".join(words)))
         if unseen:
-            np.minimum(keys[1:], self.unseen, out=keys[1:])
+            np.minimum(keys[1:], v, out=keys[1:])
         rank = None
         for group, table, powers in self.stages:
             # einsum, not matmul: numpy's integer matmul is twice as slow
@@ -646,13 +645,6 @@ class _KeyTable:
         for i, strings, s in by_string:
             ids[i] = strings.get(s, -1)
         return ids
-
-
-def parent_loss(gold: Sequence[int], other: Sequence[int]) -> float:
-    """Number of tokens whose head differs."""
-    if len(gold) != len(other):
-        raise ValueError("head sequences differ in length")
-    return float(sum(a != b for a, b in zip(gold, other)))
 
 
 def is_arborescence(heads: Sequence[int]) -> bool:
@@ -883,14 +875,15 @@ def _decode(
 
 
 class CompiledDependency:
-    """A sentence reduced to its value codes and, once expanded, to its
-    edge-feature firings, each stored once.
+    """A sentence reduced to the values its slots read and, once expanded,
+    to its edge-feature firings, each stored once.
 
-    `codes` is the sentence's flat code array (see `_EdgeLayout`) and
-    `unseen` the strings of its codes V, V+1, ... that the vocabulary lacks.
-    Its firings are worked out by `EdgeFeatureExtractor.expand`, batch by
-    batch over the sentences of one length, or for this sentence alone the
-    first time `cells` or `ids` is read before any batch took it.  Firing i
+    `values` are the strings of the sentence's flat code array, pad
+    excluded (see `_EdgeLayout.values`); the batch that expands the
+    sentence codes them.  Its firings are worked out by
+    `EdgeFeatureExtractor.expand`, batch by batch over the sentences of one
+    length, or for this sentence alone the first time `cells` or `ids` is
+    read before any batch took it.  Firing i
     is weight id `ids[i]` of the flat feature space (group j's ids offset by
     the sizes of the groups before it) on the edge whose flat index in the
     (n+1) x (n+1) score matrix is `cells[i]` = u * (n+1) + v.  Firings run
@@ -899,13 +892,10 @@ class CompiledDependency:
     group j's ids lie in ``[ends[j], ends[j+1])``.
     """
 
-    def __init__(
-        self, extractor: EdgeFeatureExtractor, n: int, codes: np.ndarray, unseen: list[str], gold
-    ):
+    def __init__(self, extractor: EdgeFeatureExtractor, n: int, values: list[str], gold):
         self.extractor = extractor
         self.n = n  # token count, excluding root
-        self.codes = codes
-        self.unseen = unseen
+        self.values = values
         self.gold = gold
         self.firings: tuple[np.ndarray, np.ndarray] | None = None  # (cells, ids) once expanded
 
@@ -974,23 +964,22 @@ class DependencyTask:
         return [len(a) for a in self.extractor.alphabets]
 
     def compile(self, instance: DependencyInstance) -> CompiledDependency:
-        """The sentence's value codes, its firings left to the first batch
-        that reads them (see `CompiledDependency`).
+        """The sentence's values and gold heads, its firings left to the
+        first batch that reads them (see `CompiledDependency`).
 
         Only the string work is done here: the values each template slot
-        can read, coded by the extractor's vocabulary.  The firings, their
-        key lookup and the drop of features the alphabets lack run once per
-        batch of same-length sentences in `EdgeFeatureExtractor.expand`,
-        which `decode_corpus` and `corpus_feature_ids` call first, and give
-        the same arrays as a sentence expanded alone.
+        can read.  Their codes, the firings, their key lookup and the drop
+        of features the alphabets lack run once per batch of same-length
+        sentences in `EdgeFeatureExtractor.expand`, which `decode_corpus`
+        and `corpus_feature_ids` call first, and give the same arrays as a
+        sentence expanded alone.
         """
         toks = augment(instance.tokens)
-        extractor = self.extractor
-        codes, unseen = extractor.keys.codes(extractor.layout.values(toks))
+        values = self.extractor.layout.values(toks)
         gold = None
         if instance.heads is not None:
             gold = np.asarray(instance.heads, dtype=np.int64)
-        return CompiledDependency(extractor, len(toks) - 1, codes, unseen, gold)
+        return CompiledDependency(self.extractor, len(toks) - 1, values, gold)
 
     def edge_scores(self, weights: np.ndarray, inst: CompiledDependency) -> np.ndarray:
         """Dense (n+1) x (n+1) edge score matrix (column 0 / diagonal unused)
@@ -1042,7 +1031,7 @@ class DependencyTask:
     ) -> tuple[list[list[int]], np.ndarray]:
         """Best tree of every sentence and its score.
 
-        With `augmented`, the argmax of score(T) + parent_loss(gold, T),
+        With `augmented`, the argmax of score(T) + the parent loss of T,
         decoded with +1 on every off-gold edge, and that augmented value.
         Each chunk of sentences (see `size_chunks`) is padded into one slab and
         decoded by `_decode`, for both decoders.

@@ -29,7 +29,9 @@ references share only the package's score masking and cycle walk.
 `write_sequence_corpus_per_token` is the tagger corpus writer as it was,
 two writes per token.  `reference_compile` is the parser's earlier
 per-sentence compile, kept as it was: one firing pass and one key lookup
-per sentence, through the extractor's layout and key table.
+per sentence, through the extractor's layout and key table, its values
+coded as a batch of one.  `parent_loss` is the parser's loss counted one
+token at a time.
 """
 
 from __future__ import annotations
@@ -443,6 +445,13 @@ def instantiate_edges(spec: EdgeTemplateSpec, aug_tokens: Sequence[tuple[str, ..
     return np.repeat(head_ids, counts), np.repeat(mod_ids, counts), strings
 
 
+def parent_loss(gold: Sequence[int], other: Sequence[int]) -> float:
+    """Number of tokens whose head differs."""
+    if len(gold) != len(other):
+        raise ValueError("head sequences differ in length")
+    return float(sum(a != b for a, b in zip(gold, other)))
+
+
 def candidate_edges(n):
     """Edges head u -> modifier v over positions 0..n-1, u outer, v inner."""
     return [(u, v) for u in range(n) for v in range(1, n) if u != v]
@@ -485,8 +494,8 @@ def reference_compile(extractor, tokens):
     layout's firings do not come in template order."""
     toks = augment(tokens)
     layout, keys, ends = extractor.layout, extractor.keys, extractor.ends
-    codes, unseen = keys.codes(layout.values(toks))
-    firings, cells, _ = layout.firings(len(toks), codes[None])
+    codes, unseen = keys.codes([layout.values(toks)])
+    firings, cells, _ = layout.firings(len(toks), codes)
     ids = keys.lookup(firings, unseen)
     known = ids >= 0
     cells, ids = cells[known], ids[known]

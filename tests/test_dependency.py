@@ -25,7 +25,6 @@ from mklsp.dependency import (
     eisner_decode,
     is_arborescence,
     is_projective,
-    parent_loss,
     parse_edge_templates,
 )
 from mklsp.model import MAGIC, Model
@@ -39,6 +38,7 @@ from _oracles import (
     edge_alphabets,
     feature_counts,
     instantiate_edges,
+    parent_loss,
     reference_cle_decode,
     reference_compile,
     reference_edge_scores,
@@ -260,10 +260,19 @@ def test_values_holding_a_slash_match_by_string():
     task = DependencyTask.build([spec], [trained])
     strings = task.extractor.alphabets[0]
     assert "P00:R:1:a/b/c" in strings
-    inst = task.compile(DependencyInstance([("a", "_", "X", "X"), ("b/c", "_", "X", "X")], None))
-    u, v, f = inst.group_edges[0]
-    fired = {(a, b): strings[c] for a, b, c in zip(u.tolist(), v.tolist(), f.tolist())}
-    assert fired == {(1, 2): "P00:R:1:a/b/c"}
+    alone = task.compile(DependencyInstance([("a", "_", "X", "X"), ("b/c", "_", "X", "X")], None))
+    # one batch numbers its unseen values once: both sentences code b/c
+    # alike, next to the unseen d/e and x/y, which hold "/" too
+    rest = ("_", "X", "X")
+    batch = [
+        task.compile(DependencyInstance([("a", *rest), ("b/c", *rest), (last, *rest)], None))
+        for last in ("d/e", "x/y")
+    ]
+    task.extractor.expand(batch)
+    for inst in [alone, *batch]:
+        u, v, f = inst.group_edges[0]
+        fired = {(a, b): strings[c] for a, b, c in zip(u.tolist(), v.tolist(), f.tolist())}
+        assert fired == {(1, 2): "P00:R:1:a/b/c"}
 
 
 def read_back(task, template_text):
