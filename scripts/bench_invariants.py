@@ -9,11 +9,12 @@ Run from anywhere (a few seconds):
 For every workload of `perfbench/workloads.py` and each of the seeds 101
 and 102, it runs one `perfbench/bench.py` repetition with one job, on the
 checkout's `src/`, and compares it with `scripts/bench_invariants.json`.
-The iteration count, the halt reason, the sha256 of the predicted file and
-the feature count are always compared.  The Newton systems of the run's
-subproblem solves and the model checksum are compared only when the numpy
-version, the BLAS and the machine equal the recorded ones, since rounding
-that follows the BLAS can move them.
+The iteration count, the halt reason, the sha256 of the predicted file, the
+feature count, and the working-set size and stored row entries at the end
+of training (which fingerprint every tree the oracle decoded) are always
+compared.  The Newton systems of the run's subproblem solves and the model
+checksum are compared only when the numpy version, the BLAS and the machine
+equal the recorded ones, since rounding that follows the BLAS can move them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = Path(__file__).with_suffix(".json")
 SEEDS = (101, 102)
-ALWAYS = ("iterations", "halt", "output_sha256", "features")
+ALWAYS = ("iterations", "halt", "output_sha256", "features", "working_set", "row_entries")
 SAME_HOST = ("newton_systems", "checksum")
 ENVIRONMENT = ("numpy", "blas", "machine")
 
@@ -54,6 +55,8 @@ def measure(bench, workload, seed: int, workdir: Path) -> dict:
         "halt": rep.halt,
         "output_sha256": rep.output_sha256,
         "features": rep.features,
+        "working_set": len(result.rows),
+        "row_entries": sum(row.indices.size for row in result.rows),
         "newton_systems": newton,
         "checksum": rep.checksum,
     }

@@ -46,7 +46,15 @@ edges for a single root.  The projective decoder is Eisner's span DP, one
 per chunk.  Padding is exact: a span inside a sentence reads only chart
 cells of spans inside it, so every tree and score are those of the sentence
 decoded alone, bit for bit, ties included.  The non-projective decoder
-(maximum arborescence) decodes each sentence's own slab of the chunk.
+(maximum arborescence, Chu-Liu-Edmonds) runs once per chunk, in rounds
+(`_cle`): one `argmax` gives every node of the slab its best head, pointer
+jumping finds the sentences whose heads close a cycle, and each of those
+contracts the cycle a one-sentence decode would contract into a new node,
+slot ``L + round`` of a slab widened to L + (L - 2) nodes.  Only those
+sentences go on to the next round.  No node is renumbered, and the live
+nodes keep the order of a one-sentence contraction, real nodes first and
+then slots in creation order, so every first-maximum tie, and with it
+every tree and score, is the sentence's own.
 
 Model checksums rest on one invariant: each template's alphabet lists its
 strings in the order their keys are first seen over (sentence, head,
@@ -784,58 +792,150 @@ def _backtrack(bI: list, bCL: list, bCR: list) -> list[int]:
     return heads
 
 
-def cle_decode(scores: np.ndarray) -> tuple[list[int], float]:
-    """Maximum spanning arborescence rooted at 0 (greedy + cycle contraction).
+def cle_decode(scores: np.ndarray, sizes: Sequence[int] | None = None):
+    """Maximum spanning arborescence rooted at 0 (greedy + cycle contraction)
+    and its score, summed edge by edge from the left.
 
     Root out-degree is unconstrained.  Greedy head selection takes the
-    smallest head index among ties.
+    smallest head index among ties.  Given `sizes`, `scores` is a masked
+    padded batch laid out as for `_eisner`, left as it is, and the result is
+    one (heads, score) per sentence, all decoded by one `_cle`; without,
+    `scores` is one sentence's matrix, decoded as a batch of one.
     """
-    S = _masked(scores)
-    heads = _cle(S)[1:].tolist()
-    return heads, _tree_score(S, heads)
+    if sizes is None:
+        S = _masked(scores)[None]
+        return _tree_scores(S, _cle(S), [S.shape[1]])[0]
+    return _tree_scores(scores, _cle(scores), sizes)
 
 
-def _tree_score(S: np.ndarray, heads: Sequence[int]) -> float:
-    return float(sum(S[h, v] for v, h in enumerate(heads, start=1)))
+def _tree_scores(
+    S: np.ndarray, heads: np.ndarray, sizes: Sequence[int]
+) -> list[tuple[list[int], float]]:
+    """Each sentence's heads, from the (B, L) head array of a padded batch
+    (column 0 unused), and the tree's score on the (B, L, L) slab `S`.
+
+    A score is one left-to-right `cumsum` from a 0.0 column, so it adds up
+    exactly as Python's `sum` over the tree's edges does: an all -0.0 tree
+    reads +0.0.
+    """
+    B, L = heads.shape
+    edges = S[np.arange(B)[:, None], heads, np.arange(L)]  # [b, v] = S[b, head of v, v]
+    edges[:, 0] = 0.0
+    totals = edges.cumsum(axis=1)[np.arange(B), np.asarray(sizes) - 1].tolist()
+    return [(tree[: n - 1], t) for tree, n, t in zip(heads[:, 1:].tolist(), sizes, totals)]
 
 
 def _cle(S: np.ndarray) -> np.ndarray:
-    """Heads of the maximum arborescence of masked scores (entry 0 unused).
+    """The (B, L) head array of the maximum arborescence of each sentence of
+    a masked padded batch (column 0 unused).
 
-    Every node takes its best head, the smallest among ties.  A cycle among
-    them is contracted to node c over the outside nodes: a -> c scores a's
-    best gain from taking over a cycle node's head, c -> a the best cycle
-    edge into a.  The tree on that matrix breaks the cycle where it enters.
-    Contractions run in a loop and their expansions come off a stack, so
-    the nesting depth (up to one per token) is not bound by the recursion
-    limit.
+    Every node takes its best head, the smallest among ties, in one
+    `argmax` over the batch.  Each sentence with a cycle among them
+    contracts the cycle `find_cycle` would return to a new node, the slot
+    ``L + round``, in a copy of its slab widened to L + (L - 2) nodes (an
+    l-token sentence contracts at most l - 1 times): an outside node a -> slot
+    scores a's best gain from taking over a cycle node's head, slot -> a the
+    best cycle edge into a, and the cycle's rows and columns become -inf.
+    The next round decodes the sentences that contracted, on the same slab.
+    Indices are never renumbered: live nodes run real nodes first, then
+    slots in creation order, the order of a contracted matrix whose outside
+    nodes keep their order and whose new node comes last, so every tie
+    resolves as it does in the sentence's own contraction.  Expansions come
+    off a stack, deepest first; each breaks its cycle where the tree enters
+    it.
     """
+    B, L, _ = S.shape
+    width = 2 * L - 2  # L >= 2
+    found = np.zeros((B, width), dtype=np.int64)
+    rows = np.arange(B)  # the batch row of each row of the live slab
     stack = []
-    while True:
-        bh = S.argmax(axis=0)
-        cycle = find_cycle(bh[1:].tolist())
-        if cycle is None:
+    for slot in range(L, width + 1):  # the round of slot 2L - 2 finds no cycle
+        heads = S.argmax(axis=1)
+        cyclic, cycles = _first_cycles(heads)
+        done = ~cyclic
+        found[rows[done], : heads.shape[1]] = heads[done]
+        if cycles is None:
             break
-        cyc = np.array(cycle)
-        out = np.flatnonzero(np.bincount(cyc, minlength=S.shape[0]) == 0)  # 0 stays first
-        c = out.size  # the contracted cycle's index
-        gains = S[out[:, None], cyc] - S[bh[cyc], cyc]
-        enter = gains.argmax(axis=1)  # where each outside node would enter the cycle
-        exits = cyc[S[cyc[:, None], out].argmax(axis=0)]  # the cycle node heading each
-        S2 = np.full((c + 1, c + 1), NEG)
-        S2[:c, :c] = S[out[:, None], out]
-        S2[:c, c] = gains.max(axis=1)
-        S2[c, :c] = S[exits, out]
-        stack.append((bh, cyc, out, enter, exits))
-        S = S2
+        rows, heads = rows[cyclic], heads[cyclic]
+        if slot == L:  # the first contraction widens the slab, of its sentences only
+            wide = np.full((rows.size, width, width), NEG)
+            wide[:, :L, :L] = S[cyclic]
+            S = wide
+        elif not cyclic.all():
+            S = S[cyclic]
+        stack.append((slot, rows, heads, cycles, *_contract(S, heads, cycles, slot)))
     while stack:
-        sub = bh  # heads on the contracted matrix
-        bh, cyc, out, enter, exits = stack.pop()
-        c = out.size
-        into = sub[1:c]  # cycle nodes keep their heads but the one entered
-        bh[out[1:]] = np.where(into == c, exits[1:], np.append(out, -1)[into])
-        bh[cyc[enter[sub[c]]]] = out[sub[c]]
-    return bh
+        slot, rows, heads, cycles, enter, exits = stack.pop()
+        sub = found[rows]  # heads on the contracted slab
+        at = np.arange(rows.size)
+        into = sub[at, slot]  # where the tree enters the cycle from
+        tree = np.where(sub == slot, exits, sub)
+        tree[at[:, None], cycles] = heads[at[:, None], cycles]  # cycle nodes keep their heads
+        tree[at, cycles[at, enter[at, into]]] = into  # but the one entered
+        found[rows] = tree
+    return found[:, :L]
+
+
+def _first_cycles(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Which rows of a (B, n) head array (``heads[:, 0] == 0``) hold a cycle,
+    and per such row the cycle `find_cycle` would return, or None if no
+    row does.
+
+    Pointer jumping finds the nodes with no path to the root; the walk from
+    the first of them closes the cycle at its first cycle node, found by
+    binary lifting.  Each cycle is listed from that node in head order and
+    continues around the cycle up to the longest one, so a shorter cycle's
+    lanes repeat its own nodes.
+    """
+    B, n = heads.shape
+    base = np.arange(0, B * n, n)[:, None]
+    jumps = [heads + base]  # jumps[k][b, v]: the flat index of v's 2**k-th head
+    for _ in range((n - 1).bit_length()):  # 2**k >= n - 1 steps reach root or a cycle
+        jumps.append(jumps[-1].take(jumps[-1]))
+    lost = jumps[-1] != base  # no path to the root
+    cyclic = lost.any(axis=1)
+    if not cyclic.any():
+        return cyclic, None
+    lost, base = lost[cyclic], base[cyclic]
+    on = np.zeros(B * n, dtype=bool)
+    on[jumps[-1][cyclic][lost]] = True  # every node on a cycle
+    start = lost.argmax(axis=1) + base[:, 0]
+    last = start  # the last node before the cycle on the walk from start
+    for jump in reversed(jumps[:-1]):  # a walk meets its cycle in under n - 1 steps
+        ahead = jump.take(last)
+        last = np.where(on[ahead], last, ahead)
+    flat = jumps[0].ravel()
+    entry = np.where(on[start], start, flat[last])
+    listed = [entry]
+    node = flat[entry]
+    closed = node == entry
+    while not closed.all():
+        listed.append(node)
+        node = flat[node]
+        closed |= node == entry
+    return cyclic, np.array(listed).T - base
+
+
+def _contract(
+    S: np.ndarray, heads: np.ndarray, cycles: np.ndarray, slot: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contract each row's cycle of a (B, W, W) slab to node `slot`, in place.
+
+    Returns, per row and node a, `enter`, the lane of the cycle node that
+    a -> slot takes over, and `exits`, the cycle node of slot -> a; both
+    are first maxima over the lanes, so a repeated lane never wins.
+    """
+    at = np.arange(len(S))[:, None]
+    gains = S[at, :, cycles]  # [b, lane, a]: the cycle's edges in
+    gains -= S[at, heads[at, cycles], cycles][:, :, None]  # less each greedy edge
+    enter = gains.argmax(axis=1)
+    out = S[at, cycles]  # [b, lane, a]: the cycle's edges out
+    exits = cycles[at, out.argmax(axis=1)]
+    S[:, :, slot] = gains.max(axis=1)
+    S[:, slot, :] = out.max(axis=1)
+    S[at, cycles] = NEG
+    S[at, :, cycles] = NEG
+    return enter, exits
 
 
 def _root_charge(S: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -851,26 +951,31 @@ def _decode(
     S: np.ndarray, sizes: Sequence[int], projective: bool, single_root: bool
 ) -> list[tuple[list[int], float]]:
     """Best tree of every sentence of a masked padded batch laid out as for
-    `_eisner`, and its score: one `_eisner` DP when `projective`, else
-    `cle_decode` on each sentence's own slab.
+    `_eisner`, and its score: one `_eisner` DP when `projective`, else one
+    batched `cle_decode`.  Its rounds of contraction run on the whole slab,
+    each over the sentences that still have a cycle, and each round's
+    contracted nodes take one new slot past the slab's L nodes (see
+    `_cle`).  No node is renumbered and live nodes keep the order of a
+    one-sentence contraction, so every first-maximum tie resolves as it
+    does for the sentence alone.
 
     With `single_root`, every sentence's root edges are charged by
     `_root_charge`, so its best charged tree has exactly one root child
     (Gabow & Tarjan's root penalty), in one decode.  Row 0 is restored
     afterwards, and each tree's score is its uncharged total, summed edge by
-    edge from the left.  Ties may resolve unlike a search over each root
-    child in turn.
+    edge from the left (`_tree_scores`).  Ties may resolve unlike a search
+    over each root child in turn.
     """
     if single_root:
         root = S[:, 0].copy()
         S[:, 0] -= _root_charge(S, sizes)[:, None]
-    if projective:
-        trees = _eisner(S, sizes)
-    else:
-        trees = [cle_decode(S[b, :n, :n]) for b, n in enumerate(sizes)]
+    trees = _eisner(S, sizes) if projective else cle_decode(S, sizes)
     if single_root:
         S[:, 0] = root
-        trees = [(heads, _tree_score(S[b], heads)) for b, (heads, _) in enumerate(trees)]
+        heads = np.zeros(S.shape[:2], dtype=np.int64)
+        for row, (tree, _) in zip(heads, trees):
+            row[1 : len(tree) + 1] = tree
+        trees = _tree_scores(S, heads, sizes)
     return trees
 
 

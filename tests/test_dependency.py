@@ -8,6 +8,7 @@ import io
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -791,6 +792,94 @@ def test_single_root_matches_reference(S, projective):
 def test_single_root_heads_match_reference_without_ties(S, projective):
     heads, want_heads = check_single_root(S, projective)
     assert heads == want_heads
+
+
+@st.composite
+def raw_slabs(draw):
+    """A masked padded batch as `_decode` takes it: sentences of 2..16 nodes
+    in drawn order, integer scores in -2..2, some columns all one value."""
+    sizes = draw(st.lists(st.integers(2, 16), min_size=1, max_size=4))
+    tables = []
+    for n in sizes:
+        M = draw(arrays(np.float64, (n, n), elements=TIED_SCORES, fill=st.nothing()))
+        for v in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+            M[:, v] = draw(TIED_SCORES)
+        tables.append(M)
+    L = max(sizes)
+    S = np.full((len(sizes), L, L), dependency.NEG)
+    for b, M in enumerate(tables):
+        S[b, : len(M), : len(M)] = M
+    return dependency._mask(S), sizes, tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_slabs(), st.booleans())
+def test_batched_cle_matches_reference_on_raw_slabs(slab, single_root):
+    # every sentence of the batch as decoded alone by the per-sentence
+    # reference; ties resolve alike, and no lane of the batch reads
+    # -inf - -inf (the RuntimeWarning fails the test)
+    S, sizes, tables = slab
+    trees = dependency._decode(S, sizes, projective=False, single_root=single_root)
+    for (heads, score), M in zip(trees, tables):
+        if single_root:
+            assert (heads, score) == decode_single_root(M, projective=False)
+            assert score == reference_single_root(M, projective=False)[1]
+            assert heads.count(0) == 1 and valid_arborescence(heads)
+        else:
+            want_heads, want = reference_cle_decode(M)
+            assert heads == want_heads
+            assert np.float64(score).tobytes() == np.float64(want).tobytes()
+
+
+def test_tree_of_negative_zeros_scores_positive_zero():
+    # a score is summed from 0, as Python's sum is, so -0.0 edges give +0.0
+    for projective in (True, False):
+        for single_root in (False, True):
+            S = dependency._masked(np.full((3, 3), -0.0))[None]
+            ((_, score),) = dependency._decode(S, [3], projective, single_root)
+            assert np.float64(score).tobytes() == np.float64(0.0).tobytes()
+
+
+def nested_cycles(l):
+    """Scores whose maximum arborescence takes l - 1 nested contractions:
+    k -> k+1 scores 5 and k+1 -> k 4, so 1 and 2 close the first cycle and
+    each later token closes one with the node that contracted the ones
+    before it."""
+    S = np.full((l + 1, l + 1), -100.0)
+    k = np.arange(1, l)
+    S[k, k + 1], S[k + 1, k] = 5.0, 4.0
+    return S
+
+
+def test_cle_deepest_nesting_in_a_batch():
+    # nests of 2..8 tokens share chunks with cycle-free and one-token
+    # sentences; the 8-token nest contracts 7 times, into slots 9..15 of
+    # its chunk's 16-node slab
+    rooted = np.full((9, 9), -100.0)
+    rooted[0] = 1.0  # every token takes the root
+    tables = [nested_cycles(l) for l in (2, 3, 5, 8)] + [rooted[:2, :2], rooted[:5, :5], rooted]
+    tables += [np.zeros((2, 2)), nested_cycles(8), np.zeros((2, 2))]
+    extractor, _ = SENTENCE_POOL
+    task = DependencyTask(extractor, "nonprojective")
+    sentences = [SimpleNamespace(n=len(M) - 1, firings=(), scores=M) for M in tables]
+    slots = []
+    contract = dependency._contract
+
+    def spy(S, heads, cycles, slot):
+        slots.append(slot)
+        return contract(S, heads, cycles, slot)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dependency, "_CHART_CELLS", 3 * 9 * 9)
+        mp.setattr(dependency, "_contract", spy)
+        mp.setattr(DependencyTask, "_scores", lambda self, flat, inst, augmented: inst.scores)
+        outputs, values = task.decode_corpus([np.zeros(1)], sentences)
+    assert max(slots) == 15
+    for heads, value, M in zip(outputs, values, tables):
+        want_heads, want = reference_cle_decode(M)
+        assert heads == want_heads
+        assert value.tobytes() == np.float64(want).tobytes()
+    assert outputs[3] == [0, 1, 2, 3, 4, 5, 6, 7]
 
 
 # ---------------------------------------------------------------- validators
