@@ -10,11 +10,13 @@ For every workload of `perfbench/workloads.py` and each of the seeds 101
 and 102, it runs one `perfbench/bench.py` repetition with one job, on the
 checkout's `src/`, and compares it with `scripts/bench_invariants.json`.
 The iteration count, the halt reason, the sha256 of the predicted file, the
-feature count, and the working-set size and stored row entries at the end
-of training (which fingerprint every tree the oracle decoded) are always
-compared.  The Newton systems of the run's subproblem solves and the model
-checksum are compared only when the numpy version, the BLAS and the machine
-equal the recorded ones, since rounding that follows the BLAS can move them.
+feature count, the working-set size and stored row entries at the end of
+training (which fingerprint every tree the oracle decoded), and the parser's
+firing passes (calls of `_EdgeLayout.firings` over build, train and
+predict; 0 for a tagger) are always compared.  The Newton systems of the
+run's subproblem solves and the model checksum are compared only when the
+numpy version, the BLAS and the machine equal the recorded ones, since
+rounding that follows the BLAS can move them.
 """
 
 from __future__ import annotations
@@ -28,26 +30,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = Path(__file__).with_suffix(".json")
 SEEDS = (101, 102)
-ALWAYS = ("iterations", "halt", "output_sha256", "features", "working_set", "row_entries")
+ALWAYS = (
+    "iterations",
+    "halt",
+    "output_sha256",
+    "features",
+    "working_set",
+    "row_entries",
+    "firing_passes",
+)
 SAME_HOST = ("newton_systems", "checksum")
 ENVIRONMENT = ("numpy", "blas", "machine")
 
 
 def measure(bench, workload, seed: int, workdir: Path) -> dict:
     """The invariants of one one-job `bench.repetition` of a workload."""
-    solver = bench.solver  # the module whose `train` the repetition calls
-    results = []
-    train = solver.train
+    solver, layout = bench.solver, bench.dependency._EdgeLayout  # what the repetition calls
+    results, passes = [], 0
+    train, firings = solver.train, layout.firings
 
     def recorded(*args, **kwargs):
         results.append(train(*args, **kwargs))
         return results[-1]
 
-    solver.train = recorded
+    def counted(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return firings(*args, **kwargs)
+
+    solver.train, layout.firings = recorded, counted
     try:
         rep = bench.repetition(workload, bench.write_inputs(workload, seed, workdir), 1)
     finally:
-        solver.train = train
+        solver.train, layout.firings = train, firings
     (result,) = results
     newton = sum(r.subproblem.newton_systems for r in result.trace if r.subproblem is not None)
     return {
@@ -57,6 +72,7 @@ def measure(bench, workload, seed: int, workdir: Path) -> dict:
         "features": rep.features,
         "working_set": len(result.rows),
         "row_entries": sum(row.indices.size for row in result.rows),
+        "firing_passes": passes,
         "newton_systems": newton,
         "checksum": rep.checksum,
     }
@@ -79,7 +95,9 @@ def differences(recorded: dict, current: dict) -> list[str]:
         if old is None or new is None:
             lines.append(f"{run_name}: {'not recorded' if old is None else 'not run'}")
             continue
-        lines += [f"{run_name} {k}: {old[k]!r} -> {new[k]!r}" for k in keys if old[k] != new[k]]
+        lines += [
+            f"{run_name} {k}: {old.get(k)!r} -> {new[k]!r}" for k in keys if old.get(k) != new[k]
+        ]
     return lines
 
 

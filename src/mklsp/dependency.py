@@ -42,18 +42,20 @@ Both decoders run over padded batches: `decode_corpus` stable-sorts a
 corpus's sentences by length, cuts them into chunks whose (B, L, L) slabs
 stay within a fixed cell budget, each sentence's scores padded with -inf to
 L, and hands every chunk to `_decode`, the one place that charges root
-edges for a single root.  The projective decoder is Eisner's span DP, one
-per chunk.  Padding is exact: a span inside a sentence reads only chart
-cells of spans inside it, so every tree and score are those of the sentence
-decoded alone, bit for bit, ties included.  The non-projective decoder
-(maximum arborescence, Chu-Liu-Edmonds) runs once per chunk, in rounds
-(`_cle`): one `argmax` gives every node of the slab its best head, pointer
-jumping finds the sentences whose heads close a cycle, and each of those
-contracts the cycle a one-sentence decode would contract into a new node,
-slot ``L + round`` of a slab widened to L + (L - 2) nodes.  Only those
-sentences go on to the next round.  No node is renumbered, and the live
-nodes keep the order of a one-sentence contraction, real nodes first and
-then slots in creation order, so every first-maximum tie, and with it
+edges for a single root.  Each decoder takes a chunk as ``(S, sizes)`` and
+returns its (B, L) head array and each sentence's score.  The projective
+decoder, `eisner_decode(S, sizes)`, is Eisner's span DP, one per chunk.
+Padding is exact: a span inside a sentence reads only chart cells of spans
+inside it, so every tree and score are those of the sentence decoded
+alone, bit for bit, ties included.  The non-projective decoder,
+`cle_decode(S, sizes)` (maximum arborescence, Chu-Liu-Edmonds), runs in
+rounds (`_cle`): one `argmax` gives every node of the slab its best head,
+pointer jumping finds the sentences whose heads close a cycle, and each of
+those contracts the cycle a one-sentence decode would contract into a new
+node, slot ``L + round`` of a slab widened to L + (L - 2) nodes.  Only
+those sentences go on to the next round.  No node is renumbered, and the
+live nodes keep the order of a one-sentence contraction, real nodes first
+and then slots in creation order, so every first-maximum tie, and with it
 every tree and score, is the sentence's own.
 
 Model checksums rest on one invariant: each template's alphabet lists its
@@ -690,19 +692,25 @@ def _masked(scores: np.ndarray) -> np.ndarray:
     return _mask(S)
 
 
-def eisner_decode(scores: np.ndarray) -> tuple[list[int], float]:
-    """Highest-scoring projective tree by the complete/incomplete span DP.
+def eisner_decode(scores: np.ndarray, sizes: Sequence[int] | None = None):
+    """Highest-scoring projective tree by the complete/incomplete span DP,
+    and its score, the DP chart's total.
 
     `scores[u, v]` is the score of attaching modifier v (1..l) to head u
-    (0..l); column 0 and the diagonal are ignored.  This is the padded-batch
-    DP of `_eisner` over a batch of one; `decode_corpus` runs the same DP
-    over many sentences padded with -inf to one length, which is exact
-    because a span inside a sentence reads only cells inside it.  Ties go to
-    the first maximum over ascending split points, as in a cell-by-cell
-    fill, which is deterministic but carries no lexicographic guarantee.
+    (0..l); column 0 and the diagonal are ignored.  Ties go to the first
+    maximum over ascending split points, as in a cell-by-cell fill, which is
+    deterministic but carries no lexicographic guarantee.  Given `sizes`,
+    `scores` is a masked padded batch laid out as for `_eisner`, left as it
+    is, and the result is the batch's (B, L) head array (column 0 unused)
+    and each sentence's total, all decoded by one `_eisner`; without,
+    `scores` is one sentence's matrix, decoded as a batch of one, and the
+    result its heads as a list and its score.
     """
-    S = _masked(scores)
-    return _eisner(S[None], [S.shape[0]])[0]
+    if sizes is None:
+        S = _masked(scores)[None]
+        heads, totals = _eisner(S, [S.shape[1]])
+        return heads[0, 1:].tolist(), float(totals[0])
+    return _eisner(scores, sizes)
 
 
 def _best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -718,8 +726,9 @@ def _best(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _CHART_CELLS = 1 << 14
 
 
-def _eisner(S: np.ndarray, sizes: Sequence[int]) -> list[tuple[list[int], float]]:
-    """Best projective tree of every sentence of a padded batch, and its score.
+def _eisner(S: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, L) head array of the best projective tree of every sentence
+    of a padded batch (column 0 unused), and each tree's chart total.
 
     `S` is (B, n, n), masked by `_mask`; sentence b holds its (n_b, n_b)
     scores, root included, in ``S[b, :n_b, :n_b]`` and -inf beyond.  The
@@ -756,11 +765,10 @@ def _eisner(S: np.ndarray, sizes: Sequence[int]) -> list[tuple[list[int], float]
         bCR[:, :m, w] = r + 1
         LCR[:, :m, w] = RCR[:, w:, w] = best
 
-    trees = []
+    heads = np.zeros((B, n), dtype=np.int64)
     for b, size in enumerate(sizes):
-        heads = _backtrack(*(a[b, :size, :size].tolist() for a in (bI, bCL, bCR)))
-        trees.append((heads, float(LCR[b, 0, size - 1])))
-    return trees
+        heads[b, 1:size] = _backtrack(*(a[b, :size, :size].tolist() for a in (bI, bCL, bCR)))
+    return heads, LCR[np.arange(B), 0, np.asarray(sizes) - 1]
 
 
 # span states: complete or incomplete, head at the left end (R) or right end (L)
@@ -797,22 +805,21 @@ def cle_decode(scores: np.ndarray, sizes: Sequence[int] | None = None):
     and its score, summed edge by edge from the left.
 
     Root out-degree is unconstrained.  Greedy head selection takes the
-    smallest head index among ties.  Given `sizes`, `scores` is a masked
-    padded batch laid out as for `_eisner`, left as it is, and the result is
-    one (heads, score) per sentence, all decoded by one `_cle`; without,
-    `scores` is one sentence's matrix, decoded as a batch of one.
+    smallest head index among ties.  Given `sizes` or not, the layout and
+    the result are those of `eisner_decode`, the batch decoded by one
+    `_cle`.
     """
     if sizes is None:
         S = _masked(scores)[None]
-        return _tree_scores(S, _cle(S), [S.shape[1]])[0]
-    return _tree_scores(scores, _cle(scores), sizes)
+        heads = _cle(S)
+        return heads[0, 1:].tolist(), float(_tree_totals(S, heads, [S.shape[1]])[0])
+    heads = _cle(scores)
+    return heads, _tree_totals(scores, heads, sizes)
 
 
-def _tree_scores(
-    S: np.ndarray, heads: np.ndarray, sizes: Sequence[int]
-) -> list[tuple[list[int], float]]:
-    """Each sentence's heads, from the (B, L) head array of a padded batch
-    (column 0 unused), and the tree's score on the (B, L, L) slab `S`.
+def _tree_totals(S: np.ndarray, heads: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The score on the (B, L, L) slab `S` of each sentence's tree in the
+    (B, L) head array `heads` (column 0 unused).
 
     A score is one left-to-right `cumsum` from a 0.0 column, so it adds up
     exactly as Python's `sum` over the tree's edges does: an all -0.0 tree
@@ -821,8 +828,7 @@ def _tree_scores(
     B, L = heads.shape
     edges = S[np.arange(B)[:, None], heads, np.arange(L)]  # [b, v] = S[b, head of v, v]
     edges[:, 0] = 0.0
-    totals = edges.cumsum(axis=1)[np.arange(B), np.asarray(sizes) - 1].tolist()
-    return [(tree[: n - 1], t) for tree, n, t in zip(heads[:, 1:].tolist(), sizes, totals)]
+    return edges.cumsum(axis=1)[np.arange(B), np.asarray(sizes) - 1]
 
 
 def _cle(S: np.ndarray) -> np.ndarray:
@@ -951,32 +957,24 @@ def _decode(
     S: np.ndarray, sizes: Sequence[int], projective: bool, single_root: bool
 ) -> list[tuple[list[int], float]]:
     """Best tree of every sentence of a masked padded batch laid out as for
-    `_eisner`, and its score: one `_eisner` DP when `projective`, else one
-    batched `cle_decode`.  Its rounds of contraction run on the whole slab,
-    each over the sentences that still have a cycle, and each round's
-    contracted nodes take one new slot past the slab's L nodes (see
-    `_cle`).  No node is renumbered and live nodes keep the order of a
-    one-sentence contraction, so every first-maximum tie resolves as it
-    does for the sentence alone.
+    `_eisner`, and its score: one batched `eisner_decode` when `projective`,
+    else one batched `cle_decode`.
 
     With `single_root`, every sentence's root edges are charged by
     `_root_charge`, so its best charged tree has exactly one root child
     (Gabow & Tarjan's root penalty), in one decode.  Row 0 is restored
     afterwards, and each tree's score is its uncharged total, summed edge by
-    edge from the left (`_tree_scores`).  Ties may resolve unlike a search
+    edge from the left (`_tree_totals`).  Ties may resolve unlike a search
     over each root child in turn.
     """
     if single_root:
         root = S[:, 0].copy()
         S[:, 0] -= _root_charge(S, sizes)[:, None]
-    trees = _eisner(S, sizes) if projective else cle_decode(S, sizes)
+    heads, totals = (eisner_decode if projective else cle_decode)(S, sizes)
     if single_root:
         S[:, 0] = root
-        heads = np.zeros(S.shape[:2], dtype=np.int64)
-        for row, (tree, _) in zip(heads, trees):
-            row[1 : len(tree) + 1] = tree
-        trees = _tree_scores(S, heads, sizes)
-    return trees
+        totals = _tree_totals(S, heads, sizes)
+    return [(tree[: n - 1], t) for tree, n, t in zip(heads[:, 1:].tolist(), sizes, totals.tolist())]
 
 
 class CompiledDependency:

@@ -812,23 +812,26 @@ def raw_slabs(draw):
     return dependency._mask(S), sizes, tables
 
 
-@settings(max_examples=60, deadline=None)
-@given(raw_slabs(), st.booleans())
-def test_batched_cle_matches_reference_on_raw_slabs(slab, single_root):
+@settings(max_examples=120, deadline=None)
+@given(raw_slabs(), st.booleans(), st.booleans())
+def test_batched_cle_matches_reference_on_raw_slabs(slab, projective, single_root):
     # every sentence of the batch as decoded alone by the per-sentence
-    # reference; ties resolve alike, and no lane of the batch reads
-    # -inf - -inf (the RuntimeWarning fails the test)
+    # reference of either decoder; ties resolve alike, and no lane of the
+    # batch reads -inf - -inf (the RuntimeWarning fails the test)
     S, sizes, tables = slab
-    trees = dependency._decode(S, sizes, projective=False, single_root=single_root)
+    trees = dependency._decode(S, sizes, projective, single_root)
+    reference = reference_eisner_decode if projective else reference_cle_decode
     for (heads, score), M in zip(trees, tables):
         if single_root:
-            assert (heads, score) == decode_single_root(M, projective=False)
-            assert score == reference_single_root(M, projective=False)[1]
+            assert (heads, score) == decode_single_root(M, projective)
+            assert score == reference_single_root(M, projective)[1]
             assert heads.count(0) == 1 and valid_arborescence(heads)
         else:
-            want_heads, want = reference_cle_decode(M)
+            want_heads, want = reference(M)
             assert heads == want_heads
             assert np.float64(score).tobytes() == np.float64(want).tobytes()
+        if projective:
+            assert valid_projective(heads)
 
 
 def test_tree_of_negative_zeros_scores_positive_zero():

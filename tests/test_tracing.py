@@ -44,11 +44,12 @@ def setup(kind):
     else:
         instances = load_dependency(dependency_text(6, seed=3))
         specs = dependency.parse_edge_templates(dependency.default_edge_templates())
-        task = dependency.DependencyTask.build(specs, instances, "nonprojective")
+        decoder = "projective" if kind == "projective" else "nonprojective"
+        task = dependency.DependencyTask.build(specs, instances, decoder)
     return task, [task.compile(inst) for inst in instances]
 
 
-@pytest.mark.parametrize("kind", ["seq", "dep"])
+@pytest.mark.parametrize("kind", ["seq", "dep", "projective"])
 def test_tracer_measures_a_training(kind):
     before = {(owner, attr): vars(owner)[attr] for owner, attr, _, _ in tracing._TARGETS}
     tracer = tracing.Tracer()
@@ -70,7 +71,10 @@ def test_tracer_measures_a_training(kind):
     assert metrics["solver.decode_sentences"] == len(compiled) * result.n_iterations
     assert metrics["solver.subproblem_calls"] == len(result.rows)
     assert metrics["solver.recover_s"] > 0.0 and metrics["solver.row_s"] > 0.0
-    if kind == "dep":
-        # the nonprojective oracle's layers: a decode path that stops going
-        # through the wrapped functions reads 0 here
-        assert metrics["dependency.cle_s"] > 0.0 and metrics["dependency.scores_s"] > 0.0
+    if kind != "seq":
+        # the parser oracle's layers: a decode path that stops going through
+        # the wrapped functions reads 0 here, and one decoder runs, not both
+        assert metrics["dependency.scores_s"] > 0.0
+        used, unused = ("eisner", "cle") if kind == "projective" else ("cle", "eisner")
+        assert metrics[f"dependency.{used}_s"] > 0.0
+        assert metrics[f"dependency.{unused}_s"] == 0.0
