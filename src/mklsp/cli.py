@@ -1,9 +1,10 @@
 """Command-line frontend: train, predict, eval, and weights.
 
-Diagnostics go to stderr, data to stdout.  Every flag default can be
-overridden by an environment variable with the MTL_ prefix (flag name
-uppercased, dashes to underscores, e.g. MTL_MAX_ITER=50); an explicit flag
-still wins, and a command reads only the variables of its own flags.
+Diagnostics go to stderr, data to stdout.  Every `train` flag, `predict
+--jobs` and `eval --scheme` take their default from MTL_ plus the flag's
+dest uppercased (-e: MTL_EPSILON, --max-iter: MTL_MAX_ITER).  The value is
+checked like the flag's own, a bad one is a usage error, an explicit flag
+wins, and a command reads only the variables of its own flags.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -13,7 +14,6 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,11 +45,7 @@ _FALSE_WORDS = ("0", "false", "no", "off")
 
 
 class UsageError(ValueError):
-    """A bad invocation detected after argument parsing."""
-
-
-def _env_name(flag: str) -> str:
-    return ENV_PREFIX + flag.strip("-").upper().replace("-", "_")
+    """A bad invocation that argparse does not catch itself."""
 
 
 def _boolean(raw: str) -> bool:
@@ -59,41 +55,30 @@ def _boolean(raw: str) -> bool:
     return low in _TRUE_WORDS
 
 
-class _FromEnv(NamedTuple):
-    """A flag default that its MTL_ variable overrides, read only when the
-    subcommand that takes the flag is the one parsed."""
-
-    flag: str
-    cast: Callable[[str], object]
-    fallback: object
-
-    def read(self):
-        raw = os.environ.get(_env_name(self.flag))
-        if raw is None:
-            return self.fallback
-        try:
-            return self.cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad value for {_env_name(self.flag)}: {raw!r}") from exc
-
-
-def _env(flag: str, cast, fallback) -> _FromEnv:
-    return _FromEnv(flag, cast, fallback)
-
-
-def _env_flag(flag: str) -> _FromEnv:
-    return _FromEnv(flag, _boolean, False)
-
-
 class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: it reads its `_FromEnv` defaults when it parses,
-    so a bad MTL_ value stops only the commands that take its flag."""
+    """A subcommand's parser: a flag added with env=True takes its default
+    from MTL_<DEST>, cast by the flag's type (a yes/no word for a switch) and
+    checked against its choices when this subcommand is the one parsed."""
+
+    def add_argument(self, *args, env=False, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        action.env = env
+        return action
 
     def parse_known_args(self, args=None, namespace=None):
         namespace = argparse.Namespace() if namespace is None else namespace
         for action in self._actions:
-            if isinstance(action.default, _FromEnv) and not hasattr(namespace, action.dest):
-                setattr(namespace, action.dest, action.default.read())
+            name = ENV_PREFIX + action.dest.upper()
+            raw = os.environ.get(name)
+            if not action.env or raw is None or hasattr(namespace, action.dest):
+                continue
+            try:
+                value = (_boolean if action.nargs == 0 else action.type or str)(raw)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value for {name}: {raw!r}") from exc
+            setattr(namespace, action.dest, value)
         return super().parse_known_args(args, namespace)
 
 
@@ -107,26 +92,6 @@ def _open_text(path: str) -> str:
         return fh.read()
 
 
-def _add_common_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--task", choices=("seq", "dep"), default=_env("task", str, None))
-    sub.add_argument("--templates", default=_env("templates", str, None))
-    sub.add_argument("--data", default=_env("data", str, None))
-    sub.add_argument("-o", "--model", default=_env("model", str, None))
-    sub.add_argument("-c", dest="c", type=float, default=_env("c", float, 1.0))
-    sub.add_argument("-e", dest="epsilon", type=float, default=_env("epsilon", float, 0.5))
-    sub.add_argument("--max-iter", type=int, default=_env("max-iter", int, 500))
-    sub.add_argument("--uniform", action="store_true", default=_env_flag("uniform"))
-    sub.add_argument("--c-times-n", action="store_true", default=_env_flag("c-times-n"))
-    sub.add_argument("--jobs", type=int, default=_env("jobs", int, 1))
-    sub.add_argument(
-        "--decoder",
-        choices=("projective", "nonprojective"),
-        default=_env("decoder", str, "projective"),
-    )
-    sub.add_argument("--single-root", action="store_true", default=_env_flag("single-root"))
-    sub.add_argument("--fixed-groups", default=_env("fixed-groups", str, ""))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mklsp",
@@ -135,24 +100,36 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p_train = subs.add_parser("train", help="fit a model on a labeled corpus")
-    _add_common_train_flags(p_train)
+    p_train.add_argument("--task", choices=("seq", "dep"), env=True)
+    p_train.add_argument("--templates", env=True)
+    p_train.add_argument("--data", env=True)
+    p_train.add_argument("-o", "--model", env=True)
+    p_train.add_argument("-c", dest="c", type=float, default=1.0, env=True)
+    p_train.add_argument("-e", dest="epsilon", type=float, default=0.5, env=True)
+    p_train.add_argument("--max-iter", type=int, default=500, env=True)
+    p_train.add_argument("--uniform", action="store_true", env=True)
+    p_train.add_argument("--c-times-n", action="store_true", env=True)
+    p_train.add_argument("--jobs", type=int, default=1, env=True)
+    p_train.add_argument(
+        "--decoder", choices=("projective", "nonprojective"), default="projective", env=True
+    )
+    p_train.add_argument("--single-root", action="store_true", env=True)
+    p_train.add_argument("--fixed-groups", env=True)
     p_train.set_defaults(func=cmd_train)
 
     p_pred = subs.add_parser("predict", help="decode a corpus with a trained model")
     p_pred.add_argument("--model", "-m", required=True)
     p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("-o", "--output", default=None)
-    p_pred.add_argument("--jobs", type=int, default=_env("jobs", int, 1))
+    p_pred.add_argument("-o", "--output")
+    p_pred.add_argument("--jobs", type=int, default=1, env=True)
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = subs.add_parser("eval", help="score predictions against gold annotation")
     p_eval.add_argument("--task", choices=("seq", "dep"), required=True)
     p_eval.add_argument("--gold", required=True)
     p_eval.add_argument("--pred", required=True)
-    p_eval.add_argument("--scheme", choices=SCHEMES, default=_env("scheme", str, "raw"))
-    p_eval.add_argument(
-        "--vocab", default=None, help="labeled corpus whose words define the IV set"
-    )
+    p_eval.add_argument("--scheme", choices=SCHEMES, default="raw", env=True)
+    p_eval.add_argument("--vocab", help="labeled corpus whose words define the IV set")
     p_eval.add_argument("--kv", action="store_true", help="also print key=value lines")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -277,15 +254,13 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _print_kv(pairs: list[tuple[str, object]]) -> None:
-    for key, value in pairs:
-        if isinstance(value, float):
-            print(f"{key}={value:.6f}")
-        else:
-            print(f"{key}={value}")
+def _prf_line(name: str, scores) -> str:
+    return f"{name:<10} P {scores.precision:.4f}  R {scores.recall:.4f}  F1 {scores.f1:.4f}"
 
 
 def cmd_eval(args) -> int:
+    # one (kv key, value, report line) per figure; the line is None for a
+    # figure that an earlier line already prints
     if args.task == "dep":
         gold = read_dependency_corpus(args.gold)
         pred = read_dependency_corpus(args.pred)
@@ -294,66 +269,58 @@ def cmd_eval(args) -> int:
             if inst.heads is None:
                 raise CorpusFormatError(f"{args.pred}: sentence {i} lacks HEAD values")
             heads.append(inst.heads)
-        report = evaluate_dependency(gold, heads)
-        print(f"accuracy  {report.accuracy:.4f}  ({report.n_correct_heads}/{report.n_tokens})")
-        print(f"complete  {report.complete:.4f}  ({report.n_complete}/{report.n_sentences})")
-        if args.kv:
-            _print_kv([("accuracy", report.accuracy), ("complete", report.complete)])
-        return 0
-
-    table = LabelTable()
-    gold = read_sequence_corpus(args.gold, label_table=table, labeled=True)
-    pred = read_sequence_corpus(args.pred, label_table=table, labeled=True)
-    pred_ids = [inst.labels for inst in pred]
-    codec = LabelCodec(args.scheme, table)
-    vocabulary = None
-    if args.vocab:
-        vocab_table = LabelTable()
-        vocab_corpus = read_sequence_corpus(args.vocab, label_table=vocab_table, labeled=True)
-        vocabulary = build_segmentation_vocabulary(
-            vocab_corpus, LabelCodec("bie", vocab_table)
-        )
-    report = evaluate_sequence(gold, pred_ids, codec, vocabulary)
-
-    kv: list[tuple[str, object]] = []
-    if args.scheme == "raw":
-        print(f"accuracy  {report.token_accuracy:.4f}  ({report.n_correct}/{report.n_tokens})")
-        kv.append(("accuracy", report.token_accuracy))
-    elif args.scheme == "bie":
-        print(f"accuracy   {report.token_accuracy:.4f}")
-        print(f"precision  {report.word.precision:.4f}")
-        print(f"recall     {report.word.recall:.4f}")
-        print(f"f1         {report.word.f1:.4f}")
-        kv += [
-            ("accuracy", report.token_accuracy),
-            ("precision", report.word.precision),
-            ("recall", report.word.recall),
-            ("f1", report.word.f1),
+        r = evaluate_dependency(gold, heads)
+        acc, whole = r.accuracy, r.complete
+        figures = [
+            ("accuracy", acc, f"accuracy  {acc:.4f}  ({r.n_correct_heads}/{r.n_tokens})"),
+            ("complete", whole, f"complete  {whole:.4f}  ({r.n_complete}/{r.n_sentences})"),
         ]
-        if report.riv is not None:
-            print(f"r_iv       {report.riv:.4f}  ({report.n_iv_correct}/{report.n_iv_gold})")
-            kv.append(("r_iv", report.riv))
     else:
-        print(f"accuracy   {report.token_accuracy:.4f}")
-        print(
-            f"overall    P {report.overall.precision:.4f}  R {report.overall.recall:.4f}  "
-            f"F1 {report.overall.f1:.4f}"
-        )
-        kv += [
-            ("accuracy", report.token_accuracy),
-            ("precision", report.overall.precision),
-            ("recall", report.overall.recall),
-            ("f1", report.overall.f1),
-        ]
-        for name in sorted(report.per_type):
-            scores = report.per_type[name]
-            print(
-                f"{name:<10} P {scores.precision:.4f}  R {scores.recall:.4f}  "
-                f"F1 {scores.f1:.4f}"
+        table = LabelTable()
+        gold = read_sequence_corpus(args.gold, label_table=table, labeled=True)
+        pred = read_sequence_corpus(args.pred, label_table=table, labeled=True)
+        pred_ids = [inst.labels for inst in pred]
+        codec = LabelCodec(args.scheme, table)
+        vocabulary = None
+        if args.vocab:
+            vocab_table = LabelTable()
+            vocab_corpus = read_sequence_corpus(args.vocab, label_table=vocab_table, labeled=True)
+            vocabulary = build_segmentation_vocabulary(
+                vocab_corpus, LabelCodec("bie", vocab_table)
             )
-            kv.append((f"f1_{name}", scores.f1))
+        r = evaluate_sequence(gold, pred_ids, codec, vocabulary)
+        acc = r.token_accuracy
+        if args.scheme == "raw":
+            figures = [("accuracy", acc, f"accuracy  {acc:.4f}  ({r.n_correct}/{r.n_tokens})")]
+        elif args.scheme == "bie":
+            word = r.word
+            figures = [
+                ("accuracy", acc, f"accuracy   {acc:.4f}"),
+                ("precision", word.precision, f"precision  {word.precision:.4f}"),
+                ("recall", word.recall, f"recall     {word.recall:.4f}"),
+                ("f1", word.f1, f"f1         {word.f1:.4f}"),
+            ]
+            if r.riv is not None:
+                line = f"r_iv       {r.riv:.4f}  ({r.n_iv_correct}/{r.n_iv_gold})"
+                figures.append(("r_iv", r.riv, line))
+        else:
+            overall = r.overall
+            figures = [
+                ("accuracy", acc, f"accuracy   {acc:.4f}"),
+                ("precision", overall.precision, _prf_line("overall", overall)),
+                ("recall", overall.recall, None),
+                ("f1", overall.f1, None),
+            ]
+            figures += [
+                (f"f1_{name}", scores.f1, _prf_line(name, scores))
+                for name, scores in sorted(r.per_type.items())
+            ]
+    for _, _, line in figures:
+        if line is not None:
+            print(line)
     if args.kv:
-        _print_kv(kv)
+        for key, value, _ in figures:
+            print(f"{key}={value:.6f}")
     return 0
 
 
@@ -385,15 +352,11 @@ def cmd_weights(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         # numpy overflow and invalid values raise FloatingPointError (exit 1 below)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
+    except SystemExit as exc:  # argparse's own usage errors, and --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

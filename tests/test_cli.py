@@ -150,6 +150,93 @@ def test_full_dependency_pipeline(tmp_path, capsys):
     assert 0.0 <= float(kv["complete"]) <= 1.0
 
 
+# ---------------------------------------------------------------- eval output
+
+# gold and predicted corpora small enough to score by hand, one case per
+# report that `eval` prints
+RAW_GOLD = "a x N\nb y V\n\nc z D\n"
+RAW_PRED = "a x N\nb y N\n\nc z D\n"
+BIE_GOLD = "a B\nb E\nc B\nd I\ne E\nf E\n"  # words ab, cde, f
+BIE_PRED = "a B\nb E\nc B\nd I\ne I\nf E\n"  # words ab, cdef
+BIE_VOCAB = "a B\nb E\n\nf E\nx B\ny E\n"  # words ab, f, xy
+BIO_GOLD = "John B-PER\nSmith I-PER\nin O\nParis B-LOC\n\nMary B-PER\nleft O\n"
+BIO_PRED = "John B-PER\nSmith I-PER\nin O\nParis B-PER\n\nMary B-PER\nleft B-LOC\n"
+
+
+def conll(*heads):
+    """A CoNLL-X corpus with one sentence per tuple of HEAD values."""
+    return "".join(
+        "".join(f"{i}\tw{i}\t_\tX\tX\t_\t{h}\tdep\t_\t_\n" for i, h in enumerate(hs, 1)) + "\n"
+        for hs in heads
+    )
+
+
+EVAL_CASES = {
+    "raw": (
+        ["--task", "seq"], RAW_GOLD, RAW_PRED, None,
+        "accuracy  0.6667  (2/3)\n"
+        "accuracy=0.666667\n",
+    ),
+    "bie": (
+        ["--task", "seq", "--scheme", "bie"], BIE_GOLD, BIE_PRED, None,
+        "accuracy   0.8333\n"
+        "precision  0.5000\n"
+        "recall     0.3333\n"
+        "f1         0.4000\n"
+        "accuracy=0.833333\n"
+        "precision=0.500000\n"
+        "recall=0.333333\n"
+        "f1=0.400000\n",
+    ),
+    "bie-vocab": (
+        ["--task", "seq", "--scheme", "bie"], BIE_GOLD, BIE_PRED, BIE_VOCAB,
+        "accuracy   0.8333\n"
+        "precision  0.5000\n"
+        "recall     0.3333\n"
+        "f1         0.4000\n"
+        "r_iv       0.5000  (1/2)\n"
+        "accuracy=0.833333\n"
+        "precision=0.500000\n"
+        "recall=0.333333\n"
+        "f1=0.400000\n"
+        "r_iv=0.500000\n",
+    ),
+    "bio": (
+        ["--task", "seq", "--scheme", "bio"], BIO_GOLD, BIO_PRED, None,
+        "accuracy   0.6667\n"
+        "overall    P 0.5000  R 0.6667  F1 0.5714\n"
+        "LOC        P 0.0000  R 0.0000  F1 0.0000\n"
+        "PER        P 0.6667  R 1.0000  F1 0.8000\n"
+        "accuracy=0.666667\n"
+        "precision=0.500000\n"
+        "recall=0.666667\n"
+        "f1=0.571429\n"
+        "f1_LOC=0.000000\n"
+        "f1_PER=0.800000\n",
+    ),
+    "dep": (
+        ["--task", "dep"], conll((2, 3, 0), (0, 1, 1)), conll((3, 3, 0), (0, 1, 1)), None,
+        "accuracy  0.8333  (5/6)\n"
+        "complete  0.5000  (1/2)\n"
+        "accuracy=0.833333\n"
+        "complete=0.500000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_eval_report_and_kv_lines(tmp_path, capsys, case):
+    flags, gold, pred, vocab, expected = EVAL_CASES[case]
+    (tmp_path / "gold").write_text(gold)
+    (tmp_path / "pred").write_text(pred)
+    argv = ["eval", *flags, "--gold", str(tmp_path / "gold"), "--pred", str(tmp_path / "pred")]
+    if vocab is not None:
+        (tmp_path / "vocab").write_text(vocab)
+        argv += ["--vocab", str(tmp_path / "vocab")]
+    assert cli.main([*argv, "--kv"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def root_children(path):
     return [inst.heads.count(0) for inst in read_dependency_corpus(str(path))]
 
@@ -521,6 +608,97 @@ def test_bad_env_value_stops_only_the_commands_that_read_it(
     capsys.readouterr()
     assert cli.main(train_args(d)) == 2
     assert "bad value for MTL_MAX_ITER" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "var,value,command",
+    [("MTL_TASK", "foo", "train"), ("MTL_DECODER", "foo", "train"), ("MTL_SCHEME", "xyz", "eval")],
+)
+def test_env_value_outside_the_flag_choices_exits_2(
+    seq_setup, capsys, monkeypatch, var, value, command
+):
+    d = seq_setup
+    (d / "train.conll").write_text(dependency_text(6, seed=53))
+    if command == "train":
+        argv = ["train", "--data", str(d / "train.conll"), "-o", str(d / "model.mkl"), "-e", "0.2"]
+        if var != "MTL_TASK":
+            argv += ["--task", "dep"]
+    else:
+        argv = ["eval", "--task", "seq", "--gold", str(d / "test.txt"),
+                "--pred", str(d / "test.txt")]
+    monkeypatch.setenv(var, value)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad value for {var}: '{value}'" in err and "Traceback" not in err
+    assert not (d / "model.mkl").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "weights"])
+def test_a_command_without_the_env_flag_ignores_its_variable(
+    seq_setup, capsys, monkeypatch, command
+):
+    # `eval --task` reads no variable, and `weights` has no --task
+    d = seq_setup
+    assert cli.main(train_args(d)) == 0
+    monkeypatch.setenv("MTL_TASK", "foo")
+    argv = {
+        "eval": ["eval", "--task", "seq", "--gold", str(d / "test.txt"),
+                 "--pred", str(d / "test.txt")],
+        "weights": ["weights", "-m", str(d / "model.mkl")],
+    }[command]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+
+# a value for the MTL_ variable of every flag that some command has, each
+# one its flag accepts
+ENV_RAW = {
+    "task": "dep", "templates": "t.txt", "data": "d.txt", "model": "m.mkl", "c": "2.5",
+    "epsilon": "0.25", "max_iter": "7", "uniform": "yes", "c_times_n": "on", "jobs": "3",
+    "decoder": "nonprojective", "single_root": "true", "fixed_groups": "U00,B",
+    "scheme": "bie", "output": "o.txt", "vocab": "v.txt", "kv": "1", "csv": "1",
+    "help": "1", "gold": "g.txt", "pred": "p.txt",
+}
+# per command: its required flags, given on the command line, which wins
+# over any variable, and what each flag that reads its variable parses
+ENV_COMMANDS = {
+    "train": (["train"], {
+        "task": "dep", "templates": "t.txt", "data": "d.txt", "model": "m.mkl", "c": 2.5,
+        "epsilon": 0.25, "max_iter": 7, "uniform": True, "c_times_n": True, "jobs": 3,
+        "decoder": "nonprojective", "single_root": True, "fixed_groups": "U00,B",
+    }),
+    "predict": (["predict", "-m", "m", "--data", "x"], {"jobs": 3}),
+    "eval": (["eval", "--task", "seq", "--gold", "g", "--pred", "p"], {"scheme": "bie"}),
+    "weights": (["weights", "-m", "m"], {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENV_COMMANDS))
+def test_which_flags_read_the_environment(monkeypatch, command):
+    argv, read = ENV_COMMANDS[command]
+    for name in os.environ:
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    plain = vars(cli.build_parser().parse_args(argv))
+    for dest, raw in ENV_RAW.items():
+        monkeypatch.setenv(cli.ENV_PREFIX + dest.upper(), raw)
+    from_env = vars(cli.build_parser().parse_args(argv))
+    changed = {k: from_env.get(k) for k in plain | from_env if from_env.get(k) != plain.get(k)}
+    assert changed == read
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_c_times_n_scales_c_by_the_corpus_size(seq_setup, capsys, monkeypatch, how):
+    d = seq_setup
+    if how == "flag":
+        args = train_args(d, **{"-c": "0.25", "--c-times-n": True})
+    else:
+        monkeypatch.setenv("MTL_C_TIMES_N", "1")
+        args = train_args(d, **{"-c": "0.25"})
+    assert cli.main(args) == 0
+    err = capsys.readouterr().err
+    assert "n=12 " in err and " C=3 " in err  # 0.25 times the 12 training sentences
+    assert Model.load(str(d / "model.mkl")).diagnostics["C"] == "3"
 
 
 def test_uniform_env_flag(seq_setup, capsys, monkeypatch):
