@@ -36,7 +36,7 @@ from .metrics import (
 from .model import Model, ModelFormatError
 from .sequence import SequenceTask
 from .solver import SolverConfig, parallel_decode, train
-from .templates import TemplateError, parse_templates, validate_columns
+from .templates import TemplateError, parse_templates
 
 ENV_PREFIX = "MTL_"
 
@@ -172,7 +172,6 @@ def cmd_train(args) -> int:
             raise CorpusFormatError(f"{args.data}: no sentences")
         table.freeze()
         n_columns = len(instances[0].tokens[0])
-        validate_columns(specs, n_columns)
         task = SequenceTask.build(specs, instances, table)
     else:
         template_text = _open_text(args.templates) if args.templates else default_edge_templates()
@@ -259,6 +258,8 @@ def _prf_line(name: str, scores) -> str:
 
 
 def cmd_eval(args) -> int:
+    if args.vocab and (args.task, args.scheme) != ("seq", "bie"):
+        raise UsageError("--vocab is used only with --scheme bie")
     # one (kv key, value, report line) per figure; the line is None for a
     # figure that an earlier line already prints
     if args.task == "dep":

@@ -10,13 +10,18 @@ Two on-disk formats are supported:
   missing value.  Only the six named fields are interpreted; the rest are
   preserved on read and echoed back on write.
 
+Both are read through one sentence reader, `_sentences`: a blank or
+whitespace-only line ends a sentence, however many come in a row, and CRLF
+reads like LF.  Every format error names its line, a HEAD error its
+sentence, and a sentence's errors are raised before the next one is read.
+
 `size_chunks` is the one batching policy of both decoders: a pass's
 instances, stable-sorted by size, cut into chunks within a cost budget.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import add
 from pathlib import Path
@@ -101,15 +106,31 @@ class DependencyInstance:
         return len(self.tokens)
 
 
-@contextmanager
-def _lines(source: str | Path | IO[str]) -> Iterator[IO[str]]:
-    """The lines of a path, opened as UTF-8 and closed on exit, or of an
-    open text stream, left open."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield handle
-    else:
-        yield source
+def _sentences(
+    source: str | Path | IO[str], split: Callable[[str], list[str]]
+) -> Iterator[tuple[int, list[list[str]]]]:
+    """Each sentence of `source` as its first line number and its rows.
+
+    A path is opened as UTF-8 and closed at the end; an open text stream is
+    left open.  `split` cuts each line into a row, and a line that splits to
+    nothing is blank and ends a sentence.
+    """
+    path = isinstance(source, (str, Path))
+    with open(source, encoding="utf-8") if path else nullcontext(source) as lines:
+        rows: list[list[str]] = []
+        first = 1  # the line number of rows[0]
+        for line in lines:
+            cols = split(line)
+            if cols:
+                rows.append(cols)
+                continue
+            if rows:
+                yield first, rows
+                first += len(rows)
+                rows = []
+            first += 1
+        if rows:
+            yield first, rows
 
 
 def read_sequence_corpus(
@@ -129,39 +150,24 @@ def read_sequence_corpus(
     if labeled and label_table is None:
         raise ValueError("label_table is required for labeled corpora")
     instances: list[SequenceInstance] = []
-    tokens: list[Token] = []
-    labels: list[int] = []
     n_cols = expected_columns
-
-    def flush() -> None:
-        nonlocal tokens, labels
-        if tokens:
-            instances.append(SequenceInstance(tokens, labels if labeled else None))
-            tokens, labels = [], []
-
-    with _lines(source) as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split()
-            if n_cols is None:
-                n_cols = len(cols)
+    for first, rows in _sentences(source, str.split):
+        if n_cols is None:
+            n_cols = len(rows[0])
+        for lineno, cols in enumerate(rows, start=first):
             if len(cols) != n_cols:
                 raise CorpusFormatError(
                     f"line {lineno}: expected {n_cols} columns, got {len(cols)}"
                 )
-            if labeled:
-                if n_cols < 2:
-                    raise CorpusFormatError(
-                        f"line {lineno}: a labeled corpus needs at least 2 columns"
-                    )
-                tokens.append(tuple(cols[:-1]))
-                labels.append(label_table.intern(cols[-1]))
-            else:
-                tokens.append(tuple(cols))
-    flush()
+            if labeled and n_cols < 2:
+                raise CorpusFormatError(
+                    f"line {lineno}: a labeled corpus needs at least 2 columns"
+                )
+        if labeled:
+            tokens = [tuple(cols[:-1]) for cols in rows]
+            instances.append(SequenceInstance(tokens, [label_table.intern(c[-1]) for c in rows]))
+        else:
+            instances.append(SequenceInstance(list(map(tuple, rows))))
     return instances
 
 
@@ -235,6 +241,11 @@ _CONLL_FIELDS = 10
 _HEAD_FIELD = 6
 
 
+def _tab_fields(line: str) -> list[str]:
+    """A CoNLL-X line's tab-separated fields; none for a blank line."""
+    return [] if line.isspace() else line.rstrip("\r\n").split("\t")
+
+
 def read_dependency_corpus(source) -> list[DependencyInstance]:
     """Read CoNLL-X sentences.
 
@@ -242,25 +253,23 @@ def read_dependency_corpus(source) -> list[DependencyInstance]:
     prediction input).  Annotated heads must encode a tree rooted at 0.
     """
     instances: list[DependencyInstance] = []
-    rows: list[tuple[int, list[str]]] = []
-
-    def flush() -> None:
-        nonlocal rows
-        if not rows:
-            return
-        sent_no = len(instances) + 1
-        n = len(rows)
+    for first, rows in _sentences(source, _tab_fields):
+        if {*map(len, rows)} != {_CONLL_FIELDS}:
+            lineno, cols = next(r for r in enumerate(rows, first) if len(r[1]) != _CONLL_FIELDS)
+            raise CorpusFormatError(
+                f"line {lineno}: expected {_CONLL_FIELDS} tab-separated fields, "
+                f"got {len(cols)}"
+            )
         tokens: list[Token] = []
         raw_heads: list[str] = []
-        fields: list[list[str]] = []
-        for i, (lineno, cols) in enumerate(rows):
+        for i, cols in enumerate(rows):
             if cols[0] != str(i + 1):
                 raise CorpusFormatError(
-                    f"line {lineno}: ID {cols[0]!r} out of order (expected {i + 1})"
+                    f"line {first + i}: ID {cols[0]!r} out of order (expected {i + 1})"
                 )
             tokens.append((cols[1], cols[2], cols[3], cols[4]))
             raw_heads.append(cols[_HEAD_FIELD])
-            fields.append(cols)
+        sent_no, n = len(instances) + 1, len(rows)
         heads: list[int] | None
         if all(h == "_" for h in raw_heads):
             heads = None
@@ -282,23 +291,7 @@ def read_dependency_corpus(source) -> list[DependencyInstance]:
                 raise CorpusFormatError(
                     f"sentence {sent_no}: HEAD assignment is not a tree (cycle)"
                 )
-        instances.append(DependencyInstance(tokens, heads, fields))
-        rows = []
-
-    with _lines(source) as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split("\t")
-            if len(cols) != _CONLL_FIELDS:
-                raise CorpusFormatError(
-                    f"line {lineno}: expected {_CONLL_FIELDS} tab-separated fields, "
-                    f"got {len(cols)}"
-                )
-            rows.append((lineno, cols))
-    flush()
+        instances.append(DependencyInstance(tokens, heads, rows))
     return instances
 
 

@@ -80,7 +80,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import DependencyInstance, find_cycle, size_chunks
-from .templates import TemplateError, boundary_symbol, parse_offset
+from .templates import TemplateError, boundary_symbol, parse_offset, parse_rules
 
 ROOT_TOKEN = ("<root>", "<root>", "<root>", "<root>")
 FIELDS = {"FORM": 0, "LEMMA": 1, "CPOSTAG": 2, "POSTAG": 3}
@@ -111,32 +111,23 @@ class EdgeTemplateSpec:
 
 def parse_edge_templates(text: str) -> list[EdgeTemplateSpec]:
     """Parse edge templates, preserving file order."""
-    specs: list[EdgeTemplateSpec] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        index, sep, body = line.partition(":")
-        if not sep or not index or not body:
-            raise TemplateError(f"line {lineno}: expected 'Index:selector/...', got {raw!r}")
-        selectors = []
-        for part in body.split("/"):
-            m = _SELECTOR.match(part)
-            if m is None:
-                raise TemplateError(f"line {lineno}: malformed selector {part!r}")
-            anchor, offset, fieldname = m.groups("0")  # "0" when no offset is given
-            if anchor == "between":
-                if offset != "0":
-                    raise TemplateError(f"line {lineno}: 'between' takes no offset")
-                if any(sel.anchor == "between" for sel in selectors):
-                    raise TemplateError(f"line {lineno}: at most one 'between' selector")
-            selectors.append(EdgeSelector(anchor, parse_offset(offset, lineno), FIELDS[fieldname]))
-        if index in seen:
-            raise TemplateError(f"line {lineno}: duplicate template index {index!r}")
-        seen.add(index)
-        specs.append(EdgeTemplateSpec(index, tuple(selectors)))
-    return specs
+    return parse_rules(text, "'Index:selector/...'", _edge_rule, {})
+
+
+def _edge_rule(index: str, body: str, lineno: int) -> EdgeTemplateSpec:
+    selectors = []
+    for part in body.split("/"):
+        m = _SELECTOR.match(part)
+        if m is None:
+            raise TemplateError(f"line {lineno}: malformed selector {part!r}")
+        anchor, offset, fieldname = m.groups("0")  # "0" when no offset is given
+        if anchor == "between":
+            if offset != "0":
+                raise TemplateError(f"line {lineno}: 'between' takes no offset")
+            if any(sel.anchor == "between" for sel in selectors):
+                raise TemplateError(f"line {lineno}: at most one 'between' selector")
+        selectors.append(EdgeSelector(anchor, parse_offset(offset, lineno), FIELDS[fieldname]))
+    return EdgeTemplateSpec(index, tuple(selectors))
 
 
 def default_edge_templates() -> str:

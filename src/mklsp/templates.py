@@ -1,12 +1,15 @@
 """Feature template parsing, template keys, and per-group alphabets.
 
-Template files follow the CRF++ conventions: one rule per line, ``#`` starts
-a comment, blank lines are ignored.  An observation rule looks like
-``U02:%x[0,0]`` where ``%x[row,col]`` picks the token ``row`` positions away
-from the current one and reads its column ``col``; several macros can be
-joined with ``/`` (``U05:%x[-1,0]/%x[0,0]``).  The bare line ``B`` switches
-on the label-transition group, so ``B`` is not an observation index.  Each
-rule owns one feature group.  No offset exceeds `MAX_OFFSET` either way.
+Template files follow the CRF++ conventions, and `parse_rules` reads them
+for both grammars (this one and the parser's edge selectors): one
+``Index:body`` rule per line with distinct indices, a line starting with
+``#`` is a comment, blank lines are skipped, CRLF reads like LF, and errors
+name the line.  An observation rule looks like ``U02:%x[0,0]`` where
+``%x[row,col]`` picks the token ``row`` positions away from the current one
+and reads its column ``col``; several macros can be joined with ``/``
+(``U05:%x[-1,0]/%x[0,0]``).  The bare line ``B`` switches on the
+label-transition group, so ``B`` is not an observation index.  Each rule
+owns one feature group.  No offset exceeds `MAX_OFFSET` either way.
 
 Features are keyed by value (`TemplateKeys`): a one-macro rule fires the
 value it reads, a rule with K macros the K-tuple of its values.  A feature's
@@ -55,37 +58,47 @@ class TemplateSpec:
     macros: tuple[tuple[int, int], ...] = ()  # (row offset, column)
 
 
-def parse_templates(text: str) -> list[TemplateSpec]:
-    """Parse a template file into specs, preserving file order."""
-    specs: list[TemplateSpec] = []
+def parse_rules(text: str, form: str, parse: Callable[[str, str, int], Any], bare: dict) -> list:
+    """The specs of a template file's rules, in file order: blank lines and
+    ``#`` comments are skipped, a line that `bare` holds is its spec there,
+    and any other, split as ``index:body`` (of the shape `form` names), is
+    `parse(index, body, lineno)`.  Then the spec's index must be new."""
+    specs: list = []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line == "B":
-            spec = TemplateSpec("B", TRANSITION)
-        else:
+        spec = bare.get(line)
+        if spec is None:
             index, sep, body = line.partition(":")
             if not sep or not index or not body:
-                raise TemplateError(
-                    f"line {lineno}: expected 'Index:%x[row,col]/...' or 'B', got {raw!r}"
-                )
-            if index == "B":
-                # a model reads the group named B as the transition block
-                raise TemplateError(f"line {lineno}: index 'B' is reserved for transitions")
-            macros = []
-            for part in body.split("/"):
-                m = _MACRO.match(part)
-                if m is None:
-                    raise TemplateError(f"line {lineno}: malformed macro {part!r}")
-                macros.append((parse_offset(m.group(1), lineno), int(m.group(2))))
-            spec = TemplateSpec(index, OBSERVATION, tuple(macros))
+                raise TemplateError(f"line {lineno}: expected {form}, got {raw!r}")
+            spec = parse(index, body, lineno)
         if spec.index in seen:
             raise TemplateError(f"line {lineno}: duplicate template index {spec.index!r}")
         seen.add(spec.index)
         specs.append(spec)
     return specs
+
+
+def parse_templates(text: str) -> list[TemplateSpec]:
+    """Parse a template file into specs, preserving file order."""
+    transition = {"B": TemplateSpec("B", TRANSITION)}
+    return parse_rules(text, "'Index:%x[row,col]/...' or 'B'", _observation_rule, transition)
+
+
+def _observation_rule(index: str, body: str, lineno: int) -> TemplateSpec:
+    if index == "B":
+        # a model reads the group named B as the transition block
+        raise TemplateError(f"line {lineno}: index 'B' is reserved for transitions")
+    macros = []
+    for part in body.split("/"):
+        m = _MACRO.match(part)
+        if m is None:
+            raise TemplateError(f"line {lineno}: malformed macro {part!r}")
+        macros.append((parse_offset(m.group(1), lineno), int(m.group(2))))
+    return TemplateSpec(index, OBSERVATION, tuple(macros))
 
 
 def boundary_symbol(position: int, length: int) -> str | None:

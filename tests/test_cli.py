@@ -237,6 +237,30 @@ def test_eval_report_and_kv_lines(tmp_path, capsys, case):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--task", "seq"],
+        ["--task", "seq", "--scheme", "bio"],
+        ["--task", "dep"],
+        ["--task", "dep", "--scheme", "bie"],
+    ],
+)
+@pytest.mark.parametrize("files", ["present", "missing"])
+def test_vocab_is_refused_without_scheme_bie(tmp_path, capsys, flags, files):
+    # only bie scores R_iv, so a vocabulary given to any other report is a
+    # usage error, raised before any file is read
+    if files == "present":
+        gold, pred = EVAL_CASES["dep" if "dep" in flags else "bio"][1:3]
+        (tmp_path / "gold").write_text(gold)
+        (tmp_path / "pred").write_text(pred)
+        (tmp_path / "vocab").write_text(BIE_VOCAB)
+    paths = [str(tmp_path / name) for name in ("gold", "pred", "vocab")]
+    argv = ["eval", *flags, "--gold", paths[0], "--pred", paths[1], "--vocab", paths[2], "--kv"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: --vocab is used only with --scheme bie\n")
+
+
 def root_children(path):
     return [inst.heads.count(0) for inst in read_dependency_corpus(str(path))]
 

@@ -327,3 +327,90 @@ def test_path_and_stream_read_alike(tmp_path, as_path):
     assert from_path == read_dependency_corpus(io.StringIO(CONLL_TEXT))
     assert [inst.heads for inst in from_path] == [[2, 0], [0]]
     assert from_path[0].tokens[0][0] == "naïve"
+
+
+# Framing: blank and whitespace-only lines end a sentence however many there
+# are, CRLF reads like LF (a StringIO does not translate it), a final newline
+# is optional, and errors name the line they would name in LF text.
+SEQ_FRAMED = "\n \t\nnaïve JJ B\ncafé  NN\tE\n\n\n   \nx NN B\n\t\ny NN E"
+SEQ_PLAIN = "naïve JJ B\ncafé NN E\n\nx NN B\n\ny NN E\n"
+CONLL_FRAMED = "\n".join(
+    ["", " ", conll_line(1, 2, form="naïve"), conll_line(2, 0), "", "\t\t", "",
+     conll_line(1, 0), " \t ", conll_line(1, 0), conll_line(2, 1)]
+)
+CONLL_PLAIN = "\n".join(
+    [conll_line(1, 2, form="naïve"), conll_line(2, 0), "", conll_line(1, 0), "",
+     conll_line(1, 0), conll_line(2, 1), ""]
+)
+
+
+def framings(tmp_path, text):
+    """`text` as LF and CRLF, each as a path and as a StringIO."""
+    sources = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        raw = text.replace("\n", newline)
+        path = tmp_path / name
+        path.write_bytes(raw.encode("utf-8"))
+        sources += [(f"{name}-path", path), (f"{name}-stream", io.StringIO(raw))]
+    return sources
+
+
+def strip_last_column(text):
+    return "\n".join(" ".join(line.split()[:-1]) if line.split() else line
+                     for line in text.split("\n"))
+
+
+def test_sequence_framing_is_read_alike(tmp_path):
+    expected, labels = seq(SEQ_PLAIN)
+    assert len(expected) == 3
+    for name, source in framings(tmp_path, SEQ_FRAMED):
+        table = LabelTable()
+        assert read_sequence_corpus(source, label_table=table) == expected, name
+        assert table.labels() == labels.labels(), name
+    bare = [SequenceInstance(inst.tokens) for inst in expected]
+    for name, source in framings(tmp_path, strip_last_column(SEQ_FRAMED)):
+        assert read_sequence_corpus(source, labeled=False) == bare, name
+
+
+def test_dependency_framing_is_read_alike(tmp_path):
+    expected = read_dependency_corpus(io.StringIO(CONLL_PLAIN))
+    assert [inst.heads for inst in expected] == [[2, 0], [0], [0, 1]]
+    for name, source in framings(tmp_path, CONLL_FRAMED):
+        assert read_dependency_corpus(source) == expected, name
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # a bad ID and, on a later line of the same sentence, a wrong field count
+        ("\n".join([conll_line(1, 0), conll_line(3, 1), "1\tw\tw"]),
+         "line 3: expected 10 tab-separated fields, got 3"),
+        ("\n".join([conll_line(1, 0), " ", conll_line(1, 0), conll_line(3, 1)]),
+         "line 4: ID '3' out of order (expected 2)"),
+        # a sentence's HEAD error before a later sentence's field count
+        ("\n".join([conll_line(1, 1), "", "", "1\tw"]),
+         "sentence 1: HEAD assignment is not a tree (cycle)"),
+        ("\n".join([conll_line(1, 0), "\t", conll_line(1, "_"), conll_line(2, 1)]),
+         "sentence 2: HEAD must be fully annotated or fully missing"),
+    ],
+)
+def test_dependency_errors_keep_their_line_and_order(tmp_path, text, message):
+    for name, source in framings(tmp_path, text):
+        with pytest.raises(CorpusFormatError) as err:
+            read_dependency_corpus(source)
+        assert str(err.value) == message, name
+
+
+@pytest.mark.parametrize(
+    "text,kw,message",
+    [
+        ("a b X\n \n\nc Y", {}, "line 4: expected 3 columns, got 2"),
+        ("a X\nb\n\nc Y", {"expected_columns": 1}, "line 1: expected 1 columns, got 2"),
+        ("a\n\nb c", {"expected_columns": 1}, "line 1: a labeled corpus needs at least 2 columns"),
+    ],
+)
+def test_sequence_errors_keep_their_line(tmp_path, text, kw, message):
+    for name, source in framings(tmp_path, text):
+        with pytest.raises(CorpusFormatError) as err:
+            read_sequence_corpus(source, label_table=LabelTable(), **kw)
+        assert str(err.value) == message, name

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mklsp.corpus import LabelTable, SequenceInstance
+from mklsp.dependency import parse_edge_templates
 from mklsp.model import MAGIC, Model
 from mklsp.sequence import SequenceTask
 from mklsp.templates import (
@@ -286,3 +287,49 @@ def test_read_task_compiles_like_the_built_task(corpus, unseen, text):
         a, b = task.compile(SequenceInstance(tokens)), loaded.compile(SequenceInstance(tokens))
         assert a.feats.dtype == b.feats.dtype and a.feats.shape == b.feats.shape
         assert np.array_equal(a.feats, b.feats)
+
+
+# Framing: comments, blank and whitespace-only lines are skipped, CRLF reads
+# like LF, a final newline is optional, and errors name the same line.
+TEMPLATES_FRAMED = "# tagger\n\n  \nU00:%x[0,0]\n\t\n\n# pair\n U01:%x[-1,0]/%x[0,1] \nB"
+EDGE_TEMPLATES_FRAMED = "\n# parser\nP00:head.FORM\n \n\nP01:head.POSTAG/between.POSTAG/mod.POSTAG"
+
+
+@pytest.mark.parametrize(
+    "parse,text,indices",
+    [
+        (parse_templates, TEMPLATES_FRAMED, ["U00", "U01", "B"]),
+        (parse_edge_templates, EDGE_TEMPLATES_FRAMED, ["P00", "P01"]),
+    ],
+)
+def test_template_framing_is_read_alike(parse, text, indices):
+    specs = parse(text)
+    assert [s.index for s in specs] == indices
+    assert parse(text.replace("\n", "\r\n")) == specs
+    assert parse(text + "\n") == specs
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    [
+        # a repeated index on a line whose body is malformed
+        (parse_templates, "U00:%x[0,0]\n\n# c\nU00:%x[0]", "line 4: malformed macro '%x[0]'"),
+        (parse_templates, "U00:%x[0,0]\nU00:%x[0,0]/%x[101,0]",
+         "line 2: offset 101 is more than 100 away"),
+        (parse_templates, "B\n \nB:%x[0,0]", "line 3: index 'B' is reserved for transitions"),
+        (parse_templates, "B\nU00:%x[0,0]\nB", "line 3: duplicate template index 'B'"),
+        (parse_templates, "U00:%x[0,0]\nU01", "line 2: expected 'Index:%x[row,col]/...' or 'B', "
+                                             "got 'U01'"),
+        (parse_edge_templates, "P00:head.FORM\n# c\nP00:head.SHAPE",
+         "line 3: malformed selector 'head.SHAPE'"),
+        (parse_edge_templates, "P00:head.FORM\nP00:between+1.FORM",
+         "line 2: 'between' takes no offset"),
+        (parse_edge_templates, "P00:head.FORM\n\nP00:mod.FORM", "line 3: duplicate template index 'P00'"),
+        (parse_edge_templates, "B", "line 1: expected 'Index:selector/...', got 'B'"),
+    ],
+)
+def test_template_errors_keep_their_line_and_order(parse, text, message):
+    for framed in (text, text.replace("\n", "\r\n")):
+        with pytest.raises(TemplateError) as err:
+            parse(framed)
+        assert str(err.value) == message
