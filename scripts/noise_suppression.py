@@ -4,7 +4,9 @@ pure noise.
 
 The synthetic corpus has two observation columns: the first determines the
 label, the second is random.  Learning the group weights should push the
-noise group's weight toward zero without hurting held-out accuracy.
+noise group's weight toward zero without hurting held-out accuracy.  The
+last column lists the groups the mkl model drops (mu exactly 0, see
+`solver.train`).
 """
 
 import argparse
@@ -37,7 +39,9 @@ def main():
     args = parser.parse_args()
 
     specs = parse_templates(NOISE_TEMPLATES)
-    print(f"{'seed':>4} {'mu_signal':>10} {'mu_noise':>9} {'acc_mkl':>8} {'acc_unif':>9}")
+    print(
+        f"{'seed':>4} {'mu_signal':>10} {'mu_noise':>9} {'acc_mkl':>8} {'acc_unif':>9} dropped"
+    )
     wins = 0
     for seed in range(args.seeds):
         train_insts, table = load_sequence(noise_text(args.n_train, seed=seed))
@@ -62,10 +66,11 @@ def main():
                 mus = result.mu
         signal = mus[task.group_ids.index("U00")]
         noise = mus[task.group_ids.index("U01")]
+        dropped = [g for g, mu in zip(task.group_ids, mus) if mu == 0.0]
         wins += signal > noise
         print(
             f"{seed:>4} {signal:>10.4f} {noise:>9.4f} "
-            f"{scores['mkl']:>8.4f} {scores['uniform']:>9.4f}"
+            f"{scores['mkl']:>8.4f} {scores['uniform']:>9.4f} {','.join(dropped) or '-'}"
         )
     print(f"\ninformative group preferred in {wins}/{args.seeds} runs")
 

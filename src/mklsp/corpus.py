@@ -107,20 +107,25 @@ class DependencyInstance:
 
 
 def _sentences(
-    source: str | Path | IO[str], split: Callable[[str], list[str]]
+    source: str | Path | IO[str], sep: str | None = None
 ) -> Iterator[tuple[int, list[list[str]]]]:
     """Each sentence of `source` as its first line number and its rows.
 
     A path is opened as UTF-8 and closed at the end; an open text stream is
-    left open.  `split` cuts each line into a row, and a line that splits to
-    nothing is blank and ends a sentence.
+    left open.  A blank or whitespace-only line ends a sentence.  Any other
+    line is one row: split at runs of whitespace when `sep` is None, else
+    stripped of its line end and split at every `sep`.  Both are string
+    methods called in the loop, with no Python call per line.
     """
     path = isinstance(source, (str, Path))
     with open(source, encoding="utf-8") if path else nullcontext(source) as lines:
         rows: list[list[str]] = []
         first = 1  # the line number of rows[0]
         for line in lines:
-            cols = split(line)
+            if sep is None:
+                cols = line.split()
+            else:
+                cols = [] if line.isspace() else line.rstrip("\r\n").split(sep)
             if cols:
                 rows.append(cols)
                 continue
@@ -151,7 +156,7 @@ def read_sequence_corpus(
         raise ValueError("label_table is required for labeled corpora")
     instances: list[SequenceInstance] = []
     n_cols = expected_columns
-    for first, rows in _sentences(source, str.split):
+    for first, rows in _sentences(source):
         if n_cols is None:
             n_cols = len(rows[0])
         for lineno, cols in enumerate(rows, start=first):
@@ -241,11 +246,6 @@ _CONLL_FIELDS = 10
 _HEAD_FIELD = 6
 
 
-def _tab_fields(line: str) -> list[str]:
-    """A CoNLL-X line's tab-separated fields; none for a blank line."""
-    return [] if line.isspace() else line.rstrip("\r\n").split("\t")
-
-
 def read_dependency_corpus(source) -> list[DependencyInstance]:
     """Read CoNLL-X sentences.
 
@@ -253,7 +253,7 @@ def read_dependency_corpus(source) -> list[DependencyInstance]:
     prediction input).  Annotated heads must encode a tree rooted at 0.
     """
     instances: list[DependencyInstance] = []
-    for first, rows in _sentences(source, _tab_fields):
+    for first, rows in _sentences(source, "\t"):
         if {*map(len, rows)} != {_CONLL_FIELDS}:
             lineno, cols = next(r for r in enumerate(rows, first) if len(r[1]) != _CONLL_FIELDS)
             raise CorpusFormatError(

@@ -26,7 +26,11 @@ template reads its field, which positions precede which) are a read-only
 set has one layout, so `build`, the task it returns and every task that
 `Model.read` makes of those templates share its plans and build each once.
 The alphabets are plain tuples of strings, and the extractor's `ends` array
-of group boundaries is shared by every compiled sentence.
+of group boundaries is shared by every compiled sentence.  A template whose
+alphabet is empty (a group a trained model dropped) fires nothing the model
+knows, so the layout, its plans and the key table cover only the templates
+with an alphabet: their firings are coded, fired and looked up, the others'
+are not.  An empty group has no width in `ends`, so no flat id moves.
 
 `DependencyTask.compile` does a sentence's string work only: it keeps the
 values its slots can read.  The rest runs in `EdgeFeatureExtractor.expand`,
@@ -337,7 +341,9 @@ class EdgeFeatureExtractor:
 
     `ends[j]` is the first flat feature id of template j, the sizes of the
     alphabets before it summed, and `ends[-1]` the total; the array is
-    read-only and shared by every compiled sentence.
+    read-only and shared by every compiled sentence.  `kept` lists the
+    templates whose alphabet is not empty, the ones `layout` and `keys`
+    cover, in order; each one's ids start at its own `ends` entry.
     """
 
     def __init__(self, specs: Sequence[EdgeTemplateSpec], alphabets: Sequence[tuple[str, ...]]):
@@ -347,9 +353,11 @@ class EdgeFeatureExtractor:
             raise ValueError("one alphabet per edge template required")
         self.ends = np.cumsum([0, *map(len, self.alphabets)], dtype=np.int64)
         self.ends.flags.writeable = False
-        self.layout = _edge_layout(tuple(self.specs))
-        offsets = self.ends[:-1].tolist()
-        self.keys = _KeyTable(self.specs, self.alphabets, offsets, self.layout.width)
+        self.kept = [t for t, alphabet in enumerate(self.alphabets) if alphabet]
+        specs = [self.specs[t] for t in self.kept]
+        self.layout = _edge_layout(tuple(specs))
+        alphabets = [self.alphabets[t] for t in self.kept]
+        self.keys = _KeyTable(specs, alphabets, self.ends[self.kept].tolist(), self.layout.width)
 
     @classmethod
     def build(
@@ -407,7 +415,7 @@ class EdgeFeatureExtractor:
         """
         todo = [inst for inst in instances if inst.firings is None and inst.extractor is self]
         sizes = [inst.n + 1 for inst in todo]
-        cost = len(self.specs)
+        cost = len(self.kept)
         for chunk in size_chunks(sizes, lambda n: cost * (n - 1) ** 2, _FIRINGS):
             for _, run in groupby(chunk, sizes.__getitem__):
                 self._expand([todo[i] for i in run])
@@ -615,6 +623,8 @@ class _KeyTable:
         the strings of codes V, V+1, ...  The slot codes are clamped to V in
         place.
         """
+        if not self.stages:  # no template, so no firing
+            return np.full(keys.shape[1], -1, dtype=np.int64)
         # (firing, its template's strings, its string) where only the string
         # can match: a value holding "/" reads V once clamped.  No vocabulary
         # value holds "/", so only the unseen ones are looked at.

@@ -22,13 +22,23 @@ empty).  The checksum covers the payload only, so two runs that learn
 identical parameters produce byte-identical payloads regardless of when
 they were written.
 
+A group that training dropped (see `solver.train`: mu exactly 0 and every
+weight 0) keeps its rule in the template text and its entry in meta
+`groups`, with mu 0, an empty alphabet block and an empty weight block, so
+the model's task fires none of its features.  `B` has a fixed size: a
+dropped `B` stores k * k zero weights.  `from_sequence` and
+`from_dependency` build that task the way `read` does, from the template
+text and the alphabets, so a model in memory and the same model loaded
+are one task.  A model whose every group is kept has the layout of
+the models written before groups were dropped.
+
 `Model.read` parses the template text once and builds the task from it and
 the alphabet blocks.  It raises ModelFormatError unless the text blocks are
 UTF-8, the task builds (the template parses, reads only columns the model
 has, and no alphabet repeats a string), its groups are the meta groups in
 order, `B`'s alphabet block is empty, mu is a point of the simplex and
-every weight block is finite and sized for its group, so every model that
-loads can decode.
+every weight block is finite and sized for its group (empty for an empty
+alphabet), so every model that loads can decode.
 """
 
 from __future__ import annotations
@@ -46,10 +56,10 @@ import numpy as np
 from .corpus import LabelTable
 from .dependency import DependencyTask, EdgeFeatureExtractor, parse_edge_templates
 from .sequence import SequenceTask
+from .solver import MU_SUM_TOL
 from .templates import OBSERVATION, parse_templates, validate_columns
 
 MAGIC = "MKLSP1"
-_MU_SUM_TOL = 1e-9  # trained mu sums to 1 within a few ulps
 
 # meta key -> (JSON type, required); list values hold distinct strings only
 _META_FIELDS = {
@@ -87,6 +97,7 @@ class Model:
         weights: list[np.ndarray],
         diagnostics: dict[str, str] | None = None,
     ) -> "Model":
+        task, weights = _dropping(task, template_text, n_columns, mu, weights)
         return cls(task, template_text, n_columns, mu, weights, dict(diagnostics or {}))
 
     @classmethod
@@ -98,6 +109,7 @@ class Model:
         weights: list[np.ndarray],
         diagnostics: dict[str, str] | None = None,
     ) -> "Model":
+        task, weights = _dropping(task, template_text, 10, mu, weights)
         return cls(task, template_text, 10, mu, weights, dict(diagnostics or {}))
 
     def build_task(self) -> SequenceTask | DependencyTask:
@@ -108,17 +120,7 @@ class Model:
 
     def _payload_blocks(self) -> list[bytes]:
         task = self.task
-        seq = isinstance(task, SequenceTask)
-        meta = {
-            "task": "seq" if seq else "dep",
-            "n_columns": self.n_columns,
-            "groups": task.group_ids,
-            "labels": task.labels.labels() if seq else [],
-            # a tagger stores the parser defaults
-            "decoder": "projective" if seq else task.decoder,
-            "single_root": False if seq else task.single_root,
-            "diagnostics": self.diagnostics,
-        }
+        meta = {**_task_meta(task, self.n_columns), "diagnostics": self.diagnostics}
         alphabets = _alphabets(task)
         blocks = [
             json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"),
@@ -217,7 +219,7 @@ class Model:
         if any(strings[n_alphabets:]):
             raise ModelFormatError(f"group {groups[-1]!r} interns no strings, but stores some")
         mu = _floats(blocks[2], "mu")
-        if mu.size != m or mu.min(initial=0.0) < 0 or abs(mu.sum() - 1.0) > _MU_SUM_TOL:
+        if mu.size != m or mu.min(initial=0.0) < 0 or abs(mu.sum() - 1.0) > MU_SUM_TOL:
             raise ModelFormatError(f"mu is not a point of the {m}-group simplex: {mu!r}")
         weights = []
         for gid, want, block in zip(groups, task.group_dims, blocks[3 + m :], strict=True):
@@ -228,6 +230,38 @@ class Model:
         return cls(
             task, template_text, meta["n_columns"], mu, weights, meta.get("diagnostics", {})
         )
+
+
+def _dropping(
+    task: SequenceTask | DependencyTask,
+    template_text: str,
+    n_columns: int,
+    mu: np.ndarray,
+    weights: list[np.ndarray],
+) -> tuple[SequenceTask | DependencyTask, list[np.ndarray]]:
+    """The task `read` builds of `task` with an empty alphabet for every
+    group whose mu is 0 and whose weights are all 0, and `weights` sized for
+    its groups."""
+    dropped = {j for j, (m, w) in enumerate(zip(mu, weights)) if m == 0.0 and not w.any()}
+    if not dropped:
+        return task, weights
+    strings = [[] if j in dropped else list(a) for j, a in enumerate(_alphabets(task))]
+    task = _build_task(_task_meta(task, n_columns), template_text, strings)
+    return task, [w[:dim] for w, dim in zip(weights, task.group_dims, strict=True)]
+
+
+def _task_meta(task: SequenceTask | DependencyTask, n_columns: int) -> dict:
+    """The meta entries that describe `task`, all but the diagnostics."""
+    seq = isinstance(task, SequenceTask)
+    return {
+        "task": "seq" if seq else "dep",
+        "n_columns": n_columns,
+        "groups": task.group_ids,
+        "labels": task.labels.labels() if seq else [],
+        # a tagger stores the parser defaults
+        "decoder": "projective" if seq else task.decoder,
+        "single_root": False if seq else task.single_root,
+    }
 
 
 def _alphabets(task: SequenceTask | DependencyTask) -> list[tuple[str, ...]]:

@@ -8,7 +8,10 @@ and always sits last.
 
 `SequenceTask` parses its alphabet strings into key tables when it is made,
 after `build` and after `Model.read` alike; `compile` looks up every rule's
-keys (see `templates`) in one pass into a (G, l) array of feature ids.
+keys (see `templates`) in one pass into a (G, l) array of feature ids.  A
+rule whose alphabet is empty (a group a trained model dropped) fires
+nothing: `compile` computes no key for it, its compiled sentences carry no
+row for it, and neither the scorer nor the counted ids read it.
 
 A corpus is decoded in padded chunks: the sentences of a pass are
 stable-sorted by length and cut into chunks of B sentences within a fixed
@@ -60,7 +63,7 @@ class CompiledSequence:
     """A sentence reduced to firing feature ids (-1 where a group is silent)."""
 
     length: int  # token count
-    feats: np.ndarray  # (G, l) int64, one row per observation group
+    feats: np.ndarray  # (G, l) int64, one row per observation group the task fires
     gold: np.ndarray | None
 
 
@@ -168,6 +171,8 @@ class SequenceTask:
 
     `specs` is the whole rule list: its observation rules own the groups,
     one alphabet each, in order, and a ``B`` rule adds the transition group.
+    `kept` lists the observation groups whose alphabet is not empty, the
+    rows of every compiled sentence's `feats`.
     """
 
     def __init__(
@@ -182,8 +187,9 @@ class SequenceTask:
         self.transition = any(s.kind == TRANSITION for s in specs)
         if len(self.specs) != len(self.alphabets):
             raise ValueError("one alphabet per observation template required")
-        self.keys = TemplateKeys(self.specs)
-        self.lookups = [key_table(s, a) for s, a in zip(self.specs, self.alphabets)]
+        self.kept = [j for j, alphabet in enumerate(self.alphabets) if alphabet]
+        self.keys = TemplateKeys([self.specs[j] for j in self.kept])
+        self.lookups = [key_table(self.specs[j], self.alphabets[j]) for j in self.kept]
 
     @classmethod
     def build(
@@ -216,7 +222,7 @@ class SequenceTask:
         return dims
 
     def compile(self, instance: SequenceInstance) -> CompiledSequence:
-        g, l = len(self.specs), len(instance.tokens)
+        g, l = len(self.kept), len(instance.tokens)
         keys = self.keys(instance.tokens)
         ids = chain.from_iterable(map(get, k, repeat(-1)) for get, k in zip(self.lookups, keys))
         feats = np.fromiter(ids, dtype=np.int64, count=g * l).reshape(g, l)
@@ -227,9 +233,7 @@ class SequenceTask:
 
     def scorer(self, weights: Sequence[np.ndarray]) -> SequenceScorer:
         k = self.k
-        emissions = [
-            w.reshape(len(a), k) for w, a in zip(weights, self.alphabets, strict=False)
-        ]
+        emissions = [weights[j].reshape(len(self.alphabets[j]), k) for j in self.kept]
         trans = weights[-1].reshape(k, k) if self.transition else None
         return SequenceScorer(emissions, trans, k)
 
@@ -267,7 +271,8 @@ class SequenceTask:
         feats = np.concatenate([inst.feats for inst in instances], axis=1)
         offsets = np.cumsum([0, *self.group_dims])[:-1].tolist()
         ids = []
-        for f, off in zip(feats, offsets):
+        for f, j in zip(feats, self.kept, strict=True):
+            off = offsets[j]
             on = f >= 0
             ids.append(f[on] * k + y[on] + off)
         if self.transition:

@@ -36,6 +36,19 @@ arithmetic, and where groups tie exactly (identical Gram blocks) they can
 flip a tied decode, so another solver may take another path to an equally
 good model.
 
+The interior-point solve never returns an exact zero in mu, so after the
+loop `train` drops the groups the certificate allows (`_drop_groups`).
+The candidates are the free groups in ascending mu; the prefix of them
+whose summed mu stays within `MU_SUM_TOL` (1e-9) gets all-zero weights,
+the working set's value and the primal are taken again, and the prefix
+holds if its gap to the last record's dual is at most 1e-6, relative;
+otherwise a bisection over shorter prefixes drops one that holds, or none.
+Nothing makes the certificate monotone in the prefix length, so that is a
+certified prefix, not always the longest.  The dropped groups get mu 0
+in the result, no kept mu is rescaled (the sum still meets 1 within
+`MU_SUM_TOL`), and the trace keeps the loop's values.  Pinned groups are
+never dropped.
+
 A row p^r is kept as exact integer counts over one flat feature space
 (group j's ids offset by the sizes of the groups before it): decoded minus
 gold counts, the gold ones taken once per training run; the row stands for
@@ -67,6 +80,7 @@ _TO_BOUNDARY = 0.995  # share of the step to the nearest bound that a step takes
 _MU_FLOOR = 0.1  # lowest centring target, as a share of the stopping gap
 _STALLS = 3  # steps without a better point that end a solve on its rounding floor
 _CERTIFIED_GAP = 1e-6  # largest relative primal-dual gap `train` accepts on a record
+MU_SUM_TOL = 1e-9  # a trained mu sums to 1 within this; a dropped group's mu counts against it
 
 
 @dataclass
@@ -710,7 +724,9 @@ def train(
     its decode, row, Gram, subproblem and recovery phases, the diagnostics
     of its subproblem solve and its relative primal-dual gap; a gap above
     1e-6 raises RuntimeError, so no run whose arithmetic lost precision (a
-    huge C, say) is reported as converged.
+    huge C, say) is reported as converged.  After the loop, the result's
+    `mu` and `weights` drop the groups the last certificate allows
+    (`_drop_groups`); the records keep the loop's values.
     """
     n = len(instances)
     if n == 0:
@@ -794,4 +810,49 @@ def train(
                 break
 
     halt = "converged" if converged else "max-iterations"
-    return TrainResult(weights, mu, alpha, store.rows, trace, halt)
+    mu, flat = _drop_groups(store, flat, mu, pinned, dual, config.C)
+    return TrainResult(store.split(flat), mu, alpha, store.rows, trace, halt)
+
+
+def _drop_groups(
+    store: RowStore, flat: np.ndarray, mu: np.ndarray, pinned: np.ndarray, dual: float, C: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """mu and the concatenated weights with the groups the certificate
+    allows set to zero.
+
+    Candidates are the free groups (NaN in `pinned`) in ascending mu; the
+    prefix whose summed mu stays within `MU_SUM_TOL`, and whose removal
+    leaves mu summing to 1 within it, is tried first.  A prefix holds when
+    the primal of its zeroed weights, the working set's value taken again,
+    is within `_CERTIFIED_GAP` of `dual`, relative; if not, a bisection over
+    the shorter prefixes, one store pass per step, ends on one that holds
+    (not always the longest that does) or on none.  With no prefix to drop,
+    `mu` and `flat` come back as they are.
+    """
+    free = np.flatnonzero(np.isnan(pinned))
+    order = free[np.argsort(mu[free], kind="stable")]
+    cut = int(np.searchsorted(np.cumsum(mu[order]), MU_SUM_TOL, side="right"))
+
+    def dropped(k: int) -> tuple[np.ndarray, np.ndarray]:
+        kept_mu, kept = mu.copy(), flat.copy()
+        kept_mu[order[:k]] = 0.0
+        for j in order[:k].tolist():
+            kept[store.offsets[j] : store.offsets[j + 1]] = 0.0
+        return kept_mu, kept
+
+    def certified(k: int) -> bool:
+        kept_mu, kept = dropped(k)
+        if abs(kept_mu.sum() - 1.0) > MU_SUM_TOL:
+            return False
+        primal = primal_objective(kept, store, working_set_value(store, kept), C, pinned)
+        return abs(primal - dual) / max(1.0, abs(primal)) <= _CERTIFIED_GAP
+
+    good, bad = 0, cut + 1  # no group dropped is the loop's own certified record
+    k = cut
+    while k > good:
+        if certified(k):
+            good = k
+        else:
+            bad = k
+        k = (good + bad) // 2
+    return dropped(good) if good else (mu, flat)

@@ -525,14 +525,14 @@ def feature_counts(task, inst, output):
     prev * k + cur last), by candidate edge on the tree for a parser."""
     if hasattr(inst, "feats"):
         k = task.k
-        dicts = []
-        for feats in inst.feats:
-            d = {}
+        # one row of feats per observation group with an alphabet
+        dicts = [{} for _ in task.alphabets]
+        for j, feats in zip(task.kept, inst.feats, strict=True):
+            d = dicts[j]
             for t in range(inst.length):
                 if feats[t] >= 0:
                     key = int(feats[t]) * k + output[t]
                     d[key] = d.get(key, 0.0) + 1.0
-            dicts.append(d)
         if task.transition:
             d = {}
             for t in range(1, inst.length):

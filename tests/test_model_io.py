@@ -38,7 +38,7 @@ def trained_sequence_model(n=10, seed=41):
     model = Model.from_sequence(
         task, SEQ_TEMPLATES, 2, out.mu, out.weights, {"halt": out.halt_reason}
     )
-    return model, task, instances
+    return model, task, instances, out.weights
 
 
 def trained_dependency_model(n=8, seed=42, decoder="nonprojective", single_root=False):
@@ -48,11 +48,11 @@ def trained_dependency_model(n=8, seed=42, decoder="nonprojective", single_root=
     compiled = [task.compile(i) for i in instances]
     out = train(task, compiled, SolverConfig(C=1.0, epsilon=0.2))
     model = Model.from_dependency(task, DEP_TEMPLATES, out.mu, out.weights)
-    return model, task, instances
+    return model, task, instances, out.weights
 
 
 def test_sequence_round_trip(tmp_path):
-    model, task, instances = trained_sequence_model()
+    model, task, instances, weights = trained_sequence_model()
     path = tmp_path / "m.mkl"
     checksum = model.save(str(path))
     assert len(checksum) == 64
@@ -70,13 +70,14 @@ def test_sequence_round_trip(tmp_path):
     assert loaded.payload() == model.payload()
 
     rebuilt = loaded.build_task()
-    a, _ = task.decode_corpus(model.weights, [task.compile(i) for i in instances[:5]])
+    # the training task decodes with the trained weights, dropped groups' zeros included
+    a, _ = task.decode_corpus(weights, [task.compile(i) for i in instances[:5]])
     b, _ = rebuilt.decode_corpus(loaded.weights, [rebuilt.compile(i) for i in instances[:5]])
     assert a == b
 
 
 def test_dependency_round_trip(tmp_path):
-    model, task, instances = trained_dependency_model()
+    model, task, instances, weights = trained_dependency_model()
     path = tmp_path / "m.mkl"
     model.save(str(path))
     loaded = Model.load(str(path))
@@ -87,7 +88,8 @@ def test_dependency_round_trip(tmp_path):
     assert loaded.payload() == model.payload()
     rebuilt = loaded.build_task()
     assert rebuilt.decoder == "nonprojective"
-    a, _ = task.decode_corpus(model.weights, [task.compile(i) for i in instances[:5]])
+    # the training task decodes with the trained weights, dropped groups' zeros included
+    a, _ = task.decode_corpus(weights, [task.compile(i) for i in instances[:5]])
     b, _ = rebuilt.decode_corpus(loaded.weights, [rebuilt.compile(i) for i in instances[:5]])
     assert a == b
 
@@ -97,7 +99,7 @@ def test_dependency_round_trip(tmp_path):
     [("projective", False), ("projective", True), ("nonprojective", True)],
 )
 def test_dependency_payload_round_trip(tmp_path, decoder, single_root):
-    model, _, _ = trained_dependency_model(decoder=decoder, single_root=single_root)
+    model = trained_dependency_model(decoder=decoder, single_root=single_root)[0]
     path = tmp_path / "m.mkl"
     model.save(str(path))
     loaded = Model.load(str(path))
@@ -106,7 +108,7 @@ def test_dependency_payload_round_trip(tmp_path, decoder, single_root):
 
 
 def test_payload_is_time_independent(tmp_path):
-    model, _, _ = trained_sequence_model()
+    model = trained_sequence_model()[0]
     c1 = model.save(str(tmp_path / "a.mkl"))
     c2 = model.save(str(tmp_path / "b.mkl"))
     assert c1 == c2
@@ -116,7 +118,7 @@ def test_payload_is_time_independent(tmp_path):
 
 
 def test_header_carries_magic_created_checksum(tmp_path):
-    model, _, _ = trained_sequence_model()
+    model = trained_sequence_model()[0]
     checksum = model.save(str(tmp_path / "m.mkl"))
     head = (tmp_path / "m.mkl").read_bytes().split(b"\n\n", 1)[0].decode().split("\n")
     assert head[0] == MAGIC
@@ -125,7 +127,7 @@ def test_header_carries_magic_created_checksum(tmp_path):
 
 
 def test_checksum_mismatch_detected(tmp_path):
-    model, _, _ = trained_sequence_model()
+    model = trained_sequence_model()[0]
     path = tmp_path / "m.mkl"
     model.save(str(path))
     data = bytearray(path.read_bytes())
@@ -135,7 +137,7 @@ def test_checksum_mismatch_detected(tmp_path):
 
 
 def test_truncated_payload_detected(tmp_path):
-    model, _, _ = trained_sequence_model()
+    model = trained_sequence_model()[0]
     path = tmp_path / "m.mkl"
     model.save(str(path))
     data = path.read_bytes()
@@ -176,7 +178,7 @@ def with_meta(model, edit):
 
 
 def test_block_count_must_match_group_count(tmp_path):
-    model, _, _ = trained_sequence_model()
+    model = trained_sequence_model()[0]
     # drop the final weight block but keep lengths consistent
     raw = signed(model._payload_blocks()[:-1])
     with pytest.raises(ModelFormatError, match="blocks"):
@@ -224,7 +226,7 @@ def test_meta_must_be_an_object(seq_model):
 
 def test_empty_alphabet_block_round_trips(tmp_path):
     # the transition group stores no strings; its empty block must survive a round trip
-    model, _, _ = trained_sequence_model()
+    model = trained_sequence_model()[0]
     m = len(model.task.group_ids)
     assert model._payload_blocks()[2 + m] == b""
     path = tmp_path / "m.mkl"
@@ -235,7 +237,7 @@ def test_empty_alphabet_block_round_trips(tmp_path):
 
 
 def test_rebuilt_task_keeps_alphabets_frozen(tmp_path):
-    model, _, _ = trained_sequence_model()
+    model = trained_sequence_model()[0]
     path = tmp_path / "m.mkl"
     model.save(str(path))
     rebuilt = Model.load(str(path)).build_task()
@@ -481,6 +483,29 @@ def test_alphabet_block_repeating_a_string_is_a_format_error(
     assert cli.main(["weights", "-m", str(predict_inputs / "m.mkl")]) == 1
     err = capsys.readouterr().err
     assert err.count("duplicate feature string") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["seq", "dep"])
+def test_empty_alphabet_with_weights_is_a_format_error(
+    seq_model, dep_model, predict_inputs, capsys, kind
+):
+    # a dropped group stores no strings and no weights; a group with
+    # weights but no strings is neither kept nor dropped
+    model = seq_model if kind == "seq" else dep_model
+
+    def edit(blocks, m):
+        assert blocks[3] and blocks[3 + m]
+        blocks[3] = b""
+
+    raw = with_blocks(model, edit)
+    gid = model.task.group_ids[0]
+    with pytest.raises(ModelFormatError, match=f"{gid!r} has .* weights, expected 0"):
+        Model.read(io.BytesIO(raw))
+    capsys.readouterr()
+    assert predict_exit_code(raw, kind, predict_inputs) == 1
+    assert cli.main(["weights", "-m", str(predict_inputs / "m.mkl")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(l.startswith("error:") and "expected 0" in l for l in lines)
 
 
 def test_transition_block_holding_strings_is_a_format_error(seq_model):

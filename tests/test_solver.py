@@ -755,7 +755,8 @@ def test_barrier_ends_on_the_central_path(monkeypatch):
 @pytest.mark.parametrize("mode", ["mkl", "fixed_groups", "uniform"])
 def test_subproblem_solve_depends_on_the_working_set_alone(mode):
     # Every solve starts cold, so the last iteration's alpha and mu, and the
-    # weights recovered from them, come again bit for bit from its rows alone.
+    # weights recovered from them, come again bit for bit from its rows alone;
+    # the result's weights are those with the dropped groups set to zero.
     instances = load_dependency(dependency_text(20, seed=24))
     specs = parse_edge_templates(default_edge_templates())
     task = DependencyTask.build(specs, instances, decoder="nonprojective")
@@ -775,14 +776,18 @@ def test_subproblem_solve_depends_on_the_working_set_alone(mode):
     store = store_of(task, result.rows)
     again = solve_subproblem(store.gram, store.q, cfg.C, pinned=pinned)
     assert np.array_equal(again.alpha, result.alpha)
-    assert np.array_equal(again.mu, result.mu)
+    assert np.array_equal(again.mu, result.trace[-1].mu)
     flat = recover_primal(store, again.alpha, again.mu)
+    for w, mu_j in zip(store.split(flat), result.mu):
+        if mu_j == 0.0:
+            w[:] = 0.0
     assert np.array_equal(flat, np.concatenate(result.weights))
 
 
 def test_train_takes_the_working_set_value_once_per_row(monkeypatch):
     # r_s at the start of an iteration is the working set's value that the
-    # previous iteration's primal used; `train` evaluates it once
+    # previous iteration's primal used; `train` evaluates it once, and the
+    # group drop after the loop once per prefix it checks
     task, compiled = SWEEP_TASKS["dep"]
     calls = []
     values = RowStore.values
@@ -795,12 +800,14 @@ def test_train_takes_the_working_set_value_once_per_row(monkeypatch):
     cfg = SolverConfig(C=1.0, epsilon=1e-2)
     result = train(task, compiled, cfg)
     assert result.halt_reason == "converged" and result.n_iterations > 2
-    # once after each row is added, none on the last iteration, which adds none
-    assert calls == list(range(1, len(result.rows) + 1))
+    # once after each row is added, none on the last iteration, which adds
+    # none; then the drop's checks, here the one that holds
+    assert (result.mu == 0.0).any()
+    assert calls == [*range(1, len(result.rows) + 1), len(result.rows)]
     monkeypatch.undo()
 
     store = store_of(task, result.rows)
-    flat = np.concatenate(result.weights)
+    flat = recover_primal(store, result.alpha, result.trace[-1].mu)
     r_s = working_set_value(store, flat)
     last = result.trace[-1]
     assert last.r_s == r_s
