@@ -10,10 +10,20 @@ Two on-disk formats are supported:
   missing value.  Only the six named fields are interpreted; the rest are
   preserved on read and echoed back on write.
 
-Both are read through one sentence reader, `_sentences`: a blank or
-whitespace-only line ends a sentence, however many come in a row, and CRLF
-reads like LF.  Every format error names its line, a HEAD error its
-sentence, and a sentence's errors are raised before the next one is read.
+Both are framed alike: a blank or whitespace-only line ends a sentence,
+however many come in a row, and CRLF reads like LF.  Every format error
+names its line, a HEAD error its sentence, and a sentence's errors are
+raised before any error of a later sentence.
+
+A column file is read whole into one `SequenceTable`: one list per column
+over every token of the corpus, label ids, and sentence offsets.  Its lines
+end at ``\n`` (a path is opened with universal newlines, so ``\r\n`` and
+``\r`` end lines there), and each line's fields are counted over arrays of
+the text's code points, a block of them at a time, as ``str.split`` splits
+them, so no Python call is made per line.  A `SequenceInstance` is a view
+of one sentence of a table, and `write_sequence_corpus` writes a table's
+columns with one join.  CoNLL-X is read through `_sentences`, one row per
+line.
 
 `size_chunks` is the one batching policy of both decoders: a pass's
 instances, stable-sorted by size, cut into chunks within a cost budget.
@@ -23,9 +33,12 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from operator import add
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 Token = tuple[str, ...]
 """A token is its tuple of observation-column strings."""
@@ -63,6 +76,14 @@ class LabelTable:
             self._labels.append(label)
         return idx
 
+    def intern_all(self, labels: Sequence[str]) -> np.ndarray:
+        """The int64 ids of `labels`, each interned in order as `intern` would."""
+        ids = self._ids
+        for label in dict.fromkeys(labels):
+            if label not in ids:
+                self.intern(label)
+        return np.fromiter(map(ids.__getitem__, labels), dtype=np.int64, count=len(labels))
+
     def label_of(self, idx: int) -> str:
         return self._labels[idx]
 
@@ -73,19 +94,119 @@ class LabelTable:
         return f"LabelTable({self._labels!r})"
 
 
-@dataclass
-class SequenceInstance:
-    """One sentence of the column format.
+class SequenceTable:
+    """A tagger corpus by column: `columns[c][t]` is observation column c of
+    token t, the tokens of every sentence in order; `labels[t]` is token t's
+    label id (int64), or `labels` is None for an unlabeled corpus; sentence s
+    holds tokens `offsets[s]` to `offsets[s + 1]` (a list of ints)."""
 
-    `tokens` holds observation columns only; the gold label column (when the
-    source file was labeled) lives in `labels` as ids of a `LabelTable`.
-    """
+    __slots__ = ("columns", "labels", "offsets")
 
-    tokens: list[Token]
-    labels: list[int] | None = None
+    def __init__(self, columns: list[list[str]], labels: np.ndarray | None, offsets: list[int]):
+        self.columns = columns
+        self.labels = labels
+        self.offsets = offsets
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.offsets) - 1
+
+    def sentences(self) -> list["SequenceInstance"]:
+        view = SequenceInstance.view
+        return [view(self, lo, hi) for lo, hi in zip(self.offsets, self.offsets[1:])]
+
+    @classmethod
+    def gather(cls, instances: Sequence["SequenceInstance"]) -> "SequenceTable":
+        """The sentences of `instances` in order as one table: the table they
+        view when they are all its sentences in order, else a new one that
+        joins their runs of adjacent sentences.  `labels` is None unless
+        every sentence has labels."""
+        if instances:
+            table = instances[0].table
+            if (
+                len(instances) == len(table)
+                and all(inst.table is table for inst in instances)
+                and list(map(_LO, instances)) == table.offsets[:-1]
+            ):
+                return table
+        runs: list[list] = []  # [table, lo, hi] of adjacent sentences of one table
+        for inst in instances:
+            if runs and runs[-1][0] is inst.table and runs[-1][2] == inst.lo:
+                runs[-1][2] = inst.hi
+            else:
+                runs.append([inst.table, inst.lo, inst.hi])
+        widths = {len(t.columns) for t, lo, hi in runs if hi > lo}
+        if len(widths) > 1:
+            raise ValueError(f"sentences with different column counts {sorted(widths)}")
+        columns = [
+            list(chain.from_iterable(t.columns[c][lo:hi] for t, lo, hi in runs if hi > lo))
+            for c in range(widths.pop() if widths else 0)
+        ]
+        labels = None
+        if all(t.labels is not None for t, _, _ in runs):
+            parts = [t.labels[lo:hi] for t, lo, hi in runs]
+            labels = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        offsets = [0]
+        for inst in instances:
+            offsets.append(offsets[-1] + inst.hi - inst.lo)
+        return cls(columns, labels, offsets)
+
+
+class SequenceInstance:
+    """One sentence of the column format: tokens `lo` to `hi` of a
+    `SequenceTable`.
+
+    `tokens` holds observation columns only, one tuple per token; the gold
+    label column (when the source file was labeled) lives in `labels` as ids
+    of a `LabelTable`, or `labels` is None.  Both are built when read.
+    `SequenceInstance(tokens, labels)` makes a sentence that is the one
+    sentence of a table of its own; `read_sequence_corpus` makes views of
+    one table.  Sentences are equal when their tokens and labels are.
+    """
+
+    __slots__ = ("table", "lo", "hi")
+
+    def __init__(self, tokens: Sequence[Token], labels: Sequence[int] | None = None):
+        if len({*map(len, tokens)}) > 1:
+            raise ValueError("every token of a sentence needs the same column count")
+        if labels is not None:
+            if len(labels) != len(tokens):
+                raise ValueError("one label per token required")
+            labels = np.array(labels, dtype=np.int64)
+        columns = [list(column) for column in zip(*tokens)]
+        self.table = SequenceTable(columns, labels, [0, len(tokens)])
+        self.lo, self.hi = 0, len(tokens)
+
+    @classmethod
+    def view(cls, table: SequenceTable, lo: int, hi: int) -> "SequenceInstance":
+        inst = cls.__new__(cls)
+        inst.table, inst.lo, inst.hi = table, lo, hi
+        return inst
+
+    @property
+    def tokens(self) -> list[Token]:
+        columns = [column[self.lo : self.hi] for column in self.table.columns]
+        return list(zip(*columns)) if columns else [()] * len(self)
+
+    @property
+    def labels(self) -> list[int] | None:
+        labels = self.table.labels
+        return None if labels is None else labels[self.lo : self.hi].tolist()
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceInstance):
+            return NotImplemented
+        return self.tokens == other.tokens and self.labels == other.labels
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SequenceInstance({self.tokens!r}, {self.labels!r})"
+
+
+_LO = attrgetter("lo")
 
 
 @dataclass
@@ -106,28 +227,28 @@ class DependencyInstance:
         return len(self.tokens)
 
 
-def _sentences(
-    source: str | Path | IO[str], sep: str | None = None
-) -> Iterator[tuple[int, list[list[str]]]]:
+def _text(source: str | Path | IO[str]) -> str:
+    """All of `source`: a path is opened as UTF-8 and closed, an open text
+    stream is read to its end and left open."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
+    return source.read()
+
+
+def _sentences(source: str | Path | IO[str], sep: str) -> Iterator[tuple[int, list[list[str]]]]:
     """Each sentence of `source` as its first line number and its rows.
 
-    A path is opened as UTF-8 and closed at the end; an open text stream is
-    left open.  A blank or whitespace-only line ends a sentence.  Any other
-    line is one row: split at runs of whitespace when `sep` is None, else
-    stripped of its line end and split at every `sep`.  Both are string
-    methods called in the loop, with no Python call per line.
+    A blank or whitespace-only line ends a sentence.  Any other line is one
+    row: stripped of its line end and split at every `sep`.
     """
     path = isinstance(source, (str, Path))
     with open(source, encoding="utf-8") if path else nullcontext(source) as lines:
         rows: list[list[str]] = []
         first = 1  # the line number of rows[0]
         for line in lines:
-            if sep is None:
-                cols = line.split()
-            else:
-                cols = [] if line.isspace() else line.rstrip("\r\n").split(sep)
-            if cols:
-                rows.append(cols)
+            if not line.isspace():
+                rows.append(line.rstrip("\r\n").split(sep))
                 continue
             if rows:
                 yield first, rows
@@ -138,6 +259,40 @@ def _sentences(
             yield first, rows
 
 
+# `str.isspace` of every code point to U+3000, the last one that is a space,
+# then False for any code point above it
+_SPACE = np.array([*map(str.isspace, map(chr, range(0x3001))), False])
+
+
+# characters per numpy pass of `_line_fields`, which keeps its arrays small
+_BLOCK = 1 << 16
+
+
+def _line_fields(text: str) -> np.ndarray:
+    """The number of fields `str.split` finds on each line of `text`, the
+    lines cut at ``\n``, counted over arrays of its code points, a block
+    of them at a time."""
+    starts = [np.zeros(0, dtype=np.intp)]  # where each field starts
+    ends = [np.zeros(0, dtype=np.intp)]  # where each line ends
+    after_space = True
+    for lo in range(0, len(text), _BLOCK):
+        part = text[lo : lo + _BLOCK]
+        if part.isascii():
+            points = np.frombuffer(part.encode("ascii"), dtype=np.uint8)
+        else:
+            points = np.frombuffer(part.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        space = np.take(_SPACE, points, mode="clip")  # above U+3000 reads the last, False
+        # a field starts at a non-space after a space or at the start of the text
+        begins = ~space
+        begins[0] &= after_space
+        begins[1:] &= space[:-1]
+        after_space = bool(space[-1])
+        starts.append(np.flatnonzero(begins) + lo)
+        ends.append(np.flatnonzero(points == 10) + lo)
+    fields_at, lines_end = np.concatenate(starts), np.concatenate(ends)
+    return np.diff(fields_at.searchsorted(lines_end), prepend=0, append=fields_at.size)
+
+
 def read_sequence_corpus(
     source,
     *,
@@ -145,35 +300,42 @@ def read_sequence_corpus(
     label_table: LabelTable | None = None,
     labeled: bool = True,
 ) -> list[SequenceInstance]:
-    """Read the column token format.
+    """Read the column token format into one `SequenceTable` and return
+    views of its sentences, in file order.
 
     When `labeled`, the last column of each line is interned into
     `label_table` (required in that case).  `expected_columns` pins the file
-    column count; otherwise the first token line sets it.  Sentences are
-    returned in file order.
+    column count; otherwise the first token line sets it.  The first error
+    in file order is raised, as a line-by-line reader would raise it: the
+    labels of the sentences before a sentence with a bad line are interned
+    first, so a frozen table's unknown label there wins.
     """
     if labeled and label_table is None:
         raise ValueError("label_table is required for labeled corpora")
-    instances: list[SequenceInstance] = []
-    n_cols = expected_columns
-    for first, rows in _sentences(source):
-        if n_cols is None:
-            n_cols = len(rows[0])
-        for lineno, cols in enumerate(rows, start=first):
-            if len(cols) != n_cols:
-                raise CorpusFormatError(
-                    f"line {lineno}: expected {n_cols} columns, got {len(cols)}"
-                )
-            if labeled and n_cols < 2:
-                raise CorpusFormatError(
-                    f"line {lineno}: a labeled corpus needs at least 2 columns"
-                )
-        if labeled:
-            tokens = [tuple(cols[:-1]) for cols in rows]
-            instances.append(SequenceInstance(tokens, [label_table.intern(c[-1]) for c in rows]))
-        else:
-            instances.append(SequenceInstance(list(map(tuple, rows))))
-    return instances
+    text = _text(source)
+    counts = _line_fields(text)
+    lines = np.flatnonzero(counts)  # the index of every token line
+    if not lines.size:
+        return []
+    n_cols = int(counts[lines[0]]) if expected_columns is None else expected_columns
+    # a token line after a blank line (or first) starts a sentence
+    starts = np.flatnonzero(np.diff(lines, prepend=-2) > 1)
+    fields = text.split()
+    bad = np.flatnonzero(counts[lines] != n_cols)
+    if labeled and n_cols < 2:
+        bad = np.zeros(1, dtype=np.intp)  # every line fails one check or the other
+    if bad.size:
+        t = int(bad[0])
+        lineno, got = int(lines[t]) + 1, int(counts[lines[t]])
+        before = int(starts[starts.searchsorted(t, side="right") - 1])  # its sentence's first
+        if labeled and before:
+            label_table.intern_all(fields[n_cols - 1 : before * n_cols : n_cols])
+        if got != n_cols:
+            raise CorpusFormatError(f"line {lineno}: expected {n_cols} columns, got {got}")
+        raise CorpusFormatError(f"line {lineno}: a labeled corpus needs at least 2 columns")
+    columns = [fields[c::n_cols] for c in range(n_cols)]
+    labels = label_table.intern_all(columns.pop()) if labeled else None
+    return SequenceTable(columns, labels, [*starts.tolist(), int(lines.size)]).sentences()
 
 
 def write_sequence_corpus(
@@ -186,20 +348,60 @@ def write_sequence_corpus(
 
     Normalized means single-space column separators and a blank line after
     every sentence.  A label column is appended when label ids are available
-    (from `labels_override` or the instances) and `label_table` is given.
+    (from `labels_override` or the instances) and `label_table` is given;
+    without `label_table`, sentences are written up to the first one with
+    labels and tokens, then ValueError is raised, as it is for a labeling
+    whose length is not its sentence's.  The sentences are
+    gathered into one table (`SequenceTable.gather`) and each run of
+    sentences alike (empty, unlabeled or labeled) is written with one join.
     """
     names = None if label_table is None else label_table.labels()
-    for i, inst in enumerate(instances):
-        ids = labels_override[i] if labels_override is not None else inst.labels
-        tokens = inst.tokens
-        if ids is not None and tokens:
+    if labels_override is None:
+        ids = [inst.labels for inst in instances]
+    elif len(labels_override) != len(instances):
+        raise ValueError("one labeling per sentence required")
+    else:
+        ids = labels_override
+    table = SequenceTable.gather(instances)
+    lengths = list(map(len, instances))
+    # runs of sentences alike: empty (0), unlabeled (1) or labeled (2)
+    kinds = [0 if not l else 1 if y is None else 2 for y, l in zip(ids, lengths)]
+    s = 0
+    for kind, run in groupby(kinds):
+        e = s + len(list(run))
+        labels = None
+        if kind == 2:
             if names is None:
                 raise ValueError("label_table is required to write labels")
-            tokens = map(add, tokens, [(names[ids[t]],) for t in range(len(tokens))])
-        # one write per sentence: its token lines, then the blank line
-        rows = list(map(" ".join, tokens))
-        rows.append("\n")
-        dest.write("\n".join(rows))
+            if list(map(len, ids[s:e])) != lengths[s:e]:
+                raise ValueError("labeling length does not match the sentence")
+            labels = list(map(names.__getitem__, chain.from_iterable(ids[s:e])))
+        dest.write("\n" * (e - s) if kind == 0 else _column_text(table, s, e, labels))
+        s = e
+
+
+def _column_text(table: SequenceTable, s: int, e: int, labels: list[str] | None) -> str:
+    """Sentences s..e-1 of `table`, none of them empty, as normalized text:
+    each token's fields (then its label, if `labels`) joined by single
+    spaces, a line per token, and a blank line after each sentence."""
+    offsets = table.offsets
+    lo, hi = offsets[s], offsets[e]
+    fields = [column[lo:hi] for column in table.columns]
+    if labels is not None:
+        fields.append(labels)
+    # the pieces, token by token: each field, then a space, or after the last
+    # field the line end, and after a sentence's last token a blank line too
+    k = 2 * len(fields)
+    pieces = [" "] * (k * (hi - lo))
+    for c, values in enumerate(fields):
+        pieces[2 * c :: k] = values
+    ends = ["\n"] * (hi - lo)
+    for end in offsets[s + 1 : e + 1]:
+        ends[end - lo - 1] = "\n\n"
+    if k:
+        pieces[k - 1 :: k] = ends
+        return "".join(pieces)
+    return "".join(ends)
 
 
 def find_cycle(heads: Sequence[int]) -> list[int] | None:

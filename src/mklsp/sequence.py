@@ -7,11 +7,19 @@ weight per label pair, no observation conjunction) uses ``prev * k + cur``
 and always sits last.
 
 `SequenceTask` parses its alphabet strings into key tables when it is made,
-after `build` and after `Model.read` alike; `compile` looks up every rule's
-keys (see `templates`) in one pass into a (G, l) array of feature ids.  A
-rule whose alphabet is empty (a group a trained model dropped) fires
-nothing: `compile` computes no key for it, its compiled sentences carry no
-row for it, and neither the scorer nor the counted ids read it.
+after `build` and after `Model.read` alike.  `compile` only records a
+sentence: the first read of a recorded sentence's `feats` or `gold`
+compiles every sentence its task still holds recorded, and a decode pass
+or a row first compiles the recorded sentences it is given (so a forked
+worker compiles only its own range).  A batch is gathered into one column
+table (`corpus.SequenceTable`), each kept rule's key lookup is mapped once
+over that table's key stream (see `templates.TemplateKeys`) into one
+(G, tokens) array of feature ids, and each sentence's `feats` and `gold`
+are views into the batch's arrays.  The ids a row counts over all
+sentences of one batch, in order, are read from those arrays.  A rule
+whose alphabet is empty (a group a trained model dropped) fires nothing:
+`compile` computes no key for it, its compiled sentences carry no row for
+it, and neither the scorer nor the counted ids read it.
 
 A corpus is decoded in padded chunks: the sentences of a pass are
 stable-sorted by length and cut into chunks of B sentences within a fixed
@@ -27,18 +35,20 @@ position, from a virtual start label with zero transitions held through a
 sentence's padding.  Each sentence sees the float operations it would see
 alone, up to adding +0.0 (exact, as no running sum is -0.0), so chunking
 moves no label and no score.  The ids a corpus fires are counted over one
-concatenation of its sentences.
+concatenation of its sentences, or over its batch's arrays.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import attrgetter, is_
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelTable, SequenceInstance, size_chunks
+from .corpus import LabelTable, SequenceInstance, SequenceTable, size_chunks
 from .templates import (
     OBSERVATION,
     TRANSITION,
@@ -58,13 +68,61 @@ class SequenceScorer:
     k: int
 
 
-@dataclass
 class CompiledSequence:
-    """A sentence reduced to firing feature ids (-1 where a group is silent)."""
+    """A sentence reduced to firing feature ids (-1 where a group is silent):
+    `feats` (G, l) int64, one row per observation group the task fires, and
+    `gold` its label ids or None.
 
-    length: int  # token count
-    feats: np.ndarray  # (G, l) int64, one row per observation group the task fires
+    One that `SequenceTask.compile` made is pending until `feats` or `gold`
+    is first read; then its task compiles it with every sentence still
+    pending (see `compile_pending`), and both are views into that batch's
+    arrays.
+    """
+
+    __slots__ = ("length", "_feats", "_gold", "_source", "_batch", "_index", "__weakref__")
+
+    def __init__(self, length: int, feats, gold: np.ndarray | None):
+        self.length = length  # token count
+        self._feats, self._gold = feats, gold
+        self._source = None  # (task, instance) while pending
+        self._batch = None  # the `_Batch` it was compiled in, as its `_index`-th sentence
+        self._index = 0
+
+    @property
+    def feats(self):
+        if self._source is not None:
+            self._source[0].compile_pending()
+        return self._feats
+
+    @property
+    def gold(self) -> np.ndarray | None:
+        if self._source is not None:
+            self._source[0].compile_pending()
+        return self._gold
+
+
+@dataclass
+class _Batch:
+    """The arrays of sentences compiled together, in order: `feats`
+    (G, total) and `gold` (total,), None unless every sentence has labels."""
+
+    lengths: list[int]
+    feats: np.ndarray
     gold: np.ndarray | None
+
+
+_BATCH, _INDEX = attrgetter("_batch"), attrgetter("_index")
+
+
+def compile_all(instances: Sequence[CompiledSequence]) -> None:
+    """Compile the pending sentences of `instances`, and no other, one batch
+    per task; a forked decode worker compiles only its own range this way."""
+    batches: dict = {}
+    for inst in instances:
+        if inst._source is not None:
+            batches.setdefault(inst._source[0], []).append(inst)
+    for task, batch in batches.items():
+        task._compile_batch(batch)
 
 
 # most array cells (8 bytes each) one chunk of B sentences of length L
@@ -190,6 +248,8 @@ class SequenceTask:
         self.kept = [j for j, alphabet in enumerate(self.alphabets) if alphabet]
         self.keys = TemplateKeys([self.specs[j] for j in self.kept])
         self.lookups = [key_table(self.specs[j], self.alphabets[j]) for j in self.kept]
+        # weak, so a pending sentence no one holds is freed, not kept in a cycle
+        self._pending: list[weakref.ref] = []
 
     @classmethod
     def build(
@@ -222,14 +282,34 @@ class SequenceTask:
         return dims
 
     def compile(self, instance: SequenceInstance) -> CompiledSequence:
-        g, l = len(self.kept), len(instance.tokens)
-        keys = self.keys(instance.tokens)
+        """The sentence, pending: compiled when its `feats` or `gold` is read."""
+        compiled = CompiledSequence(len(instance), None, None)
+        compiled._source = (self, instance)
+        self._pending.append(weakref.ref(compiled))
+        return compiled
+
+    def compile_pending(self) -> None:
+        """Compile, in one batch, every sentence still pending."""
+        pending, self._pending = self._pending, []
+        compile_all([c for ref in pending if (c := ref()) is not None])
+
+    def _compile_batch(self, batch: Sequence[CompiledSequence]) -> None:
+        """Compile pending sentences of this task together: their sentences
+        are gathered into one table (`SequenceTable.gather`), and each kept
+        rule's lookup maps that table's key stream (`TemplateKeys`) once."""
+        table = SequenceTable.gather([inst._source[1] for inst in batch])
+        g, total = len(self.kept), table.offsets[-1]
+        keys = self.keys(table)
         ids = chain.from_iterable(map(get, k, repeat(-1)) for get, k in zip(self.lookups, keys))
-        feats = np.fromiter(ids, dtype=np.int64, count=g * l).reshape(g, l)
-        gold = None
-        if instance.labels is not None:
-            gold = np.asarray(instance.labels, dtype=np.int64)
-        return CompiledSequence(len(instance.tokens), feats, gold)
+        feats = np.fromiter(ids, dtype=np.int64, count=g * total).reshape(g, total)
+        offsets = table.offsets
+        done = _Batch([inst.length for inst in batch], feats, table.labels)
+        for index, (inst, lo, hi) in enumerate(zip(batch, offsets, offsets[1:])):
+            sentence = inst._source[1]
+            labels = sentence.table.labels
+            inst._feats = feats[:, lo:hi]
+            inst._gold = None if labels is None else labels[sentence.lo : sentence.hi]
+            inst._source, inst._batch, inst._index = None, done, index
 
     def scorer(self, weights: Sequence[np.ndarray]) -> SequenceScorer:
         k = self.k
@@ -252,6 +332,7 @@ class SequenceTask:
     ) -> tuple[list[list[int]], np.ndarray]:
         """Best (or with `augmented`, loss-augmented) labeling of every
         sentence and its score, by chunk (see `decode_chunks`)."""
+        compile_all(instances)
         return decode_chunks(self.scorer(weights), instances, augmented)
 
     def corpus_feature_ids(
@@ -259,16 +340,29 @@ class SequenceTask:
     ) -> tuple[np.ndarray, int]:
         """The flat weight ids `outputs` fire over the corpus (group j's ids
         offset by the sizes of the groups before it), one entry per firing,
-        and their summed Hamming loss, over the corpus concatenated once."""
+        and their summed Hamming loss, over the corpus concatenated once; when
+        `instances` are every sentence of one compiled batch in order, over
+        that batch's arrays."""
         k = self.k
-        lengths = [inst.length for inst in instances]
+        compile_all(instances)
+        batch = instances[0]._batch if instances else None
+        whole = (
+            batch is not None
+            and len(batch.lengths) == len(instances)
+            and all(map(is_, map(_BATCH, instances), repeat(batch)))
+            and list(map(_INDEX, instances)) == list(range(len(instances)))
+        )
+        lengths = batch.lengths if whole else [inst.length for inst in instances]
         if any(len(y) != l for y, l in zip(outputs, lengths, strict=True)):
             raise ValueError("labeling length does not match the sentence")
-        if any(inst.gold is None for inst in instances):
-            raise ValueError("instance has no gold labels")
-        gold = np.concatenate([inst.gold for inst in instances])
+        if whole and batch.gold is not None:
+            gold, feats = batch.gold, batch.feats
+        else:
+            if any(inst.gold is None for inst in instances):
+                raise ValueError("instance has no gold labels")
+            gold = np.concatenate([inst.gold for inst in instances])
+            feats = np.concatenate([inst.feats for inst in instances], axis=1)
         y = np.fromiter(chain.from_iterable(outputs), dtype=np.int64, count=gold.size)
-        feats = np.concatenate([inst.feats for inst in instances], axis=1)
         offsets = np.cumsum([0, *self.group_dims])[:-1].tolist()
         ids = []
         for f, j in zip(feats, self.kept, strict=True):

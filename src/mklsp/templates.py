@@ -30,6 +30,10 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
+from .corpus import SequenceTable
+
 OBSERVATION = "observation"
 TRANSITION = "transition"
 
@@ -111,26 +115,47 @@ def boundary_symbol(position: int, length: int) -> str | None:
 
 
 class TemplateKeys:
-    """Each template's key at each position of a sentence.  Each column is
-    read once into a list padded with boundary sentinels, and a macro's
-    values are one slice of it; columns must be valid (`validate_columns`)."""
+    """Each template's keys at every token of a corpus table (see
+    `corpus.SequenceTable`), in corpus order.  A macro's values are its
+    column shifted by its row offset over the whole corpus, with each
+    sentence's positions past either end set to their boundary sentinels;
+    each (offset, column) is built once per call.  Columns must be valid
+    (`validate_columns`)."""
 
     def __init__(self, specs: Sequence[TemplateSpec]):
-        rows = [row for spec in specs for row, _ in spec.macros]
-        before, after = max(0, -min(rows, default=0)), max(0, max(rows, default=0))
-        # a sentinel depends on the distance past the edge, not on the length
-        self.left = [boundary_symbol(p, 0) for p in range(-before, 0)]
-        self.right = [boundary_symbol(p, 0) for p in range(after)]
-        self.slices = [[(before + row, col) for row, col in spec.macros] for spec in specs]
+        self.macros = [spec.macros for spec in specs]
 
-    def __call__(self, tokens: Sequence[tuple[str, ...]]) -> list[Iterable]:
-        """Per template, its keys at positions 0..l-1, as one iterable."""
-        l = len(tokens)
-        if not l:
-            return [()] * len(self.slices)
-        padded = [[*self.left, *column, *self.right] for column in zip(*tokens)]
-        values = [[padded[col][s : s + l] for s, col in slices] for slices in self.slices]
-        return [v[0] if len(v) == 1 else zip(*v) for v in values]
+    def __call__(self, table) -> list[Iterable]:
+        """Per template, its keys at every token, as one iterable."""
+        shifted: dict[tuple[int, int], list] = {}
+        keys = []
+        for macros in self.macros:
+            for macro in macros:
+                if macro not in shifted:
+                    shifted[macro] = _shifted(table.columns[macro[1]], macro[0], table.offsets)
+            values = [shifted[macro] for macro in macros]
+            keys.append(values[0] if len(values) == 1 else zip(*values))
+        return keys
+
+
+def _shifted(column: list[str], row: int, offsets: Sequence[int]) -> list[str]:
+    """The value `row` positions away from every token of `column`, whose
+    sentences start at `offsets`: a sentinel where that is outside the
+    token's sentence."""
+    if row == 0:
+        return column
+    n = len(column)
+    values = ([None] * -row + column)[:n] if row < 0 else (column + [None] * row)[row:]
+    ends = np.asarray(offsets)
+    lengths = np.diff(ends)
+    # the d-th token from a sentence's start reads position d + row (< 0),
+    # the d-th from its end the (row - d)-th position past that end
+    for d in range(min(abs(row), int(lengths.max(initial=0)))):
+        at = ends[:-1][lengths > d] + d if row < 0 else ends[1:][lengths > d] - 1 - d
+        symbol = boundary_symbol(d + row, 0) if row < 0 else boundary_symbol(row - d - 1, 0)
+        for t in at.tolist():
+            values[t] = symbol
+    return values
 
 
 def key_table(spec: TemplateSpec, strings: Iterable[str]) -> Callable[[Any, int], int]:
@@ -168,21 +193,19 @@ def index_corpus(specs: Sequence[TemplateSpec], corpus: Sequence) -> list[tuple[
     """Build one alphabet per observation template: its feature strings,
     a string's position its id, in first-seen order.
 
-    `corpus` is a sequence of objects with a `tokens` attribute (list of
-    column tuples).  Each template's distinct keys are collected in first-seen
-    order; strings are written only for them, and equal strings merge.
+    `corpus` is a sequence of `corpus.SequenceInstance`, gathered into one
+    table.  Each template's distinct keys are collected in first-seen order
+    over (sentence, position); strings are written only for them, and equal
+    strings merge.
     """
     if not corpus:
         raise ValueError("cannot index an empty corpus")
+    table = SequenceTable.gather(corpus)
     obs = [s for s in specs if s.kind == OBSERVATION]
-    validate_columns(obs, len(corpus[0].tokens[0]) if corpus[0].tokens else 0)
-    read = TemplateKeys(obs)
-    seen: list[dict] = [{} for _ in obs]
-    for inst in corpus:
-        for found, keys in zip(seen, read(inst.tokens)):
-            found.update(dict.fromkeys(keys))
+    validate_columns(obs, len(table.columns))
     alphabets = []
-    for spec, found in zip(obs, seen):
+    for spec, keys in zip(obs, TemplateKeys(obs)(table)):
+        found = dict.fromkeys(keys)
         tails = found if len(spec.macros) == 1 else map("/".join, found)
         strings = map((spec.index + ":").__add__, tails)
         alphabets.append(tuple(dict.fromkeys(strings)))  # equal strings merge here

@@ -27,7 +27,13 @@ arborescence contracted with dicts and Python loops, and a single-root
 search that runs a whole decoder once per root child.  The tree
 references share only the package's score masking and cycle walk.
 `write_sequence_corpus_per_token` is the tagger corpus writer as it was,
-two writes per token.  `reference_compile` is the parser's earlier
+two writes per token, and `reference_write_sequence_corpus` as it was
+later, one write per sentence.  `reference_read_sequence_corpus` is the
+tagger corpus reader as it was: file iteration, one `str.split` and one
+label intern per line, one instance built from its token tuples per
+sentence.  `reference_sequence_compile` is the tagger's earlier
+per-sentence compile: every column padded with boundary sentinels, a
+macro's values one slice of it, and one lookup per key.  `reference_compile` is the parser's earlier
 per-sentence compile, kept as it was: one firing pass and one key lookup
 per sentence, through the extractor's layout and key table, its values
 coded as a batch of one.  `parent_loss` is the parser's loss counted one
@@ -46,7 +52,10 @@ from typing import Sequence
 
 import numpy as np
 
-from mklsp.corpus import find_cycle
+from contextlib import nullcontext
+from pathlib import Path
+
+from mklsp.corpus import CorpusFormatError, SequenceInstance, find_cycle
 from mklsp.dependency import NEG, EdgeTemplateSpec, _masked, augment
 from mklsp.sparse import GroupedSparseVector, SparseVector, sparse_dot
 from mklsp.templates import TemplateSpec, boundary_symbol
@@ -66,6 +75,98 @@ def write_sequence_corpus_per_token(instances, dest, label_table=None, labels_ov
             dest.write(" ".join(parts))
             dest.write("\n")
         dest.write("\n")
+
+
+def reference_write_sequence_corpus(instances, dest, label_table=None, labels_override=None):
+    """The column format written back one sentence at a time: its token
+    lines joined, the label appended to each token's tuple, one write."""
+    names = None if label_table is None else label_table.labels()
+    for i, inst in enumerate(instances):
+        ids = labels_override[i] if labels_override is not None else inst.labels
+        tokens = inst.tokens
+        if ids is not None and tokens:
+            if names is None:
+                raise ValueError("label_table is required to write labels")
+            tokens = map(add, tokens, [(names[ids[t]],) for t in range(len(tokens))])
+        rows = list(map(" ".join, tokens))
+        rows.append("\n")
+        dest.write("\n".join(rows))
+
+
+def _reference_sentences(source):
+    """Each sentence of `source` as its first line number and its rows, by
+    file iteration: a blank or whitespace-only line ends a sentence, any
+    other line is one row split at runs of whitespace."""
+    path = isinstance(source, (str, Path))
+    with open(source, encoding="utf-8") if path else nullcontext(source) as lines:
+        rows = []
+        first = 1
+        for line in lines:
+            cols = line.split()
+            if cols:
+                rows.append(cols)
+                continue
+            if rows:
+                yield first, rows
+                first += len(rows)
+                rows = []
+            first += 1
+        if rows:
+            yield first, rows
+
+
+def reference_read_sequence_corpus(
+    source, *, expected_columns=None, label_table=None, labeled=True
+):
+    """The column format read line by line: each sentence's column counts
+    checked, then its labels interned, before the next sentence is read."""
+    if labeled and label_table is None:
+        raise ValueError("label_table is required for labeled corpora")
+    instances = []
+    n_cols = expected_columns
+    for first, rows in _reference_sentences(source):
+        if n_cols is None:
+            n_cols = len(rows[0])
+        for lineno, cols in enumerate(rows, start=first):
+            if len(cols) != n_cols:
+                raise CorpusFormatError(
+                    f"line {lineno}: expected {n_cols} columns, got {len(cols)}"
+                )
+            if labeled and n_cols < 2:
+                raise CorpusFormatError(
+                    f"line {lineno}: a labeled corpus needs at least 2 columns"
+                )
+        if labeled:
+            tokens = [tuple(cols[:-1]) for cols in rows]
+            instances.append(SequenceInstance(tokens, [label_table.intern(c[-1]) for c in rows]))
+        else:
+            instances.append(SequenceInstance(list(map(tuple, rows))))
+    return instances
+
+
+def _reference_sentence_keys(specs, tokens):
+    """Per template, its keys at positions 0..l-1 of one sentence: each
+    column padded with boundary sentinels, a macro's values one slice."""
+    rows = [row for spec in specs for row, _ in spec.macros]
+    before, after = max(0, -min(rows, default=0)), max(0, max(rows, default=0))
+    left = [boundary_symbol(p, 0) for p in range(-before, 0)]
+    right = [boundary_symbol(p, 0) for p in range(after)]
+    l = len(tokens)
+    if not l:
+        return [()] * len(specs)
+    padded = [[*left, *column, *right] for column in zip(*tokens)]
+    values = [[padded[col][before + row : before + row + l] for row, col in spec.macros]
+              for spec in specs]
+    return [v[0] if len(v) == 1 else zip(*v) for v in values]
+
+
+def reference_sequence_compile(task, tokens):
+    """The (G, l) int64 feature ids of one sentence, compiled alone: one
+    lookup per key of each kept rule, -1 for a key its alphabet lacks."""
+    specs = [task.specs[j] for j in task.kept]
+    keys = _reference_sentence_keys(specs, tokens)
+    rows = [[get(key, -1) for key in k] for get, k in zip(task.lookups, keys)]
+    return np.array(rows, dtype=np.int64).reshape(len(specs), len(tokens))
 
 
 def reference_instantiate(spec: TemplateSpec, tokens: Sequence[tuple[str, ...]], t: int) -> str:

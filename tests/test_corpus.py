@@ -1,12 +1,15 @@
 import io
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mklsp import corpus
 from mklsp.corpus import (
     CorpusFormatError,
     LabelTable,
     SequenceInstance,
+    SequenceTable,
     find_cycle,
     read_dependency_corpus,
     read_sequence_corpus,
@@ -15,7 +18,11 @@ from mklsp.corpus import (
     write_sequence_corpus,
 )
 
-from _oracles import write_sequence_corpus_per_token
+from _oracles import (
+    reference_read_sequence_corpus,
+    reference_write_sequence_corpus,
+    write_sequence_corpus_per_token,
+)
 
 
 def seq(text, **kw):
@@ -414,3 +421,173 @@ def test_sequence_errors_keep_their_line(tmp_path, text, kw, message):
         with pytest.raises(CorpusFormatError) as err:
             read_sequence_corpus(source, label_table=LabelTable(), **kw)
         assert str(err.value) == message, name
+
+
+# The tagger reader against the line-by-line reference: lines hold runs of
+# any whitespace `str.split` splits at, including characters that
+# `str.splitlines` would end a line at but file iteration does not (\x0b,
+# \x0c, \x1c, \x85, U+2028) and a lone \r (a line end only in a file, where
+# universal newlines apply); lines end in \n or \r\n, the last one maybe
+# not at all, and blank lines may hold whitespace.
+SPACE_CHARS = " \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\r"
+SPACES = st.text(st.sampled_from(SPACE_CHARS), min_size=1, max_size=3)
+FIELDS = st.text(st.sampled_from("abXYé/:_-"), min_size=1, max_size=3)
+
+
+@st.composite
+def column_files(draw):
+    """Text of a column file whose lines mostly hold `columns` fields."""
+    columns = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["token"] * 6 + ["blank", "odd"]))
+        if kind == "blank":
+            lines.append(draw(st.just("") | SPACES))
+            continue
+        n = columns if kind == "token" else draw(st.integers(1, 4))
+        fields = draw(st.lists(FIELDS, min_size=n, max_size=n))
+        line = draw(SPACES).join(fields)
+        lines.append(draw(st.just("") | SPACES) + line + draw(st.just("") | SPACES))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no final line end
+    return text
+
+
+def read_both(text, as_path, directory, **kw):
+    """(result or (error type, message), label order) of the reader and of
+    the reference on `text`, each from its own path or StringIO, each
+    with its own copy of the label table `kw` may hold."""
+    outcomes = []
+    for reader in (read_sequence_corpus, reference_read_sequence_corpus):
+        table = kw.get("label_table")
+        if table is not None:
+            table = LabelTable(table.labels())
+            if kw["frozen"]:
+                table.freeze()
+        if as_path:
+            source = directory / "corpus.txt"
+            source.write_bytes(text.encode("utf-8"))
+        else:
+            source = io.StringIO(text)
+        try:
+            got = reader(source, expected_columns=kw.get("expected_columns"),
+                         label_table=table, labeled=kw.get("labeled", True))
+        except (CorpusFormatError, ValueError) as exc:
+            got = (type(exc), str(exc))
+        outcomes.append((got, None if table is None else table.labels()))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    column_files(),
+    st.booleans(),
+    st.booleans(),
+    st.none() | st.integers(0, 3),
+    st.lists(st.sampled_from(["a", "X", "Y", "b"]), max_size=3, unique=True),
+    st.booleans(),
+    st.sampled_from([1, 2, 5, 1 << 16]),
+)
+def test_sequence_reader_matches_line_by_line_reference(
+    tmp_path_factory, text, as_path, labeled, expected, known, frozen, block
+):
+    # whatever the block of characters the fields are counted in: at 1 every
+    # field and line end falls on a block's edge
+    directory = tmp_path_factory.mktemp("read", numbered=True)
+    table = LabelTable(known) if labeled else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_BLOCK", block)
+        new, ref = read_both(text, as_path, directory, label_table=table, frozen=frozen,
+                             expected_columns=expected, labeled=labeled)
+    assert new == ref
+
+
+@pytest.mark.parametrize("as_path", [False, True])
+def test_sequence_reader_error_order_and_line_ends(tmp_path, as_path):
+    # a frozen table's unknown label in sentence 1 is raised before a bad
+    # column count in sentence 3
+    text = "a b X\nc d Z\n\ne f X\n\ng X\n"
+    table = LabelTable(["X"])
+    new, ref = read_both(text, as_path, tmp_path, label_table=table, frozen=True)
+    assert new == ref
+    assert new[0] == (ValueError, "label table is frozen; unknown label 'Z'")
+    # the same file with a known label: the column count of line 6 is raised
+    fixed = text.replace("Z", "X")
+    new, ref = read_both(fixed, as_path, tmp_path, label_table=table, frozen=True)
+    assert new == ref == ((CorpusFormatError, "line 6: expected 3 columns, got 2"), ["X"])
+    # characters `str.splitlines` ends a line at are spaces inside a line
+    text = "a\x1cb X\nc\x85d\u2028 Y\x0b\n\x0c\nx\x1dy Z\x1e\n"
+    new, ref = read_both(text, as_path, tmp_path, label_table=LabelTable(), frozen=False)
+    assert new == ref
+    tokens = [[len(inst), inst.tokens] for inst in new[0]]
+    assert tokens == [[2, [("a", "b"), ("c", "d")]], [1, [("x", "y")]]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_files(), st.booleans(), st.sampled_from(["table", "override", "none"]), st.data())
+def test_sequence_writer_matches_per_sentence_reference(text, labeled, mode, data):
+    # sentences as the reader makes them, with and without a label column,
+    # written back with the table's labels, with others, or with no table
+    table = LabelTable()
+    try:
+        instances = read_sequence_corpus(io.StringIO(text), label_table=table, labeled=labeled)
+    except CorpusFormatError:
+        return
+    if not len(table):
+        table.intern("L")
+    labels = st.integers(0, len(table) - 1)
+    override = [data.draw(st.lists(labels, min_size=len(i), max_size=len(i))) for i in instances]
+    kwargs = {
+        "table": {"label_table": table},
+        "override": {"label_table": table, "labels_override": override},
+        "none": {},
+    }[mode]
+    outputs = []
+    for writer in (write_sequence_corpus, reference_write_sequence_corpus):
+        out = io.StringIO()
+        try:
+            writer(instances, out, **kwargs)
+            outputs.append((out.getvalue(), None))
+        except ValueError as exc:
+            outputs.append((out.getvalue(), str(exc)))
+    assert outputs[0] == outputs[1]
+
+
+def test_sequence_writer_checks_the_labelings():
+    insts, table = seq("a X\nb Y\n\nc X\n")
+    with pytest.raises(ValueError, match="one labeling per sentence"):
+        write_sequence_corpus(insts, io.StringIO(), table, labels_override=[[0, 1]])
+    with pytest.raises(ValueError, match="length"):
+        write_sequence_corpus(insts, io.StringIO(), table, labels_override=[[0], [1]])
+
+
+def test_sentences_view_one_table_and_gather_joins_others():
+    insts, table = seq("a b X\nc d Y\n\ne f X\n\ng h Y\n")
+    whole = SequenceTable.gather(insts)
+    assert whole is insts[0].table and whole.offsets == [0, 2, 3, 4]
+    assert whole.columns == [["a", "c", "e", "g"], ["b", "d", "f", "h"]]
+    assert whole.labels.tolist() == [0, 1, 0, 1]
+    hand = SequenceInstance([("x", "y")], [1])
+    mixed = SequenceTable.gather([insts[2], hand, insts[0], insts[1]])
+    assert mixed.offsets == [0, 1, 2, 4, 5]
+    assert mixed.columns == [["g", "x", "a", "c", "e"], ["h", "y", "b", "d", "f"]]
+    assert mixed.labels.tolist() == [1, 1, 0, 1, 0]
+    bare = SequenceTable.gather([insts[0], SequenceInstance([("x", "y")])])
+    assert bare.labels is None and bare.offsets == [0, 2, 3]
+    with pytest.raises(ValueError, match="column counts"):
+        SequenceTable.gather([insts[0], SequenceInstance([("x",)])])
+    with pytest.raises(ValueError, match="one label per token"):
+        SequenceInstance([("x",)], [0, 1])
+    # a sentence is equal to another with the same tokens and labels
+    assert insts[1] == SequenceInstance([("e", "f")], [0]) != SequenceInstance([("e", "f")])
+    assert SequenceInstance([(), ()]).tokens == [(), ()]
+
+
+def test_no_code_point_above_the_space_table_is_a_space():
+    # the reader takes every code point past its table for a non-space
+    last = len(corpus._SPACE) - 2
+    assert chr(last).isspace()
+    assert not any(chr(c).isspace() for c in range(last + 1, sys.maxunicode + 1))
+    assert corpus._SPACE.tolist() == [chr(c).isspace() for c in range(last + 1)] + [False]

@@ -1,6 +1,7 @@
 """Chain decoders against exhaustive enumeration, plus the feature map and
 loss plumbing the solver relies on."""
 
+import io
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mklsp import sequence
-from mklsp.corpus import LabelTable, SequenceInstance
+from mklsp.corpus import LabelTable, SequenceInstance, read_sequence_corpus
+from mklsp.model import Model
 from mklsp.sequence import (
     CompiledSequence,
     SequenceScorer,
@@ -18,10 +20,17 @@ from mklsp.sequence import (
     loss_augmented_decode,
     viterbi_decode,
 )
+from mklsp.solver import SolverConfig, parallel_decode, train
 from mklsp.synthetic import SEQ_TEMPLATES, load_sequence, sequence_text
 from mklsp.templates import parse_templates
 
-from _oracles import dense_emissions, feature_counts, reference_viterbi, sequence_best
+from _oracles import (
+    dense_emissions,
+    feature_counts,
+    reference_sequence_compile,
+    reference_viterbi,
+    sequence_best,
+)
 
 
 def random_case(rng, l, k, n_groups=2, transition=True, max_dim=5):
@@ -393,3 +402,94 @@ def test_decode_ignores_gold_column():
     b_labels, b_scores = task.decode_corpus(weights, [bare])
     assert a_labels == b_labels
     assert a_scores.tobytes() == b_scores.tobytes()
+
+
+# ---------------------------------------------------------------- batched compile
+
+# values a reader can read (no whitespace, none empty), some holding the "/"
+# that joins macro values and look-alikes of the boundary sentinels, and a
+# hand-built sentence may also hold the empty value
+READ_VALUE = st.sampled_from(["a", "b", "c", "a/b", "b/c", "/", ":", "_B-1", "_B+1"])
+HAND_VALUE = READ_VALUE | st.just("")
+# offsets past either end of any drawn sentence, a rule of one to three macros
+COMPILE_RULE = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(0, 1)).map(lambda m: "%x[{},{}]".format(*m)),
+    min_size=1, max_size=3,
+)
+
+
+def sentences_of(value, min_size=1):
+    return st.lists(
+        st.lists(st.tuples(value, value), min_size=min_size, max_size=5), min_size=1, max_size=4
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sentences_of(READ_VALUE),
+    sentences_of(HAND_VALUE, min_size=0),
+    st.lists(COMPILE_RULE, min_size=1, max_size=3),
+    st.data(),
+)
+def test_batched_compile_matches_per_sentence_reference(read, hand, rules, data):
+    # a task built from sentences the reader made (or the same ones built by
+    # hand), some groups dropped (emptied) as a trained model stores them,
+    # compiles the reader's sentences and hand-built ones in one pass, in a
+    # drawn order: every sentence's feats equal its compile alone
+    text = "".join("".join(f"{a} {b} L\n" for a, b in s) + "\n" for s in read)
+    table = LabelTable()
+    from_reader = read_sequence_corpus(io.StringIO(text), label_table=table)
+    assert [inst.tokens for inst in from_reader] == read
+    specs = parse_templates("\n".join(f"U{j}:" + "/".join(r) for j, r in enumerate(rules)))
+    built = SequenceTask.build(specs, from_reader, table)
+    by_hand = SequenceTask.build(specs, [SequenceInstance(s, [0] * len(s)) for s in read], table)
+    assert built.alphabets == by_hand.alphabets
+    dropped = data.draw(st.lists(st.booleans(), min_size=len(rules), max_size=len(rules)))
+    alphabets = [() if drop else a for drop, a in zip(dropped, built.alphabets)]
+    task = SequenceTask(specs, alphabets, table)
+    sentences = [*from_reader, *(SequenceInstance(s) for s in hand)]
+    order = data.draw(st.permutations(range(len(sentences))))
+    compiled = [task.compile(sentences[i]) for i in order]
+    for i, inst in zip(order, compiled):
+        want = reference_sequence_compile(task, sentences[i].tokens)
+        assert inst.feats.dtype == np.int64 and inst.feats.shape == want.shape
+        assert np.array_equal(inst.feats, want)
+        assert inst.length == len(sentences[i])
+        labels = sentences[i].labels
+        assert (inst.gold is None) == (labels is None)
+        assert labels is None or inst.gold.tolist() == labels
+    # one batch: every sentence a view of one array
+    assert len({id(inst.feats.base) for inst in compiled if inst.length}) <= 1
+
+
+def test_compile_is_pending_until_read():
+    task, corpus = toy_task()
+    first, second = task.compile(corpus[0]), task.compile(corpus[1])
+    assert first._source is not None and second._source is not None
+    assert second.gold.tolist() == [0]  # one read compiles both
+    assert first._source is None and first.feats.base is second.feats.base
+    # a decode pass compiles only the pending sentences it is given
+    third, fourth = task.compile(corpus[0]), task.compile(corpus[1])
+    task.decode_corpus([np.zeros(d) for d in task.group_dims], [fourth])
+    assert fourth._source is None and third._source is not None
+    assert np.array_equal(third.feats, first.feats)
+
+
+def test_two_job_training_and_predict_of_pending_sentences_match_one_job():
+    # the trainer compiles the corpus before its workers fork; predict
+    # workers each compile their own range
+    instances, table = load_sequence(sequence_text(30, seed=5))
+    models, predictions = [], []
+    for jobs in (1, 2):
+        task = SequenceTask.build(parse_templates(SEQ_TEMPLATES), instances, table)
+        config = SolverConfig(C=1.0, epsilon=0.05, jobs=jobs)
+        result = train(task, [task.compile(i) for i in instances], config)
+        models.append(
+            Model.from_sequence(task, SEQ_TEMPLATES, 2, result.mu, result.weights, {}).payload()
+        )
+        held_out, _ = load_sequence(sequence_text(9, seed=6))
+        pending = [task.compile(i) for i in held_out]
+        predictions.append(parallel_decode(task, result.weights, pending, jobs, augmented=False))
+        assert all(inst._source is not None for inst in pending) == (jobs == 2)
+    assert models[0] == models[1]
+    assert predictions[0] == predictions[1]

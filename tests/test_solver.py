@@ -411,6 +411,28 @@ def test_constraint_row_matches_reference_on_any_outputs():
             build_constraint_row(task, insts, [out + [0] for out in outputs], gold)
 
 
+def test_constraint_rows_of_a_compiled_batch_and_of_its_parts_match_reference():
+    # the sentences of one compiled batch, in order, are read from the
+    # batch's arrays; a subset, a reordering or a repeat of them is
+    # concatenated: every row equals the dict reference
+    instances, table = load_sequence(sequence_text(10, seed=4, min_len=1, max_len=5))
+    task = SequenceTask.build(parse_templates(SEQ_TEMPLATES), instances, table)
+    compiled = [task.compile(i) for i in instances]
+    rng = np.random.default_rng(39)
+    parts = [compiled, compiled[::2], compiled[::-1], compiled[3:], [compiled[4], compiled[1]],
+             compiled + compiled[:1]]
+    for part in parts:
+        for _ in range(3):
+            outputs = [rng.integers(0, task.k, size=inst.length).tolist() for inst in part]
+            row = row_of(task, part, outputs)
+            want = reference_constraint_row(task, part, outputs)
+            assert row.q == want.q
+            for got, ref in zip(row.p.groups, want.p.groups, strict=True):
+                assert np.array_equal(got.indices, ref.indices)
+                assert np.array_equal(got.values, ref.values)
+    assert all(inst.feats.base is compiled[0].feats.base for inst in compiled)
+
+
 def test_working_set_value_empty_is_zero():
     assert working_set_value(RowStore([3], 1), np.zeros(3)) == 0.0
 
